@@ -16,7 +16,6 @@ from .blockade import (
     slow_light_matrix,
 )
 from .clicks import (
-    ClickRecord,
     ClickStream,
     TrialCounts,
     TrialData,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockadeConfig",
-    "ClickRecord",
     "ClickStream",
     "DEFAULT_N_MAX",
     "EfficiencyTable",

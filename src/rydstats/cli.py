@@ -162,9 +162,14 @@ def _blockade_config(cfg: RunConfig, default_n_max: int) -> BlockadeConfig:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write a report; a NaN or inf in it is a numerical failure, since
+    JSON has no literal for either."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path.name}: {exc}") from exc
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _say(path: Path) -> None:
@@ -262,7 +267,10 @@ def _sweep_figure(args, cfg: RunConfig, out: Path, figure: str) -> None:
     if args.zeta_range:
         if len(args.zeta_range) != 3:
             raise ValidationError("--zeta-range expects MIN,MAX,POINTS")
-        lo, hi, points = args.zeta_range[0], args.zeta_range[1], int(args.zeta_range[2])
+        lo, hi, points = args.zeta_range
+        if not (points.is_integer() and points >= 1):
+            raise ValidationError(f"--zeta-range POINTS must be an integer >= 1, got {points:g}")
+        points = int(points)
     else:
         lo, hi, points = cfg.zeta_min, cfg.zeta_max, cfg.zeta_points
     if not 0 < lo < hi:
@@ -361,9 +369,12 @@ def cmd_fit_peg(args, cfg: RunConfig, out: Path) -> None:
                 continue
             parts = line.split(",")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                row = (float(parts[0]), float(parts[1]))
             except (IndexError, ValueError) as exc:
                 raise ValidationError(f"{args.data}:{lineno}: malformed row ({exc})") from exc
+            if not np.all(np.isfinite(row)):
+                raise ValidationError(f"{args.data}:{lineno}: non-finite value in {line!r}")
+            rows.append(row)
     if len(rows) < 3:
         raise ValidationError(f"{args.data}: need at least 3 data rows, got {len(rows)}")
     data = np.array(rows)

@@ -24,7 +24,9 @@ background applies), then rescaled to the signal-window duration.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,15 +38,9 @@ _DETECTOR_CODE = {name: i for i, name in enumerate(DETECTORS)}
 
 _TRIALS_RE = re.compile(r"#\s*trials\s*=\s*(\d+)\s*$")
 _HEADER = "trial_id,detector,time_ns"
-
-
-@dataclass(frozen=True)
-class ClickRecord:
-    """One detector click: which trial, which detector, when."""
-
-    trial_id: int
-    detector: str
-    time_ns: int
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# "U3", not "U2": a two-character field would cut "D22" to a valid "D2"
+_BODY_DTYPE = [("trial_id", np.int64), ("detector", "U3"), ("time_ns", np.int64)]
 
 
 def _check_window(name: str, window: tuple[int, int]) -> tuple[int, int]:
@@ -155,12 +151,6 @@ class ClickStream:
     def n_records(self) -> int:
         return self.trial_ids.size
 
-    def records(self) -> list[ClickRecord]:
-        return [
-            ClickRecord(int(t), DETECTORS[int(d)], int(ts))
-            for t, d, ts in zip(self.trial_ids, self.detector_codes, self.times_ns)
-        ]
-
     def write_csv(self, path) -> None:
         names = np.array(DETECTORS)
         with open(path, "w", newline="\n") as fh:
@@ -177,65 +167,132 @@ class ClickStream:
 
     @staticmethod
     def read_csv(path) -> "ClickStream":
-        n_trials = None
-        ids: list[int] = []
-        codes: list[int] = []
-        times: list[int] = []
-        header_seen = False
-        any_line = False
+        """Read a click CSV (format in the module docstring).
+
+        The preamble up to the column header goes through the per-line
+        grammar; the body is parsed in one C-level pass.  A body that pass
+        does not take as plain records (comments, whitespace-only lines,
+        ``1_0``-style numbers, bad records) is re-read line by line, which
+        gives the same arrays, or the same error at the same line.
+        """
+        lines = _ClickLines(path)
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                any_line = True
-                if line.startswith("#"):
-                    m = _TRIALS_RE.match(line)
-                    if m:
-                        if n_trials is not None:
-                            raise ValidationError(
-                                f"{path}:{lineno}: duplicate '# trials=' header"
-                            )
-                        n_trials = int(m.group(1))
-                    continue
-                if not header_seen:
-                    if line != _HEADER:
-                        raise ValidationError(
-                            f"{path}:{lineno}: expected header '{_HEADER}', got {line!r}"
-                        )
-                    header_seen = True
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ValidationError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-                try:
-                    trial = int(parts[0])
-                    code = _DETECTOR_CODE[parts[1]]
-                    t = int(parts[2])
-                except (ValueError, KeyError) as exc:
-                    raise ValidationError(f"{path}:{lineno}: malformed record ({exc})") from exc
-                if trial < 0 or t < 0:
-                    raise ValidationError(f"{path}:{lineno}: negative trial id or time")
-                ids.append(trial)
-                codes.append(code)
-                times.append(t)
-        if not any_line:
-            raise ValidationError(f"{path}: empty click file")
-        if n_trials is None:
-            raise ValidationError(f"{path}: missing mandatory '# trials=N' comment")
-        if not header_seen:
-            raise ValidationError(f"{path}: missing column header '{_HEADER}'")
-        trial_ids = np.asarray(ids, dtype=np.int64)
-        if trial_ids.size and trial_ids.max() >= n_trials:
-            raise ValidationError(
-                f"{path}: trial id {trial_ids.max()} outside 0..{n_trials - 1}"
-            )
-        return ClickStream(
-            n_trials=n_trials,
-            trial_ids=trial_ids,
-            detector_codes=np.asarray(codes, dtype=np.int8),
-            times_ns=np.asarray(times, dtype=np.int64),
+            for raw in iter(fh.readline, ""):
+                lines.feed(raw)
+                if lines.header_seen:
+                    break
+            body_start = fh.tell()
+            columns = _bulk_body(fh) if lines.header_seen and not _has_nul(path) else None
+            if columns is None:
+                fh.seek(body_start)
+                for raw in fh:
+                    lines.feed(raw)
+                columns = lines.columns()
+        return lines.stream(*columns)
+
+
+@dataclass(eq=False)
+class _ClickLines:
+    """The click-CSV grammar, fed one line at a time: the one full
+    statement of the format and the only source of line-numbered errors."""
+
+    path: object
+    lineno: int = 0
+    n_trials: int | None = None
+    header_seen: bool = False
+    any_line: bool = False
+    ids: list = field(default_factory=list)
+    codes: list = field(default_factory=list)
+    times: list = field(default_factory=list)
+
+    def _error(self, message: str) -> ValidationError:
+        return ValidationError(f"{self.path}:{self.lineno}: {message}")
+
+    def feed(self, raw: str) -> None:
+        self.lineno += 1
+        line = raw.strip()
+        if not line:
+            return
+        self.any_line = True
+        if line.startswith("#"):
+            m = _TRIALS_RE.match(line)
+            if m:
+                if self.n_trials is not None:
+                    raise self._error("duplicate '# trials=' header")
+                self.n_trials = int(m.group(1))
+            return
+        if not self.header_seen:
+            if line != _HEADER:
+                raise self._error(f"expected header '{_HEADER}', got {line!r}")
+            self.header_seen = True
+            return
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise self._error(f"expected 3 fields, got {len(parts)}")
+        try:
+            trial = int(parts[0])
+            code = _DETECTOR_CODE[parts[1]]
+            t = int(parts[2])
+        except (ValueError, KeyError) as exc:
+            raise self._error(f"malformed record ({exc})") from exc
+        if trial < 0 or t < 0:
+            raise self._error("negative trial id or time")
+        if trial > _INT64_MAX or t > _INT64_MAX:
+            raise self._error(f"trial id or time above {_INT64_MAX}")
+        self.ids.append(trial)
+        self.codes.append(code)
+        self.times.append(t)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (
+            np.asarray(self.ids, dtype=np.int64),
+            np.asarray(self.codes, dtype=np.int8),
+            np.asarray(self.times, dtype=np.int64),
         )
+
+    def stream(self, trial_ids, detector_codes, times_ns) -> ClickStream:
+        """Apply the whole-file checks and build the stream."""
+        if not self.any_line:
+            raise ValidationError(f"{self.path}: empty click file")
+        if self.n_trials is None:
+            raise ValidationError(f"{self.path}: missing mandatory '# trials=N' comment")
+        if not self.header_seen:
+            raise ValidationError(f"{self.path}: missing column header '{_HEADER}'")
+        if trial_ids.size and trial_ids.max() >= self.n_trials:
+            raise ValidationError(
+                f"{self.path}: trial id {trial_ids.max()} outside 0..{self.n_trials - 1}"
+            )
+        return ClickStream(self.n_trials, trial_ids, detector_codes, times_ns)
+
+
+def _has_nul(path) -> bool:
+    """Whether the file holds a NUL byte: numpy's fixed-width strings drop
+    trailing NULs, so ``D2\\0`` would read as ``D2``."""
+    with open(path, "rb") as fh:
+        return any(b"\0" in chunk for chunk in iter(partial(fh.read, 1 << 20), b""))
+
+
+def _bulk_body(fh):
+    """Parse the rest of ``fh`` as plain records in one pass.
+
+    Returns the (trial ids, detector codes, times) arrays, or None when the
+    body holds anything else; any numpy warning (e.g. an empty body) also
+    gives None, so none reaches the user.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=_BODY_DTYPE)
+    except (ValueError, Warning):
+        return None
+    codes = np.full(rows.size, -1, dtype=np.int8)
+    for code, name in enumerate(DETECTORS):
+        codes[rows["detector"] == name] = code
+    ids = np.ascontiguousarray(rows["trial_id"])
+    times = np.ascontiguousarray(rows["time_ns"])
+    if (codes < 0).any() or (ids < 0).any() or (times < 0).any():
+        return None
+    return ids, codes, times
 
 
 def count_trials(
@@ -404,13 +461,12 @@ def bootstrap_error(
     if n < 10:
         raise ValidationError(f"need at least 10 trials to bootstrap, got {n}")
 
-    patterns = np.stack([
-        data.sig1.astype(np.int64),
-        data.sig2.astype(np.int64),
-        data.noise1,
-        data.noise2,
-    ])
-    classes, class_counts = np.unique(patterns, axis=1, return_counts=True)
+    # One mixed-radix key per trial sorts like the (sig1, sig2, noise1,
+    # noise2) columns, so the classes come out in np.unique(axis=1) order.
+    fields = (data.sig1, data.sig2, data.noise1, data.noise2)
+    dims = (2, 2, int(data.noise1.max()) + 1, int(data.noise2.max()) + 1)
+    keys, class_counts = np.unique(np.ravel_multi_index(fields, dims), return_counts=True)
+    classes = np.unravel_index(keys, dims)
     f_sig1 = classes[0].astype(float)
     f_sig2 = classes[1].astype(float)
     f_coinc = (classes[0] & classes[1]).astype(float)

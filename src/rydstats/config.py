@@ -20,7 +20,7 @@ def _positive_int(value: int) -> bool:
 
 
 def _non_negative(value: float) -> bool:
-    return value >= 0.0
+    return value >= 0.0  # False for NaN
 
 
 def _unit_interval(value: float) -> bool:
@@ -55,7 +55,7 @@ class _Key:
 
 _KEYS: dict[str, _Key] = {
     # run control
-    "seed": _Key(int, 12345, help="RNG seed for every stochastic step"),
+    "seed": _Key(int, 12345, _non_negative, "RNG seed for every stochastic step"),
     "threads": _Key(int, 1, _positive_int, "worker threads for the Monte Carlo"),
     "n_max": _Key(int, None, _positive_int,
                   "Fock truncation; unset -> per-command default"),
@@ -117,8 +117,11 @@ class RunConfig:
         return self.values.get(name, spec.default)
 
     def set(self, name: str, value: Any) -> None:
+        """Set a parsed value after its range check (flags and file alike)."""
         if name not in _KEYS:
             raise ValidationError(f"unknown configuration key {name!r}")
+        if not _KEYS[name].check(value):
+            raise ValidationError(f"value out of range for {name}: {value!r}")
         self.values[name] = value
 
 
@@ -137,14 +140,14 @@ def parse_config_file(path) -> RunConfig:
             text = text.strip()
             if name not in _KEYS:
                 raise ValidationError(f"{path}:{lineno}: unknown key {name!r}")
-            spec = _KEYS[name]
             try:
-                value = spec.parse(text)
+                value = _KEYS[name].parse(text)
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad value for {name}: {exc}") from exc
-            if not spec.check(value):
-                raise ValidationError(f"{path}:{lineno}: value out of range for {name}: {text}")
-            cfg.values[name] = value
+            try:
+                cfg.set(name, value)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 

@@ -6,7 +6,7 @@ import pytest
 from rydstats import WindowSpec, coherent, exact_pair_survival, fock_state, synthesize
 from rydstats.cli import main
 from rydstats.config import RunConfig, parse_config_file
-from rydstats.errors import ValidationError
+from rydstats.errors import NumericalError, ValidationError
 
 
 def run(args):
@@ -52,6 +52,16 @@ class TestConfigFile:
     def test_set_rejects_unknown(self):
         with pytest.raises(ValidationError):
             RunConfig().set("nope", 1)
+
+    def test_set_applies_range_check(self):
+        with pytest.raises(ValidationError, match="out of range for threads"):
+            RunConfig().set("threads", 0)
+
+    def test_negative_seed_in_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("trials = 10\nseed = -1\n")
+        with pytest.raises(ValidationError, match=":2: value out of range for seed"):
+            parse_config_file(path)
 
 
 class TestBlockadeCommand:
@@ -176,6 +186,13 @@ class TestFitPegCommand:
         assert fit["p_eg"] == pytest.approx(0.20, abs=1e-6)
         assert fit["residual_norm"] < 1e-10
 
+    def test_nan_row_rejected_with_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("p_w,p_r_given_w\n0.01,0.03\n0.02,nan\n0.03,0.05\n0.04,0.06\n")
+        assert run(["--out", tmp_path, "fit-peg", data]) == 2
+        assert f"{data}:3: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "p_eg_fit.json").exists()
+
     def test_insufficient_rows(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("p_w,p_r_given_w\n0.01,0.03\n")
@@ -188,6 +205,37 @@ class TestExitCodes:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["--out", tmp_path, "g2", tmp_path / "absent.csv"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", -1, "blockade", "--trials", 100, "--n-max", 2],
+            ["--seed", -1, "g2", "clicks.csv"],
+            ["--threads", 0, "blockade", "--trials", 100, "--n-max", 2],
+            ["--threads", -3, "blockade", "--trials", 100, "--n-max", 2],
+            ["blockade", "--rb", "nan", "--trials", 100, "--n-max", 2],
+        ],
+        ids=["seed-blockade", "seed-g2", "threads-0", "threads-negative", "rb-nan"],
+    )
+    def test_flag_out_of_range_is_data_error(self, tmp_path, argv, capsys):
+        (tmp_path / "clicks.csv").write_text("# trials=20\ntrial_id,detector,time_ns\n")
+        argv = [tmp_path / a if a == "clicks.csv" else a for a in argv]
+        assert run(["--out", tmp_path, *argv]) == 2
+        assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["2.5", "0", "-1", "nan"])
+    def test_zeta_range_points_must_be_positive_integer(self, tmp_path, points):
+        code = run(["--out", tmp_path, "reproduce", "fig3", "--trials", 100,
+                    "--zeta-range", f"0.01,0.3,{points}"])
+        assert code == 2
+        assert not list(tmp_path.glob("fig3_*.csv"))
+
+    def test_non_finite_json_is_numerical_error(self, tmp_path):
+        from rydstats.cli import _write_json
+
+        with pytest.raises(NumericalError):
+            _write_json(tmp_path / "r.json", {"x": float("nan")})
+        assert not (tmp_path / "r.json").exists()
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,6 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from rydstats import (
     ingest,
     synthesize,
 )
+from rydstats.clicks import _ClickLines
 from rydstats.source import SourceModel
 
 WINDOWS = WindowSpec(signal_1=(0, 300), noise=(500, 1100))
@@ -113,6 +117,13 @@ class TestIngest:
         with pytest.raises(ValidationError, match="trial id"):
             ingest(path, WINDOWS)
 
+    @pytest.mark.parametrize("row", ["99999999999999999999,D2,10", "0,D2,99999999999999999999"],
+                             ids=["trial_id", "time_ns"])
+    def test_beyond_int64_reports_line(self, tmp_path, row):
+        path = write_stream(tmp_path, f"# trials=5\ntrial_id,detector,time_ns\n0,D2,1\n{row}\n")
+        with pytest.raises(ValidationError, match=f"{path}:4: trial id or time above"):
+            ingest(path, WINDOWS)
+
     def test_detector_mapping(self, tmp_path):
         path = write_stream(
             tmp_path,
@@ -123,6 +134,117 @@ class TestIngest:
         assert counts.n1 == 0.5
         assert counts.n2 == 1.0
         assert counts.n12 == 1
+
+
+def read_per_line(path):
+    """Reference reader: every line through the per-line grammar."""
+    lines = _ClickLines(path)
+    with open(path) as fh:
+        for raw in fh:
+            lines.feed(raw)
+    return lines.stream(*lines.columns())
+
+
+def assert_same_stream(a, b):
+    assert a.n_trials == b.n_trials
+    for name in ("trial_ids", "detector_codes", "times_ns"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.flags.c_contiguous and y.flags.c_contiguous
+        np.testing.assert_array_equal(x, y)
+
+
+HEAD = "# trials=20\ntrial_id,detector,time_ns\n"
+
+
+class TestReadCsv:
+    """The bulk body parse must read every file as the per-line grammar does."""
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            (HEAD + "0,D2,5\n# a comment\n1,D3,6\n", [(0, 1, 5), (1, 2, 6)]),
+            ("trial_id,detector,time_ns\n0,D2,5\n# trials=20\n", [(0, 1, 5)]),
+            (HEAD + "0,D2,5\n\n   \n\t\n2,D1,7\n", [(0, 1, 5), (2, 0, 7)]),
+            (HEAD + "+5,D2,5\n 5 ,D3, 6 \n1_0,D1,1_0\n", [(5, 1, 5), (5, 2, 6), (10, 0, 10)]),
+            (HEAD.replace("\n", "\r\n") + "0,D2,5\r\n1,D3,6\r\n", [(0, 1, 5), (1, 2, 6)]),
+            (HEAD + "0,D2,5\n1,D3,6", [(0, 1, 5), (1, 2, 6)]),
+            (HEAD, []),
+            (HEAD + "\n\n", []),
+            (HEAD + "0,D2,5\n3,D1,0\n", [(0, 1, 5), (3, 0, 0)]),
+        ],
+        ids=["comment-after-header", "trials-after-header", "blank-lines", "int-spellings",
+             "crlf", "no-final-newline", "empty-body", "blank-body", "plain"],
+    )
+    def test_odd_valid_files(self, tmp_path, text, expected):
+        path = write_stream(tmp_path, text)
+        stream = ClickStream.read_csv(path)
+        assert_same_stream(stream, read_per_line(path))
+        rows = list(zip(stream.trial_ids.tolist(), stream.detector_codes.tolist(),
+                        stream.times_ns.tolist()))
+        assert rows == expected
+
+    @pytest.mark.parametrize(
+        "body,line,message",
+        [
+            ("0,D2,5\n1,D9,6\n", 4, "malformed record"),
+            ("0,D2,5\n1,D22,6\n", 4, "malformed record"),
+            ("0,D2,5\n\n1,D3,6,7\n", 5, "expected 3 fields"),
+            ("0,D2,5\n1,D3,-6\n", 4, "negative"),
+            ("0,D2,5\n# trials=4\n", 4, "duplicate"),
+            ("0,D2\0,5\n", 3, "malformed record"),
+            ("0, D2,5\n", 3, "malformed record"),
+        ],
+        ids=["D9", "D22", "four-fields", "negative-time", "duplicate-trials", "nul", "space"],
+    )
+    def test_malformed_body_reports_line(self, tmp_path, body, line, message):
+        path = write_stream(tmp_path, HEAD + body)
+        with pytest.raises(ValidationError, match=f"{path}:{line}: {message}"):
+            ClickStream.read_csv(path)
+
+    def test_empty_body_warns_nothing(self, tmp_path, capfd):
+        path = write_stream(tmp_path, HEAD)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stream = ClickStream.read_csv(path)
+        assert stream.n_records == 0
+        assert not caught
+        assert capfd.readouterr().err == ""
+
+    def test_plain_body_skips_per_line_grammar(self, tmp_path, monkeypatch):
+        stream = synthesize(coherent(0.4, 15), 2000, WINDOWS, noise_rates_hz=(1e4, 1e4), seed=3)
+        path = tmp_path / "plain.csv"
+        stream.write_csv(path)
+        fed = []
+        original = _ClickLines.feed
+        monkeypatch.setattr(_ClickLines, "feed", lambda self, raw: fed.append(raw) or original(self, raw))
+        assert_same_stream(ClickStream.read_csv(path), stream)
+        assert len(fed) == 2  # the preamble only
+
+    def test_random_odd_files_match_per_line(self, tmp_path):
+        rng = random.Random(5)
+        fields = ["0", "3", "+2", " 4", "1_0", "-1", "", "x", "99999999999999999999", "D2", "D22"]
+        odd = ["", "  ", "# note", "# trials=4", "0,D2", "1,D3,4,5", "2,d1,3", "\t"]
+        for i in range(300):
+            body = []
+            for _ in range(rng.randrange(6)):
+                r = rng.random()
+                if r < 0.6:
+                    body.append(f"{rng.randrange(9)},{rng.choice(('D1', 'D2', 'D3'))},{rng.randrange(900)}")
+                elif r < 0.8:
+                    body.append(",".join((rng.choice(fields), rng.choice(('D1', 'D2', 'D9', '')),
+                                          rng.choice(fields))))
+                else:
+                    body.append(rng.choice(odd))
+            newline = rng.choice(("\n", "\r\n"))
+            path = write_stream(tmp_path, (HEAD + "\n".join(body)).replace("\n", newline))
+            try:
+                expected = read_per_line(path)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as info:
+                    ClickStream.read_csv(path)
+                assert str(info.value) == str(exc), path.read_text()
+            else:
+                assert_same_stream(ClickStream.read_csv(path), expected)
 
 
 class TestEstimators:
@@ -305,6 +427,41 @@ class TestBootstrap:
         data = count_trials(stream, WINDOWS)
         with pytest.raises(ValidationError):
             bootstrap_error(data, resamples=150, seed=7)
+
+    @staticmethod
+    def reference_error(data, resamples, seed):
+        """The bootstrap with its classes from np.unique(axis=1) on the
+        stacked per-trial columns."""
+        patterns = np.stack([data.sig1.astype(np.int64), data.sig2.astype(np.int64),
+                             data.noise1, data.noise2])
+        classes, class_counts = np.unique(patterns, axis=1, return_counts=True)
+        pvals = class_counts / class_counts.sum()
+        pvals = pvals / pvals.sum()
+        n = data.n_trials
+        w = np.random.default_rng(seed).multinomial(n, pvals, size=resamples).astype(float)
+        len1, len2 = data.windows.signal_lengths
+        scale = data.windows.noise_length
+        n1 = w @ classes[0].astype(float) / n
+        n2 = w @ classes[1].astype(float) / n
+        n12 = w @ (classes[0] & classes[1]).astype(float)
+        nn1 = (w @ classes[2].astype(float)) / n * (len1 / scale)
+        nn2 = (w @ classes[3].astype(float)) / n * (len2 / scale)
+        valid = (n1 > 0) & (n2 > 0) & (n1 > nn1) & (n2 > nn2)
+        n1, n2, n12, nn1, nn2 = (x[valid] for x in (n1, n2, n12, nn1, nn2))
+        g2n = n12 / (n * n1 * n2)
+        a = np.where(nn1 > 0, nn1 / (n1 - nn1), 0.0)
+        b = np.where(nn2 > 0, nn2 / (n2 - nn2), 0.0)
+        return float(np.std(g2n - (1.0 - g2n) * (a + b + a * b), ddof=1))
+
+    @pytest.mark.parametrize("noise", [(2e5, 3e5), (0.0, 0.0)], ids=["noisy", "noise-free"])
+    def test_matches_unique_columns_reference(self, noise):
+        stream = synthesize(coherent(0.5, 15), 30_000, WINDOWS, noise_rates_hz=noise, seed=41)
+        data = count_trials(stream, WINDOWS)
+        if noise[0]:
+            assert data.noise1.max() >= 2 and data.noise2.max() >= 2
+        else:
+            assert data.noise1.max() == 0 and data.noise2.max() == 0
+        assert bootstrap_error(data, resamples=300, seed=42) == self.reference_error(data, 300, 42)
 
     def test_too_few_resamples(self):
         data = self.make_data(1000)
