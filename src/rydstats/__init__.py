@@ -23,7 +23,6 @@ from .clicks import (
     analysis_report,
     bootstrap_error,
     count_trials,
-    cross_correlation,
     g2_noise_corrected,
     g2_raw,
     ingest,
@@ -93,7 +92,6 @@ __all__ = [
     "coherent",
     "conditional_read_state",
     "count_trials",
-    "cross_correlation",
     "efficiency",
     "exact_pair_survival",
     "fit_p_eg",

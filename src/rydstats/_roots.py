@@ -1,4 +1,5 @@
-"""Bracketed bisection used for parameter inference.
+"""Bracketed bisection: the one halving loop, used for parameter inference
+and for the truncation bounds that bracket it.
 
 Bisection is deliberately chosen over faster schemes: the target functions
 (g2 or multiphoton strength versus source parameter) are monotone but very
@@ -29,8 +30,9 @@ def bisect_monotone(
 ) -> float:
     """Solve f(x) = target for monotone non-decreasing f on [lo, hi].
 
-    Runs until the bracket is narrower than ``x_tol`` (or ``max_iter`` is
-    hit), then verifies |f(x) - target| < ``f_tol``.
+    Runs :func:`bisect_bracket` until the bracket is narrower than
+    ``x_tol`` (or ``max_iter`` is hit), then verifies
+    |f(x) - target| < ``f_tol`` at its midpoint.
 
     Raises
     ------
@@ -50,19 +52,8 @@ def bisect_monotone(
         return lo
     if f_hi == 0.0:
         return hi
-    a, b = lo, hi
-    mid = 0.5 * (a + b)
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        val = f(mid) - target
-        if val == 0.0:
-            return mid
-        if val < 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a < x_tol * max(1.0, abs(b)):
-            break
+    a, b = bisect_bracket(lambda x: f(x) - target < 0.0, lo, hi,
+                          x_tol=x_tol, max_iter=max_iter)
     mid = 0.5 * (a + b)
     residual = abs(f(mid) - target)
     if not residual < f_tol:
@@ -70,3 +61,20 @@ def bisect_monotone(
             f"bisection did not converge: residual {residual:.3e} >= {f_tol:.0e}"
         )
     return mid
+
+
+def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float, *,
+                   x_tol: float = 0.0, max_iter: int = 200) -> tuple[float, float]:
+    """Halve [a, b] = [lo, hi] around the point where ``below`` turns False,
+    ``max_iter`` times or until b - a < ``x_tol`` * max(1, |b|) (never, with
+    the default ``x_tol`` = 0).  Returns the final (a, b)."""
+    a, b = lo, hi
+    for _ in range(max_iter):
+        mid = 0.5 * (a + b)
+        if below(mid):
+            a = mid
+        else:
+            b = mid
+        if b - a < x_tol * max(1.0, abs(b)):
+            break
+    return a, b

@@ -18,6 +18,7 @@ integers and their sum is exact.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -48,11 +49,11 @@ class BlockadeConfig:
     n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
-        if self.cloud_length <= 0:
-            raise ValidationError(f"cloud length must be > 0, got {self.cloud_length}")
-        if self.blockade_radius < 0:
+        if not 0 < self.cloud_length < math.inf:
+            raise ValidationError(f"cloud length must be finite and > 0, got {self.cloud_length}")
+        if not 0 <= self.blockade_radius < math.inf:
             raise ValidationError(
-                f"blockade radius must be >= 0, got {self.blockade_radius}"
+                f"blockade radius must be finite and >= 0, got {self.blockade_radius}"
             )
         if self.trials_per_fock < 1:
             raise ValidationError("trials_per_fock must be >= 1")
@@ -142,9 +143,20 @@ def simulate_fock(cfg: BlockadeConfig, n: int, threads: int = 1) -> SurvivalDist
         return SurvivalDistribution(0, np.array([1.0]), cfg.trials_per_fock)
     if n == 1:
         return SurvivalDistribution(1, np.array([0.0, 1.0]), cfg.trials_per_fock)
+    (hist,) = _histograms(cfg, [n], threads)
+    return SurvivalDistribution(n, hist / cfg.trials_per_fock, cfg.trials_per_fock)
+
+
+def _histograms(cfg: BlockadeConfig, ns, threads: int) -> list[np.ndarray]:
+    """Summed int64 survivor histogram of each input Fock state in ``ns``.
+
+    The (fock state, chunk) pairs form one flat task list, so a few large-n
+    columns cannot serialize the pool (used only when ``threads`` > 1).
+    Integer sums are exact: the thread count cannot change the result."""
     sizes = _chunk_sizes(cfg.trials_per_fock)
     tasks = [
         (n, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
+        for n in ns
         for c, size in enumerate(sizes)
     ]
     if threads > 1:
@@ -152,8 +164,8 @@ def simulate_fock(cfg: BlockadeConfig, n: int, threads: int = 1) -> SurvivalDist
             hists = list(pool.map(lambda t: _simulate_chunk(*t), tasks))
     else:
         hists = [_simulate_chunk(*t) for t in tasks]
-    hist = np.sum(hists, axis=0)
-    return SurvivalDistribution(n, hist / cfg.trials_per_fock, cfg.trials_per_fock)
+    per_n = len(sizes)
+    return [np.sum(hists[i : i + per_n], axis=0) for i in range(0, len(hists), per_n)]
 
 
 def blockade_matrix(cfg: BlockadeConfig, threads: int = 1) -> TransferMatrix:
@@ -167,24 +179,9 @@ def blockade_matrix(cfg: BlockadeConfig, threads: int = 1) -> TransferMatrix:
     m = np.zeros((dim, dim))
     m[0, 0] = 1.0
     m[1, 1] = 1.0
-    if threads > 1:
-        # Flatten (fock state, chunk) into one task list so a few large-n
-        # columns cannot serialize the pool.  Integer histograms are summed
-        # per column and divided once, the exact arithmetic of the
-        # sequential path, so thread count cannot change the result.
-        tasks = [
-            (n, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
-            for n in range(2, dim)
-            for c, size in enumerate(_chunk_sizes(cfg.trials_per_fock))
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hists = list(pool.map(lambda t: _simulate_chunk(*t), tasks))
-        for n in range(2, dim):
-            parts = [h for (task_n, *_), h in zip(tasks, hists) if task_n == n]
-            m[: n + 1, n] = np.sum(parts, axis=0) / cfg.trials_per_fock
-    else:
-        for n in range(2, dim):
-            m[: n + 1, n] = simulate_fock(cfg, n).probs
+    ns = range(2, dim)
+    for n, hist in zip(ns, _histograms(cfg, ns, threads)):
+        m[: n + 1, n] = hist / cfg.trials_per_fock
     return TransferMatrix(m)
 
 

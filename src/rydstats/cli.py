@@ -20,9 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blockade import BlockadeConfig, blockade_matrix, exact_pair_survival, slow_light_matrix
+from ._table import read_table, write_table
+from .blockade import (
+    BlockadeConfig,
+    SurvivalDistribution,
+    blockade_matrix,
+    exact_pair_survival,
+    slow_light_matrix,
+)
 from .clicks import WindowSpec, analysis_report, ingest
-from .config import RunConfig, describe_keys, parse_config_file
+from .config import _KEYS, RunConfig, _float_list, describe_keys, parse_config_file
 from .errors import NumericalError, ValidationError
 from .pipeline import (
     PipelineConfig,
@@ -66,11 +73,12 @@ def _int_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+#: Flags that set several configuration keys at once, in order.
+_MULTI_KEY_FLAGS = {
+    "window": ("signal_start_ns", "signal_end_ns"),
+    "noise_window": ("noise_start_ns", "noise_end_ns"),
+    "zeta_range": ("zeta_min", "zeta_max", "zeta_points"),
+}
 
 
 def build_parser() -> _Parser:
@@ -105,19 +113,21 @@ def build_parser() -> _Parser:
     g.add_argument("--window", type=_int_pair, help="signal window 'start,end' in ns")
     g.add_argument("--window-2", type=_int_pair, help="role-2 signal window (default: same)")
     g.add_argument("--noise-window", type=_int_pair, help="noise window 'start,end' in ns")
-    g.add_argument("--detectors-1", help="comma list of detectors for role 1")
-    g.add_argument("--detectors-2", help="comma list of detectors for role 2")
+    g.add_argument("--detectors-1", type=_KEYS["detectors_1"].parse,
+                   help="comma list of detectors for role 1")
+    g.add_argument("--detectors-2", type=_KEYS["detectors_2"].parse,
+                   help="comma list of detectors for role 2")
     g.add_argument("--resamples", type=int, help="bootstrap resamples")
 
     r = sub.add_parser("reproduce", help="emit model curves as CSV tables")
     r.add_argument("figure", choices=FIGURES)
     r.add_argument("--trials", type=int, help="Monte Carlo trials per Fock state")
     r.add_argument("--n-max", type=int, dest="n_max", help="Fock truncation")
-    r.add_argument("--zeta", type=_float_list,
+    r.add_argument("--zeta", type=_KEYS["zeta_values"].parse, dest="zeta_values",
                    help="comma list of multiphoton strengths (figS5)")
     r.add_argument("--zeta-range", type=_float_list, metavar="MIN,MAX,POINTS",
                    help="log-spaced sweep grid (fig3/fig4)")
-    r.add_argument("--efficiency-table", type=Path,
+    r.add_argument("--efficiency-table", type=_KEYS["efficiency_table"].parse,
                    help="measured p_w,eta CSV (figS3); default: constant "
                    f"{_DEFAULT_EFFICIENCY}")
     r.add_argument("--slow-light", action="store_true",
@@ -129,24 +139,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _zeta_range(values: tuple[float, ...]) -> tuple[float, float, int]:
+    if len(values) != 3:
+        raise ValidationError("--zeta-range expects MIN,MAX,POINTS")
+    lo, hi, points = values
+    if not (points.is_integer() and points >= 1):
+        raise ValidationError(f"--zeta-range POINTS must be an integer >= 1, got {points:g}")
+    return lo, hi, int(points)
+
+
 def _load_config(args) -> RunConfig:
+    """The config file overlaid with every flag that names a config key;
+    each value goes through ``RunConfig.set`` and its range check."""
     cfg = parse_config_file(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.set("seed", args.seed)
-    if args.threads is not None:
-        cfg.set("threads", args.threads)
-    overrides = {
-        "trials": "trials",
-        "blockade_radius": "blockade_radius",
-        "cloud_length": "cloud_length",
-        "n_max": "n_max",
-        "medium_scale": "medium_scale",
-        "resamples": "resamples",
-    }
-    for attr, key in overrides.items():
-        value = getattr(args, attr, None)
+    values = [(name, getattr(args, name, None)) for name in _KEYS]
+    for flag, keys in _MULTI_KEY_FLAGS.items():
+        parts = getattr(args, flag, None)
+        if parts is not None:
+            values += zip(keys, _zeta_range(parts) if flag == "zeta_range" else parts)
+    for name, value in values:
         if value is not None:
-            cfg.set(key, value)
+            cfg.set(name, value)
     return cfg
 
 
@@ -195,13 +208,13 @@ def cmd_blockade(args, cfg: RunConfig, out: Path) -> None:
         probs = matrix.matrix[:, n]
         mean = float(np.dot(k, probs))
         var = float(np.dot(k**2, probs) - mean**2)
-        se = np.sqrt(probs * (1.0 - probs) / bcfg.trials_per_fock)
+        se = SurvivalDistribution(n, probs[: n + 1], bcfg.trials_per_fock).standard_errors
         columns.append({
             "n": int(n),
             "mean_survivors": mean,
             "se_mean": float(np.sqrt(max(var, 0.0) / bcfg.trials_per_fock)),
             "probs": [float(x) for x in probs[: n + 1]],
-            "standard_errors": [float(x) for x in se[: n + 1]],
+            "standard_errors": [float(x) for x in se],
         })
     oracle_expected = exact_pair_survival(bcfg.blockade_radius, effective_length)
     oracle_se = float(
@@ -233,16 +246,16 @@ def cmd_blockade(args, cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_g2(args, cfg: RunConfig, out: Path) -> None:
-    signal_1 = args.window if args.window else (cfg.signal_start_ns, cfg.signal_end_ns)
-    noise = args.noise_window if args.noise_window else (cfg.noise_start_ns, cfg.noise_end_ns)
-    windows = WindowSpec(signal_1=signal_1, signal_2=args.window_2, noise=noise)
-    detectors_1 = tuple(args.detectors_1.split(",")) if args.detectors_1 else cfg.detectors_1
-    detectors_2 = tuple(args.detectors_2.split(",")) if args.detectors_2 else cfg.detectors_2
-    data = ingest(args.clicks, windows, detectors_1, detectors_2)
+    windows = WindowSpec(
+        signal_1=(cfg.signal_start_ns, cfg.signal_end_ns),
+        signal_2=args.window_2,
+        noise=(cfg.noise_start_ns, cfg.noise_end_ns),
+    )
+    data = ingest(args.clicks, windows, cfg.detectors_1, cfg.detectors_2)
     report = analysis_report(data, resamples=cfg.resamples, seed=cfg.seed)
     report["source_file"] = str(args.clicks)
-    report["detectors_1"] = list(detectors_1)
-    report["detectors_2"] = list(detectors_2)
+    report["detectors_1"] = list(cfg.detectors_1)
+    report["detectors_2"] = list(cfg.detectors_2)
     report_path = out / "g2_report.json"
     _write_json(report_path, report)
     _say(report_path)
@@ -263,16 +276,14 @@ def _pipeline_config(cfg: RunConfig, kind: str, n_max: int, slow_light: bool) ->
     )
 
 
+def _rate_model(cfg: RunConfig) -> RateModelParams:
+    """Rate-model parameters from the config, at p = 0."""
+    return RateModelParams(p=0.0, t_w=cfg.t_w, t_r=cfg.t_r, eta_a=cfg.eta_a,
+                           p_eg=cfg.p_eg, p_nw=cfg.p_nw, p_nr=cfg.p_nr)
+
+
 def _sweep_figure(args, cfg: RunConfig, out: Path, figure: str) -> None:
-    if args.zeta_range:
-        if len(args.zeta_range) != 3:
-            raise ValidationError("--zeta-range expects MIN,MAX,POINTS")
-        lo, hi, points = args.zeta_range
-        if not (points.is_integer() and points >= 1):
-            raise ValidationError(f"--zeta-range POINTS must be an integer >= 1, got {points:g}")
-        points = int(points)
-    else:
-        lo, hi, points = cfg.zeta_min, cfg.zeta_max, cfg.zeta_points
+    lo, hi, points = cfg.zeta_min, cfg.zeta_max, cfg.zeta_points
     if not 0 < lo < hi:
         raise ValidationError(f"sweep grid needs 0 < min < max, got {lo}, {hi}")
     grid = np.geomspace(lo, hi, points)
@@ -288,61 +299,47 @@ def _sweep_figure(args, cfg: RunConfig, out: Path, figure: str) -> None:
 
 
 def _figs3(args, cfg: RunConfig, out: Path) -> None:
-    if args.efficiency_table:
-        table = EfficiencyTable.from_csv(args.efficiency_table)
+    if cfg.efficiency_table:
+        table = EfficiencyTable.from_csv(cfg.efficiency_table)
     else:
         table = EfficiencyTable.constant(_DEFAULT_EFFICIENCY)
-    base_kwargs = dict(
-        t_w=cfg.t_w, t_r=cfg.t_r, eta_a=cfg.eta_a, p_eg=cfg.p_eg,
-        p_nw=cfg.p_nw, p_nr=cfg.p_nr,
-    )
+    base = _rate_model(cfg)
     if not 0 < cfg.pw_min < cfg.pw_max:
         raise ValidationError("write-probability grid needs 0 < pw_min < pw_max")
-    grid = np.geomspace(cfg.pw_min, cfg.pw_max, cfg.pw_points)
-    path = out / "figS3_cross_correlation.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            "p_w,p,g2wr_no_storage,g2wr_storage,"
-            "g2wr_no_storage_noise_free,g2wr_storage_noise_free\n"
-        )
-        for p_w in grid:
-            p = (p_w - cfg.p_nw) / cfg.t_w
-            if not 0.0 <= p < 1.0:
-                raise ValidationError(
-                    f"p_w={p_w} implies excitation probability {p} outside [0, 1)"
-                )
-            plain = RateModelParams(p=p, **base_kwargs)
-            stored = with_storage(plain, table, predict_probabilities(plain).p_w,
-                                  stored_p_nr=cfg.stored_p_nr)
-            row = (
-                p_w, p,
-                predict_cross_correlation(plain),
-                predict_cross_correlation(stored),
-                predict_cross_correlation(replace(plain, p_nr=0.0)),
-                predict_cross_correlation(replace(stored, p_nr=0.0)),
+    rows = []
+    for p_w in np.geomspace(cfg.pw_min, cfg.pw_max, cfg.pw_points):
+        p = (p_w - cfg.p_nw) / cfg.t_w
+        if not 0.0 <= p < 1.0:
+            raise ValidationError(
+                f"p_w={p_w} implies excitation probability {p} outside [0, 1)"
             )
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        plain = replace(base, p=p)
+        stored = with_storage(plain, table, predict_probabilities(plain).p_w,
+                              stored_p_nr=cfg.stored_p_nr)
+        rows.append((
+            p_w, p,
+            predict_cross_correlation(plain),
+            predict_cross_correlation(stored),
+            predict_cross_correlation(replace(plain, p_nr=0.0)),
+            predict_cross_correlation(replace(stored, p_nr=0.0)),
+        ))
+    path = out / "figS3_cross_correlation.csv"
+    write_table(path, ("p_w", "p", "g2wr_no_storage", "g2wr_storage",
+                       "g2wr_no_storage_noise_free", "g2wr_storage_noise_free"), rows)
     _say(path)
 
 
 def _figs5(args, cfg: RunConfig, out: Path) -> None:
-    zetas = args.zeta if args.zeta else cfg.zeta_values
-    n_max = cfg.n_max if cfg.n_max is not None else N_MAX_DEFAULTS["figS5"]
     columns = {}
     for kind in ("dlcz", "wcs"):
-        pcfg = _pipeline_config(cfg, kind, n_max, slow_light=False)
-        for zeta in zetas:
+        pcfg = _pipeline_config(cfg, kind, N_MAX_DEFAULTS["figS5"], slow_light=False)
+        for zeta in cfg.zeta_values:
             param = zeta_to_param(pcfg, zeta)
             dist = cloud_input_distribution(pcfg, param)
             columns[f"{kind}_zeta_{zeta:g}"] = dist.probs
     path = out / "figS5_distributions.csv"
-    with open(path, "w", newline="\n") as fh:
-        names = list(columns)
-        fh.write("k," + ",".join(names) + "\n")
-        for k in range(n_max + 1):
-            fh.write(
-                f"{k}," + ",".join(repr(float(columns[name][k])) for name in names) + "\n"
-            )
+    rows = enumerate(zip(*columns.values()))
+    write_table(path, ["k", *columns], ((k, *row) for k, row in rows))
     _say(path)
 
 
@@ -356,44 +353,18 @@ def cmd_reproduce(args, cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_fit_peg(args, cfg: RunConfig, out: Path) -> None:
-    rows = []
-    with open(args.data) as fh:
-        header = fh.readline().strip()
-        if header != "p_w,p_r_given_w":
-            raise ValidationError(
-                f"{args.data}: expected header 'p_w,p_r_given_w', got {header!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                row = (float(parts[0]), float(parts[1]))
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"{args.data}:{lineno}: malformed row ({exc})") from exc
-            if not np.all(np.isfinite(row)):
-                raise ValidationError(f"{args.data}:{lineno}: non-finite value in {line!r}")
-            rows.append(row)
-    if len(rows) < 3:
-        raise ValidationError(f"{args.data}: need at least 3 data rows, got {len(rows)}")
-    data = np.array(rows)
-    base = RateModelParams(
-        p=0.0, t_w=cfg.t_w, t_r=cfg.t_r, eta_a=cfg.eta_a,
-        p_eg=cfg.p_eg, p_nw=cfg.p_nw, p_nr=cfg.p_nr,
-    )
+    data = read_table(args.data, ("p_w", "p_r_given_w"))
+    base = _rate_model(cfg)
     p_eg, residual = fit_p_eg(data[:, 0], data[:, 1], base)
+    fitted = replace(base, p_eg=p_eg)
     predicted = [
-        predict_probabilities(
-            RateModelParams(p=(pw - base.p_nw) / base.t_w, t_w=base.t_w, t_r=base.t_r,
-                            eta_a=base.eta_a, p_eg=p_eg, p_nw=base.p_nw, p_nr=base.p_nr)
-        ).p_r_given_w
+        predict_probabilities(replace(fitted, p=(pw - base.p_nw) / base.t_w)).p_r_given_w
         for pw in data[:, 0]
     ]
     payload = {
         "p_eg": p_eg,
         "residual_norm": residual,
-        "n_rows": len(rows),
+        "n_rows": len(data),
         "residuals": [float(m - p) for m, p in zip(data[:, 1], predicted)],
     }
     path = out / "p_eg_fit.json"

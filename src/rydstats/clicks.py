@@ -30,6 +30,7 @@ from functools import partial
 
 import numpy as np
 
+from ._table import open_text
 from .errors import NumericalError, ValidationError
 from .fock import FockDistribution
 
@@ -176,7 +177,7 @@ class ClickStream:
         gives the same arrays, or the same error at the same line.
         """
         lines = _ClickLines(path)
-        with open(path) as fh:
+        with open_text(path) as fh:
             for raw in iter(fh.readline, ""):
                 lines.feed(raw)
                 if lines.header_seen:
@@ -220,6 +221,8 @@ class _ClickLines:
                 if self.n_trials is not None:
                     raise self._error("duplicate '# trials=' header")
                 self.n_trials = int(m.group(1))
+                if self.n_trials > _INT64_MAX:
+                    raise self._error(f"trial count above {_INT64_MAX}")
             return
         if not self.header_seen:
             if line != _HEADER:
@@ -323,11 +326,14 @@ def count_trials(
     for names, window in ((detectors_1, windows.signal_1), (detectors_2, windows.signal_2)):
         role = np.isin(det, [_DETECTOR_CODE[x] for x in names])
         in_sig = role & (t >= window[0]) & (t < window[1])
-        flags = np.zeros(n, dtype=bool)
+        in_noise = role & (t >= windows.noise[0]) & (t < windows.noise[1])
+        try:
+            flags = np.zeros(n, dtype=bool)
+            noise.append(np.bincount(ids[in_noise], minlength=n).astype(np.int64))
+        except (MemoryError, OverflowError, ValueError) as exc:
+            raise ValidationError(f"cannot hold per-trial arrays for {n} trials ({exc})") from None
         flags[ids[in_sig]] = True
         sig.append(flags)
-        in_noise = role & (t >= windows.noise[0]) & (t < windows.noise[1])
-        noise.append(np.bincount(ids[in_noise], minlength=n).astype(np.int64))
     return TrialData(n, sig[0], sig[1], noise[0], noise[1], windows)
 
 
@@ -369,15 +375,6 @@ def g2_noise_corrected(c: TrialCounts) -> float:
     a = c.nn1 / (c.n1 - c.nn1)
     b = c.nn2 / (c.n2 - c.nn2)
     return g2n - (1.0 - g2n) * (a + b + a * b)
-
-
-def cross_correlation(c: TrialCounts) -> float:
-    """Write/read cross-correlation from counts with role 1 = write,
-    role 2 = read: coincidence probability over the product of singles
-    probabilities (the same estimator as ``g2_raw``)."""
-    if c.n1 <= 0.0 or c.n2 <= 0.0:
-        raise ValidationError("cross-correlation undefined: zero singles")
-    return c.n12 / (c.n_trials * c.n1 * c.n2)
 
 
 def synthesize(

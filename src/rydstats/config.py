@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ._table import open_text
 from .errors import ValidationError
 
 
@@ -128,7 +129,7 @@ class RunConfig:
 def parse_config_file(path) -> RunConfig:
     """Parse a flat ``key = value`` file with ``#`` comments."""
     cfg = RunConfig()
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -7,12 +7,13 @@ represented; there are no coherences anywhere in this package.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import poisson
 
+from ._roots import bisect_bracket
+from ._table import read_table, write_table
 from .errors import NumericalError, ValidationError
 
 #: Default truncation order.  Adequate (tail < 1e-12) for Poissonian inputs
@@ -90,29 +91,14 @@ class FockDistribution:
 
     def to_csv(self, path) -> None:
         """Write the distribution as CSV with header ``k,prob``."""
-        with open(path, "w", newline="\n") as fh:
-            self.write_csv(fh)
-
-    def write_csv(self, fh: io.TextIOBase) -> None:
-        fh.write("k,prob\n")
-        for k, p in enumerate(self.probs):
-            fh.write(f"{k},{float(p)!r}\n")
+        write_table(path, ("k", "prob"), enumerate(self.probs))
 
     @staticmethod
     def from_csv(path) -> "FockDistribution":
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "k,prob":
-                raise ValidationError(f"expected header 'k,prob', got {header!r}")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        try:
-            ks = [int(r[0]) for r in rows]
-            ps = [float(r[1]) for r in rows]
-        except (IndexError, ValueError) as exc:
-            raise ValidationError(f"malformed distribution CSV: {exc}") from exc
-        if ks != list(range(len(ks))):
-            raise ValidationError("distribution CSV rows must cover k = 0..n_max in order")
-        return FockDistribution(np.array(ps))
+        rows = read_table(path, ("k", "prob"))
+        if not np.array_equal(rows[:, 0], np.arange(len(rows))):
+            raise ValidationError(f"{path}: rows must cover k = 0..n_max in order")
+        return FockDistribution(rows[:, 1])
 
 
 def vacuum(n_max: int = DEFAULT_N_MAX) -> FockDistribution:
@@ -155,13 +141,7 @@ def coherent(mu: float, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
 def coherent_mu_upper_bound(n_max: int) -> float:
     """Largest mean photon number representable at ``n_max`` within the
     tail tolerance (used to bracket root searches)."""
-    lo, hi = 0.0, float(n_max)
+    hi = float(n_max)
     if poisson.sf(n_max, hi) < TAIL_TOLERANCE:
         return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if poisson.sf(n_max, mid) < TAIL_TOLERANCE:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect_bracket(lambda mu: poisson.sf(n_max, mu) < TAIL_TOLERANCE, 0.0, hi)[0]

@@ -12,12 +12,13 @@ linear, so they never change g2 and enter only the efficiency formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.stats import poisson
 
 from ._roots import BracketError, bisect_monotone
+from ._table import write_table
 from .blockade import BlockadeConfig, blockade_matrix, slow_light_matrix
 from .errors import ValidationError
 from .fock import FockDistribution, coherent, coherent_mu_upper_bound
@@ -27,7 +28,7 @@ from .source import (
     conditional_read_state,
     read_state_p_upper_bound,
 )
-from .transfer import TransferMatrix, identity_matrix, loss_matrix
+from .transfer import TransferMatrix, loss_matrix
 
 INPUT_KINDS = ("dlcz", "wcs")
 
@@ -104,8 +105,6 @@ def _pre_blockade_matrix(cfg: PipelineConfig, n_max: int, eta_compression: float
     )
     if cfg.input_kind == "dlcz":
         chain = chain.compose(loss_matrix(cfg.t_losses, n_max))
-    else:
-        chain = chain.compose(identity_matrix(n_max))
     return chain
 
 
@@ -169,6 +168,25 @@ def _zeta_of_vector(vec: np.ndarray) -> float:
     return float(vec[2:].sum() / p_ge1) if p_ge1 > 0 else 0.0
 
 
+def _zeta_curve(cfg: PipelineConfig, n_max: int):
+    """Multiphoton strength of the cloud-entrance state as a function of
+    the source parameter, and the largest parameter the truncation at
+    ``n_max`` holds."""
+    if cfg.input_kind == "dlcz":
+        loss = loss_matrix(cfg.t_losses, n_max).matrix
+
+        def f(p):
+            return _zeta_of_vector(loss @ _read_state_terms(p, cfg.t_w, n_max))
+
+        return f, read_state_p_upper_bound(cfg.t_w, n_max)
+    k = np.arange(n_max + 1)
+
+    def f(mu):
+        return _zeta_of_vector(poisson.pmf(k, mu))
+
+    return f, coherent_mu_upper_bound(n_max)
+
+
 def zeta_to_param(cfg: PipelineConfig, zeta: float, n_max: int | None = None) -> float:
     """Invert the multiphoton strength of the cloud-entrance state to the
     source parameter (p or mean photon number) by bracketed bisection.
@@ -180,20 +198,7 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float, n_max: int | None = None) ->
         extends the reachable range).
     """
     n_max = cfg.blockade.n_max if n_max is None else n_max
-    if cfg.input_kind == "dlcz":
-        loss = loss_matrix(cfg.t_losses, n_max).matrix
-
-        def f(p):
-            return _zeta_of_vector(loss @ _read_state_terms(p, cfg.t_w, n_max))
-
-        hi = read_state_p_upper_bound(cfg.t_w, n_max)
-    else:
-        k = np.arange(n_max + 1)
-
-        def f(mu):
-            return _zeta_of_vector(poisson.pmf(k, mu))
-
-        hi = coherent_mu_upper_bound(n_max)
+    f, hi = _zeta_curve(cfg, n_max)
     try:
         return bisect_monotone(f, _PARAM_FLOOR, hi, zeta, f_tol=1e-10)
     except BracketError as exc:
@@ -205,16 +210,8 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float, n_max: int | None = None) ->
 
 def _assert_monotone_zeta(cfg: PipelineConfig, n_max: int) -> None:
     # Bisection assumes zeta(param) is monotone; scan before sweeping.
-    if cfg.input_kind == "dlcz":
-        hi = read_state_p_upper_bound(cfg.t_w, n_max)
-        loss = loss_matrix(cfg.t_losses, n_max).matrix
-        grid = np.linspace(_PARAM_FLOOR, hi, 50)
-        values = [_zeta_of_vector(loss @ _read_state_terms(p, cfg.t_w, n_max)) for p in grid]
-    else:
-        hi = coherent_mu_upper_bound(n_max)
-        k = np.arange(n_max + 1)
-        grid = np.linspace(_PARAM_FLOOR, hi, 50)
-        values = [_zeta_of_vector(poisson.pmf(k, mu)) for mu in grid]
+    f, hi = _zeta_curve(cfg, n_max)
+    values = [f(x) for x in np.linspace(_PARAM_FLOOR, hi, 50)]
     if np.any(np.diff(values) < -1e-12):
         raise ValidationError(
             "multiphoton strength is not monotone in the source parameter; "
@@ -242,12 +239,8 @@ class SweepResult:
         return np.array([getattr(pt, name) for pt in self.points])
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("zeta,param,g2_in,g2_out,eta,g2_out_lo,g2_out_hi\n")
-            for pt in self.points:
-                values = (pt.zeta, pt.param, pt.g2_in, pt.g2_out,
-                          pt.eta, pt.g2_out_lo, pt.g2_out_hi)
-                fh.write(",".join(repr(float(v)) for v in values) + "\n")
+        header = [f.name for f in fields(SweepPoint)]
+        write_table(path, header, (astuple(pt) for pt in self.points))
 
 
 def sweep(

@@ -15,13 +15,12 @@ efficiency and strongly suppresses the read noise.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from ._table import read_table
 from .errors import ValidationError
 
 #: Read-noise probability after storage (temporal/frequency filtering).
@@ -115,18 +114,7 @@ class EfficiencyTable:
 
     @staticmethod
     def from_csv(path) -> "EfficiencyTable":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["p_w", "eta"]:
-                raise ValidationError(f"expected header 'p_w,eta' in {path}")
-            rows = [row for row in reader if row]
-        try:
-            p_w = np.array([float(r[0]) for r in rows])
-            eta = np.array([float(r[1]) for r in rows])
-        except (IndexError, ValueError) as exc:
-            raise ValidationError(f"malformed efficiency table {path}: {exc}") from exc
-        return EfficiencyTable(p_w, eta)
+        return EfficiencyTable(*read_table(path, ("p_w", "eta")).T)
 
 
 def with_storage(
@@ -151,10 +139,19 @@ def fit_p_eg(
     """Least-squares fit of the branching ratio to measured
     (p_w, p_r|w) pairs; all other parameters are held at ``base``.
 
+    The model p_r|w = c0 + a_i p_eg is affine in p_eg (c0 = eta_a t_r + p_nr,
+    a_i = p_i (1 - eta_a) t_r), so the bounded least-squares fit is
+    sum(a_i (y_i - c0)) / sum(a_i^2) clipped to [0, 1].
+
     Returns
     -------
     (p_eg, residual_norm)
         Fitted branching ratio in [0, 1] and the root-sum-square residual.
+
+    Raises
+    ------
+    ValidationError
+        If the data cannot constrain p_eg (every a_i is zero).
     """
     p_w = np.asarray(p_w, dtype=float)
     p_r_given_w = np.asarray(p_r_given_w, dtype=float)
@@ -162,26 +159,18 @@ def fit_p_eg(
         raise ValidationError("fit data columns must be equal-length 1-D")
     if p_w.size < 3:
         raise ValidationError(f"need at least 3 data rows to fit, got {p_w.size}")
+    if not (np.isfinite(p_w).all() and np.isfinite(p_r_given_w).all()):
+        raise ValidationError("fit data must be finite")
     p = (p_w - base.p_nw) / base.t_w
     if np.any(p < 0) or np.any(p >= 1):
         raise ValidationError("a measured p_w implies excitation probability outside [0, 1)")
-
-    def residuals(p_eg):
-        predicted = (
-            base.eta_a * base.t_r
-            + p * (1.0 - base.eta_a) * p_eg * base.t_r
-            + base.p_nr
-        )
-        return predicted - p_r_given_w
-
-    result = minimize_scalar(
-        lambda x: float(np.sum(residuals(x) ** 2)),
-        bounds=(0.0, 1.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    p_eg = float(result.x)
-    norm = float(np.sqrt(result.fun))
+    c0 = base.eta_a * base.t_r + base.p_nr
+    a = p * (1.0 - base.eta_a) * base.t_r
+    scale = float(np.dot(a, a))
+    if scale == 0.0:
+        raise ValidationError("data cannot constrain p_eg: p (1 - eta_a) t_r is zero on every row")
+    p_eg = min(max(float(np.dot(a, p_r_given_w - c0)) / scale, 0.0), 1.0)
+    norm = float(np.sqrt(np.sum((c0 + a * p_eg - p_r_given_w) ** 2)))
     if p_eg < 1e-9 or p_eg > 1.0 - 1e-9:
         warnings.warn(
             f"fitted branching ratio pegged at boundary ({p_eg:.3g}); "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import BracketError, bisect_monotone
+from ._roots import BracketError, bisect_bracket, bisect_monotone
 from .errors import NumericalError, ValidationError
 from .fock import DEFAULT_N_MAX, TAIL_TOLERANCE, FockDistribution
 
@@ -101,19 +101,13 @@ def read_state_p_upper_bound(t_w: float, n_max: int) -> float:
     root searches over p."""
     target = 0.999 * TAIL_TOLERANCE
 
-    def tail(p):
-        return 1.0 - _read_state_terms(p, t_w, n_max).sum()
+    def fits(p):
+        return 1.0 - _read_state_terms(p, t_w, n_max).sum() < target
 
-    lo, hi = 0.0, 1.0 - 1e-12
-    if tail(hi) < target:
+    hi = 1.0 - 1e-12
+    if fits(hi):
         return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect_bracket(fits, 0.0, hi)[0]
 
 
 def _truncated_g2(p: float, t_w: float, n_max: int) -> float:

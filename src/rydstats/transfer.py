@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom
 
+from ._table import write_table
 from .errors import NumericalError, ValidationError
 from .fock import DEFAULT_N_MAX, FockDistribution
 
@@ -108,11 +109,8 @@ class TransferMatrix:
     def to_csv(self, path) -> None:
         r"""Dump as CSV, row-major, header ``k\l,0,1,...`` (for debugging
         and golden tests)."""
-        with open(path, "w", newline="\n") as fh:
-            cols = ",".join(str(l) for l in range(self.matrix.shape[1]))
-            fh.write(f"k\\l,{cols}\n")
-            for k, row in enumerate(self.matrix):
-                fh.write(f"{k}," + ",".join(repr(float(v)) for v in row) + "\n")
+        header = ["k\\l", *(str(l) for l in range(self.matrix.shape[1]))]
+        write_table(path, header, ((k, *row) for k, row in enumerate(self.matrix)))
 
 
 def identity_matrix(n_max: int = DEFAULT_N_MAX) -> TransferMatrix:

@@ -10,6 +10,7 @@ from rydstats import (
     simulate_fock,
     slow_light_matrix,
 )
+from rydstats.blockade import _histograms
 
 
 def small_cfg(**kwargs):
@@ -26,6 +27,12 @@ class TestConfig:
             BlockadeConfig(blockade_radius=-1.0)
         with pytest.raises(ValidationError):
             BlockadeConfig(trials_per_fock=0)
+
+    @pytest.mark.parametrize("field", ["cloud_length", "blockade_radius"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_lengths(self, field, value):
+        with pytest.raises(ValidationError, match="finite"):
+            BlockadeConfig(**{field: value})
 
 
 class TestExactPairSurvival:
@@ -81,6 +88,21 @@ class TestSimulateFock:
         a = simulate_fock(cfg, 4, threads=1)
         b = simulate_fock(cfg, 4, threads=4)
         np.testing.assert_array_equal(a.probs, b.probs)
+
+    def test_two_threads_give_identical_histograms(self):
+        cfg = small_cfg(trials_per_fock=25_000, cloud_length=37.5)
+        for n in (2, 6):
+            a = simulate_fock(cfg, n, threads=1)
+            b = simulate_fock(cfg, n, threads=2)
+            np.testing.assert_array_equal(a.probs * a.trials, b.probs * b.trials)
+
+    def test_flat_task_list_keeps_each_column_apart(self):
+        cfg = small_cfg(trials_per_fock=25_000)
+        together = _histograms(cfg, [2, 5], threads=2)
+        apart = [_histograms(cfg, [n], threads=1)[0] for n in (2, 5)]
+        for got, want in zip(together, apart):
+            assert got.dtype == np.int64 and got.sum() == 25_000
+            np.testing.assert_array_equal(got, want)
 
     def test_n_out_of_range(self):
         with pytest.raises(ValidationError):

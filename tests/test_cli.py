@@ -57,6 +57,13 @@ class TestConfigFile:
         with pytest.raises(ValidationError, match="out of range for threads"):
             RunConfig().set("threads", 0)
 
+    def test_non_utf8_file_is_validation_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\n# caf\xe9\n")
+        with pytest.raises(ValidationError, match=f"{path}: not UTF-8 text"):
+            parse_config_file(path)
+        assert run(["--config", path, "--out", tmp_path, "reproduce", "figS5"]) == 2
+
     def test_negative_seed_in_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("trials = 10\nseed = -1\n")
@@ -125,6 +132,28 @@ class TestG2Command:
                     "--window", "0,600", "--noise-window", "500,1100"])
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["99999999999999999999", "4611686018427387904"],
+                             ids=["beyond-int64", "unallocatable"])
+    def test_huge_trial_count_is_data_error(self, tmp_path, trials, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# trials={trials}\ntrial_id,detector,time_ns\n0,D2,5\n")
+        assert run(["--out", tmp_path, "g2", bad]) == 2
+        assert "trial" in capsys.readouterr().err
+        assert not (tmp_path / "g2_report.json").exists()
+
+    def test_detector_flag_parsed_like_config_key(self, tmp_path):
+        path = self.make_stream(tmp_path, coherent(0.3, 15), n=5000)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("detectors_1 = D2, D3\n")
+        reports = []
+        for name, argv in (("flag", ["g2", path, "--detectors-1", "D2, D3"]),
+                           ("file", ["--config", cfg, "g2", path])):
+            out = tmp_path / name
+            assert run(["--out", out, *argv, "--resamples", 100]) == 0
+            reports.append((out / "g2_report.json").read_text())
+        assert json.loads(reports[0])["detectors_1"] == ["D2", "D3"]
+        assert reports[0] == reports[1]
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("# trials=5\ntrial_id,detector,time_ns\n0,D2,oops\n")
@@ -165,6 +194,35 @@ class TestReproduceCommands:
         np.testing.assert_allclose(no_storage_free, storage_free, rtol=0.01)
         # with noise, storage must improve the correlation
         assert np.all(body[:, 3] > body[:, 2])
+
+    def test_figS5_nan_zeta_is_data_error(self, tmp_path, capsys):
+        assert run(["--out", tmp_path, "reproduce", "figS5", "--zeta", "0.01,nan"]) == 2
+        assert "out of range for zeta_values" in capsys.readouterr().err
+        assert not (tmp_path / "figS5_distributions.csv").exists()
+
+    def test_figS3_nan_efficiency_row_writes_nothing(self, tmp_path, capsys):
+        table = tmp_path / "eff.csv"
+        table.write_text("p_w,eta\n0.001,0.3\n0.01,nan\n0.05,0.1\n")
+        out = tmp_path / "out"
+        assert run(["--out", out, "reproduce", "figS3", "--efficiency-table", table]) == 2
+        assert f"{table}:3: non-finite" in capsys.readouterr().err
+        assert not (out / "figS3_cross_correlation.csv").exists()
+
+    def test_figS3_reads_efficiency_table_key(self, tmp_path):
+        table = tmp_path / "eff.csv"
+        table.write_text("p_w,eta\n0.001,0.3\n0.05,0.1\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"efficiency_table = {table}\n")
+        runs = {
+            "default": ["reproduce", "figS3"],
+            "flag": ["reproduce", "figS3", "--efficiency-table", table],
+            "file": ["--config", cfg, "reproduce", "figS3"],
+        }
+        outputs = {}
+        for name, argv in runs.items():
+            assert run(["--out", tmp_path / name, *argv]) == 0
+            outputs[name] = (tmp_path / name / "figS3_cross_correlation.csv").read_bytes()
+        assert outputs["file"] == outputs["flag"] != outputs["default"]
 
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert run(["--out", tmp_path, "reproduce", "fig9"]) == 1

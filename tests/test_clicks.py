@@ -15,7 +15,6 @@ from rydstats import (
     coherent,
     conditional_read_state,
     count_trials,
-    cross_correlation,
     fock_state,
     g2_noise_corrected,
     g2_raw,
@@ -123,6 +122,24 @@ class TestIngest:
         path = write_stream(tmp_path, f"# trials=5\ntrial_id,detector,time_ns\n0,D2,1\n{row}\n")
         with pytest.raises(ValidationError, match=f"{path}:4: trial id or time above"):
             ingest(path, WINDOWS)
+
+    def test_trial_count_beyond_int64_reports_line(self, tmp_path):
+        path = write_stream(tmp_path, "\n# trials=99999999999999999999\ntrial_id,detector,time_ns\n")
+        with pytest.raises(ValidationError, match=f"{path}:2: trial count above"):
+            ingest(path, WINDOWS)
+
+    def test_unallocatable_trial_count_is_validation_error(self):
+        # 2**62 bools cannot be allocated; numpy refuses before touching memory
+        stream = ClickStream(2**62, np.zeros(0, np.int64), np.zeros(0, np.int8),
+                             np.zeros(0, np.int64))
+        with pytest.raises(ValidationError, match="per-trial arrays for 4611686018427387904"):
+            count_trials(stream, WINDOWS)
+
+    def test_non_utf8_file_is_validation_error(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_bytes(b"# trials=5\ntrial_id,detector,time_ns\n0,D2,1\n1,D\xff,2\n")
+        with pytest.raises(ValidationError, match=f"{path}: not UTF-8 text"):
+            ClickStream.read_csv(path)
 
     def test_detector_mapping(self, tmp_path):
         path = write_stream(
@@ -293,7 +310,7 @@ class TestEstimators:
         q = 0.05
         n = 20000
         c = TrialCounts(n_trials=n, n1=q, n2=q, n12=int(q * n), nn1=0, nn2=0)
-        assert cross_correlation(c) == pytest.approx(1 / q, rel=1e-12)
+        assert g2_raw(c) == pytest.approx(1 / q, rel=1e-12)
 
 
 class TestSynthesize:

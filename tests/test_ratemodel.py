@@ -169,6 +169,45 @@ class TestFitPeg:
             p_eg, _ = fit_p_eg(p_w, np.zeros(8), base)
         assert p_eg == pytest.approx(0.0, abs=1e-6)
 
+    @staticmethod
+    def lstsq_reference(p_w, data, base):
+        # unconstrained least squares on the affine model, then the bound
+        p = (p_w - base.p_nw) / base.t_w
+        a = p * (1.0 - base.eta_a) * base.t_r
+        c0 = base.eta_a * base.t_r + base.p_nr
+        (slope,), *_ = np.linalg.lstsq(a[:, None], data - c0, rcond=None)
+        p_eg = min(max(slope, 0.0), 1.0)
+        return p_eg, float(np.linalg.norm(c0 + a * p_eg - data))
+
+    @pytest.mark.parametrize("p_eg_true, shift", [(0.35, 0.0), (0.0, -2e-3), (1.0, 2e-3)],
+                             ids=["inside", "clipped-low", "clipped-high"])
+    def test_matches_lstsq_reference(self, p_eg_true, shift):
+        p_w, data, base = self.make_data(p_eg_true, noise=1e-5)
+        # a sloped shift pushes the unconstrained optimum past the bound
+        data = data + shift * p_w / p_w.max()
+        want, want_norm = self.lstsq_reference(p_w, data, base)
+        if shift:
+            with pytest.warns(UserWarning, match="pegged"):
+                got, norm = fit_p_eg(p_w, data, base)
+            assert got == p_eg_true
+        else:
+            got, norm = fit_p_eg(p_w, data, base)
+            assert 0.0 < got < 1.0
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert norm == pytest.approx(want_norm, rel=1e-12)
+
+    def test_unconstrained_data_is_rejected(self):
+        base = RateModelParams(p=0.0, **{**PAPER, "eta_a": 1.0})
+        p_w = np.linspace(0.002, 0.05, 6)
+        with pytest.raises(ValidationError, match="cannot constrain p_eg"):
+            fit_p_eg(p_w, np.full(6, 0.1), base)
+
+    def test_non_finite_data_is_rejected(self):
+        p_w, data, base = self.make_data(0.20)
+        data[3] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            fit_p_eg(p_w, data, base)
+
     def test_insufficient_data(self):
         base = RateModelParams(p=0.0, **PAPER)
         with pytest.raises(ValidationError):

@@ -1,0 +1,61 @@
+import math
+
+import pytest
+from scipy.stats import poisson
+
+from rydstats._roots import BracketError, bisect_bracket, bisect_monotone
+from rydstats.errors import NumericalError
+from rydstats.fock import TAIL_TOLERANCE, coherent_mu_upper_bound
+from rydstats.source import _read_state_terms, read_state_p_upper_bound
+
+
+def halving(below, lo, hi, iterations=200):
+    # the loop both truncation bounds ran before they shared bisect_bracket
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("n_max", [3, 20, 100, 130])
+def test_coherent_bound_is_the_plain_halving_result(n_max):
+    expected = halving(lambda mu: poisson.sf(n_max, mu) < TAIL_TOLERANCE, 0.0, float(n_max))
+    assert coherent_mu_upper_bound(n_max) == expected
+
+
+@pytest.mark.parametrize("t_w, n_max", [(0.21, 20), (0.21, 100), (0.9, 40), (1.0, 130)])
+def test_read_state_bound_is_the_plain_halving_result(t_w, n_max):
+    def fits(p):
+        return 1.0 - _read_state_terms(p, t_w, n_max).sum() < 0.999 * TAIL_TOLERANCE
+
+    assert read_state_p_upper_bound(t_w, n_max) == halving(fits, 0.0, 1.0 - 1e-12)
+
+
+def test_bracket_keeps_below_on_the_left():
+    a, b = bisect_bracket(lambda x: x * x < 2.0, 0.0, 2.0)
+    assert a * a < 2.0 <= b * b
+    assert b - a <= math.ulp(a)
+
+
+def test_bracket_width_stop():
+    calls = []
+
+    def below(x):
+        calls.append(x)
+        return x < 0.3
+
+    a, b = bisect_bracket(below, 0.0, 1.0, x_tol=1e-3)
+    assert b - a < 1e-3 and a < 0.3 <= b
+    assert len(calls) == 10  # 2**-10 < 1e-3 <= 2**-9
+
+
+def test_monotone_solves_and_checks():
+    root = bisect_monotone(lambda x: x**3, 0.0, 2.0, 2.0, f_tol=1e-12)
+    assert root == pytest.approx(2.0 ** (1 / 3), rel=1e-13)
+    with pytest.raises(BracketError):
+        bisect_monotone(lambda x: x, 0.0, 1.0, 2.0, f_tol=1e-12)
+    with pytest.raises(NumericalError):
+        bisect_monotone(lambda x: x, 0.0, 1.0, 0.3, f_tol=1e-12, max_iter=5)
