@@ -55,12 +55,9 @@ from .source import (
     conditional_read_state,
     ideal_cross_correlation,
     infer_p_from_g2,
-    reference_g2_scaling,
-    two_mode_joint,
 )
 from .transfer import (
     TransferMatrix,
-    identity_matrix,
     loss_matrix,
     perfect_filter_matrix,
 )
@@ -100,7 +97,6 @@ __all__ = [
     "g2_noise_corrected",
     "g2_raw",
     "ideal_cross_correlation",
-    "identity_matrix",
     "infer_p_from_g2",
     "ingest",
     "loss_matrix",
@@ -109,13 +105,11 @@ __all__ = [
     "post_blockade_distribution",
     "predict_cross_correlation",
     "predict_probabilities",
-    "reference_g2_scaling",
     "simulate_fock",
     "slow_light_matrix",
     "source_distribution",
     "sweep",
     "synthesize",
-    "two_mode_joint",
     "vacuum",
     "with_storage",
 ]

@@ -33,6 +33,14 @@ from .transfer import TransferMatrix
 CHUNK_TRIALS = 10_000
 
 
+def _check_lengths(r_b: float, cloud_length: float) -> None:
+    # Written so that NaN fails both checks.
+    if not 0 < cloud_length < math.inf:
+        raise ValidationError(f"cloud length must be finite and > 0, got {cloud_length}")
+    if not 0 <= r_b < math.inf:
+        raise ValidationError(f"blockade radius must be finite and >= 0, got {r_b}")
+
+
 @dataclass(frozen=True)
 class BlockadeConfig:
     """Geometry and sampling parameters of the blockade Monte Carlo.
@@ -49,12 +57,7 @@ class BlockadeConfig:
     n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
-        if not 0 < self.cloud_length < math.inf:
-            raise ValidationError(f"cloud length must be finite and > 0, got {self.cloud_length}")
-        if not 0 <= self.blockade_radius < math.inf:
-            raise ValidationError(
-                f"blockade radius must be finite and >= 0, got {self.blockade_radius}"
-            )
+        _check_lengths(self.blockade_radius, self.cloud_length)
         if self.trials_per_fock < 1:
             raise ValidationError("trials_per_fock must be >= 1")
         if self.n_max < 1:
@@ -79,10 +82,7 @@ def exact_pair_survival(r_b: float, cloud_length: float) -> float:
     """Probability that two uniform points in [0, L] are more than r_b
     apart: (1 - r_b/L)^2 for r_b <= L, else 0.  Analytic oracle for the
     n = 2 Monte Carlo column."""
-    if cloud_length <= 0:
-        raise ValidationError(f"cloud length must be > 0, got {cloud_length}")
-    if r_b < 0:
-        raise ValidationError(f"blockade radius must be >= 0, got {r_b}")
+    _check_lengths(r_b, cloud_length)
     if r_b >= cloud_length:
         return 0.0
     return (1.0 - r_b / cloud_length) ** 2

@@ -66,11 +66,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _flag_type(parse, form: str):
+    """``parse`` as an argparse type whose error names the expected ``form``."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return convert
+
+
 def _int_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'start,end', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    start, end = text.split(",")
+    return int(start), int(end)
+
+
+_WINDOW = _flag_type(_int_pair, "'start,end'")
+_NUMBERS = _flag_type(_float_list, "comma-separated numbers")
+_DETECTORS = _flag_type(_KEYS["detectors_1"].parse, "comma-separated detector names")
 
 
 #: Flags that set several configuration keys at once, in order.
@@ -110,22 +123,20 @@ def build_parser() -> _Parser:
     g = sub.add_parser("g2", help="analyze a click stream: raw and noise-corrected "
                        "correlation with bootstrap errors")
     g.add_argument("clicks", type=Path, help="click CSV (see README for the format)")
-    g.add_argument("--window", type=_int_pair, help="signal window 'start,end' in ns")
-    g.add_argument("--window-2", type=_int_pair, help="role-2 signal window (default: same)")
-    g.add_argument("--noise-window", type=_int_pair, help="noise window 'start,end' in ns")
-    g.add_argument("--detectors-1", type=_KEYS["detectors_1"].parse,
-                   help="comma list of detectors for role 1")
-    g.add_argument("--detectors-2", type=_KEYS["detectors_2"].parse,
-                   help="comma list of detectors for role 2")
+    g.add_argument("--window", type=_WINDOW, help="signal window 'start,end' in ns")
+    g.add_argument("--window-2", type=_WINDOW, help="role-2 signal window (default: same)")
+    g.add_argument("--noise-window", type=_WINDOW, help="noise window 'start,end' in ns")
+    g.add_argument("--detectors-1", type=_DETECTORS, help="comma list of detectors for role 1")
+    g.add_argument("--detectors-2", type=_DETECTORS, help="comma list of detectors for role 2")
     g.add_argument("--resamples", type=int, help="bootstrap resamples")
 
     r = sub.add_parser("reproduce", help="emit model curves as CSV tables")
     r.add_argument("figure", choices=FIGURES)
     r.add_argument("--trials", type=int, help="Monte Carlo trials per Fock state")
     r.add_argument("--n-max", type=int, dest="n_max", help="Fock truncation")
-    r.add_argument("--zeta", type=_KEYS["zeta_values"].parse, dest="zeta_values",
+    r.add_argument("--zeta", type=_NUMBERS, dest="zeta_values",
                    help="comma list of multiphoton strengths (figS5)")
-    r.add_argument("--zeta-range", type=_float_list, metavar="MIN,MAX,POINTS",
+    r.add_argument("--zeta-range", type=_NUMBERS, metavar="MIN,MAX,POINTS",
                    help="log-spaced sweep grid (fig3/fig4)")
     r.add_argument("--efficiency-table", type=_KEYS["efficiency_table"].parse,
                    help="measured p_w,eta CSV (figS3); default: constant "

@@ -5,8 +5,10 @@ between the setups (heralded input only; attenuated-laser inputs are
 already back-propagated to the cloud entrance), the imperfect pulse
 compression into the medium (a beam-splitter loss), half of the linear
 propagation losses, and finally the Monte Carlo blockade matrix.  The
-second half of the propagation loss and the retrieval efficiency are
-linear, so they never change g2 and enter only the efficiency formula.
+stages before the blockade are binomial thinnings, which compose into
+one loss matrix.  The second half of the propagation loss and the
+retrieval efficiency are linear, so they never change g2 and enter only
+the efficiency formula.
 """
 
 from __future__ import annotations
@@ -100,12 +102,10 @@ def cloud_input_distribution(cfg: PipelineConfig, param: float, n_max: int | Non
 
 
 def _pre_blockade_matrix(cfg: PipelineConfig, n_max: int, eta_compression: float) -> TransferMatrix:
-    chain = loss_matrix(math.sqrt(cfg.eta_eit), n_max).compose(
-        loss_matrix(eta_compression, n_max)
-    )
-    if cfg.input_kind == "dlcz":
-        chain = chain.compose(loss_matrix(cfg.t_losses, n_max))
-    return chain
+    # Transmission losses (dlcz only), compression and half the EIT loss
+    # are binomial thinnings, and loss(a) o loss(b) = loss(ab).
+    t = cfg.t_losses if cfg.input_kind == "dlcz" else 1.0
+    return loss_matrix(math.sqrt(cfg.eta_eit) * eta_compression * t, n_max)
 
 
 def post_blockade_distribution(
@@ -124,8 +124,7 @@ def post_blockade_distribution(
             )
         medium = medium_matrix(cfg)
     ec = cfg.eta_compression if eta_compression is None else eta_compression
-    pre = _pre_blockade_matrix(cfg, n_max, ec)
-    return medium.compose(pre).apply(input_dist)
+    return medium.compose(_pre_blockade_matrix(cfg, n_max, ec)).apply(input_dist)
 
 
 def g2_after_storage(
@@ -153,19 +152,17 @@ def efficiency(
     input mean for the heralded source is the source mean times the
     transmission to the cloud.
     """
+    out = post_blockade_distribution(cfg, input_dist, medium, eta_compression)
+    return _efficiency(cfg, input_dist, out)
+
+
+def _efficiency(cfg: PipelineConfig, input_dist: FockDistribution, out: FockDistribution) -> float:
+    """Efficiency from the input state and its post-blockade state."""
     mean_in = input_dist.mean_photons()
     if mean_in <= 0.0:
         raise ValidationError("efficiency undefined for a vacuum input")
-    out = post_blockade_distribution(cfg, input_dist, medium, eta_compression)
-    numerator = cfg.eta_r * math.sqrt(cfg.eta_eit) * out.mean_photons()
-    if cfg.input_kind == "dlcz":
-        return numerator / (cfg.t_losses * mean_in)
-    return numerator / mean_in
-
-
-def _zeta_of_vector(vec: np.ndarray) -> float:
-    p_ge1 = vec[1:].sum()
-    return float(vec[2:].sum() / p_ge1) if p_ge1 > 0 else 0.0
+    t = cfg.t_losses if cfg.input_kind == "dlcz" else 1.0
+    return cfg.eta_r * math.sqrt(cfg.eta_eit) * out.mean_photons() / (t * mean_in)
 
 
 def _zeta_curve(cfg: PipelineConfig, n_max: int):
@@ -176,13 +173,13 @@ def _zeta_curve(cfg: PipelineConfig, n_max: int):
         loss = loss_matrix(cfg.t_losses, n_max).matrix
 
         def f(p):
-            return _zeta_of_vector(loss @ _read_state_terms(p, cfg.t_w, n_max))
+            return FockDistribution(loss @ _read_state_terms(p, cfg.t_w, n_max)).zeta()
 
         return f, read_state_p_upper_bound(cfg.t_w, n_max)
     k = np.arange(n_max + 1)
 
     def f(mu):
-        return _zeta_of_vector(poisson.pmf(k, mu))
+        return FockDistribution(poisson.pmf(k, mu)).zeta()
 
     return f, coherent_mu_upper_bound(n_max)
 
@@ -198,7 +195,10 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float, n_max: int | None = None) ->
         extends the reachable range).
     """
     n_max = cfg.blockade.n_max if n_max is None else n_max
-    f, hi = _zeta_curve(cfg, n_max)
+    return _invert_zeta(cfg, zeta, n_max, *_zeta_curve(cfg, n_max))
+
+
+def _invert_zeta(cfg: PipelineConfig, zeta: float, n_max: int, f, hi: float) -> float:
     try:
         return bisect_monotone(f, _PARAM_FLOOR, hi, zeta, f_tol=1e-10)
     except BracketError as exc:
@@ -206,17 +206,6 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float, n_max: int | None = None) ->
             f"multiphoton strength {zeta} not attainable for {cfg.input_kind} "
             f"at n_max={n_max} ({exc})"
         ) from exc
-
-
-def _assert_monotone_zeta(cfg: PipelineConfig, n_max: int) -> None:
-    # Bisection assumes zeta(param) is monotone; scan before sweeping.
-    f, hi = _zeta_curve(cfg, n_max)
-    values = [f(x) for x in np.linspace(_PARAM_FLOOR, hi, 50)]
-    if np.any(np.diff(values) < -1e-12):
-        raise ValidationError(
-            "multiphoton strength is not monotone in the source parameter; "
-            "cannot invert the requested grid"
-        )
 
 
 @dataclass(frozen=True)
@@ -247,34 +236,41 @@ def sweep(
     cfg: PipelineConfig,
     zeta_grid,
     medium: TransferMatrix | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Evaluate g2_in, g2_out and efficiency over a multiphoton-strength
     grid, with an uncertainty band from the compression-efficiency range.
 
-    The Monte Carlo medium matrix is computed once and shared by all grid
-    points (and both band edges).
+    Built once per sweep: the zeta curve and its truncation bound, the
+    medium, and one stage matrix (medium after the pre-blockade thinning)
+    for eta_compression and for each band edge.  A grid point costs one
+    inversion and three matrix-vector products.
     """
     n_max = cfg.blockade.n_max
-    _assert_monotone_zeta(cfg, n_max)
+    f, hi = _zeta_curve(cfg, n_max)
+    # Bisection assumes zeta(param) is monotone; scan before sweeping.
+    values = [f(x) for x in np.linspace(_PARAM_FLOOR, hi, 50)]
+    if np.any(np.diff(values) < -1e-12):
+        raise ValidationError(
+            "multiphoton strength is not monotone in the source parameter; "
+            "cannot invert the requested grid"
+        )
     if medium is None:
-        medium = medium_matrix(cfg, threads=threads)
+        medium = medium_matrix(cfg)
     elif medium.n_max != n_max:
         raise ValidationError(
             f"medium matrix n_max={medium.n_max} does not match config n_max={n_max}"
         )
-    lo, hi = cfg.compression_band
+    stages = [
+        medium.compose(_pre_blockade_matrix(cfg, n_max, ec))
+        for ec in (cfg.eta_compression, *cfg.compression_band)
+    ]
     points = []
     for zeta in zeta_grid:
-        param = zeta_to_param(cfg, zeta, n_max)
+        param = _invert_zeta(cfg, zeta, n_max, f, hi)
         src = source_distribution(cfg, param, n_max)
-        g2_in = src.g2()
-        g2_out = g2_after_storage(cfg, src, medium)
-        eta = efficiency(cfg, src, medium)
-        band = sorted(
-            g2_after_storage(cfg, src, medium, eta_compression=ec) for ec in (lo, hi)
-        )
-        points.append(
-            SweepPoint(float(zeta), param, g2_in, g2_out, eta, band[0], band[1])
-        )
+        out, *edges = (stage.apply(src) for stage in stages)
+        band = sorted(edge.g2() for edge in edges)
+        points.append(SweepPoint(
+            float(zeta), param, src.g2(), out.g2(), _efficiency(cfg, src, out), *band
+        ))
     return SweepResult(cfg.input_kind, points)

@@ -43,25 +43,6 @@ class SourceModel:
             raise ValidationError(f"write transmission must be in (0, 1], got {self.t_w}")
 
 
-def two_mode_joint(model: SourceModel, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
-    """Joint photon-number distribution of the write/read pair.
-
-    Returns an (n_max+1) x (n_max+1) array with P(n_w = n, n_r = n) =
-    (1-p) p^n on the diagonal and zero elsewhere.  Raises if the discarded
-    tail beyond n_max reaches the tail tolerance.
-    """
-    p = model.p
-    tail = p ** (n_max + 1)
-    if tail >= TAIL_TOLERANCE:
-        raise NumericalError(
-            f"two-mode tail beyond n_max={n_max} is {tail:.2e}; increase n_max"
-        )
-    n = np.arange(n_max + 1, dtype=float)
-    joint = np.zeros((n_max + 1, n_max + 1))
-    np.fill_diagonal(joint, (1.0 - p) * p**n)
-    return joint
-
-
 def _read_state_terms(p: float, t_w: float, n_max: int) -> np.ndarray:
     """Unnormalized heralded read-state vector including its exact
     normalization prefactor; sums to 1 - (discarded tail)."""
@@ -110,17 +91,6 @@ def read_state_p_upper_bound(t_w: float, n_max: int) -> float:
     return bisect_bracket(fits, 0.0, hi)[0]
 
 
-def _truncated_g2(p: float, t_w: float, n_max: int) -> float:
-    """g2 of the truncated, renormalized read state (matches what
-    ``conditional_read_state`` would produce at the same n_max)."""
-    terms = _read_state_terms(p, t_w, n_max)
-    k = np.arange(n_max + 1, dtype=float)
-    total = terms.sum()
-    mean = np.dot(k, terms)
-    fac2 = np.dot(k * (k - 1.0), terms)
-    return float(fac2 * total / mean**2)
-
-
 def infer_p_from_g2(
     g2_target: float, t_w: float = DEFAULT_T_W, n_max: int = DEFAULT_N_MAX
 ) -> float:
@@ -143,11 +113,8 @@ def infer_p_from_g2(
     p_hi = read_state_p_upper_bound(t_w, n_max)
     try:
         return bisect_monotone(
-            lambda p: _truncated_g2(p, t_w, n_max),
-            _P_FLOOR,
-            p_hi,
-            g2_target,
-            f_tol=1e-10,
+            lambda p: FockDistribution(_read_state_terms(p, t_w, n_max)).g2(),
+            _P_FLOOR, p_hi, g2_target, f_tol=1e-10,
         )
     except BracketError as exc:
         raise ValidationError(
@@ -166,9 +133,3 @@ def ideal_cross_correlation(p: float, blockaded: bool = False) -> float:
     if not 0.0 < p < 1.0:
         raise ValidationError(f"excitation probability must be in (0, 1), got {p}")
     return 1.0 / p if blockaded else 1.0 + 1.0 / p
-
-
-def reference_g2_scaling(p: float) -> float:
-    """Literature reference curve 2p(2+p)/(1+p)^2 for the heralded g2,
-    plotted for comparison only (measured sources need not follow it)."""
-    return 2.0 * p * (2.0 + p) / (1.0 + p) ** 2

@@ -113,11 +113,6 @@ class TransferMatrix:
         write_table(path, header, ((k, *row) for k, row in enumerate(self.matrix)))
 
 
-def identity_matrix(n_max: int = DEFAULT_N_MAX) -> TransferMatrix:
-    """The do-nothing element."""
-    return TransferMatrix(np.eye(n_max + 1))
-
-
 def loss_matrix(t: float, n_max: int = DEFAULT_N_MAX) -> TransferMatrix:
     """Linear loss (beam splitter) with transmission ``t``.
 

@@ -51,6 +51,19 @@ class TestExactPairSurvival:
         with pytest.raises(ValidationError):
             exact_pair_survival(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "r_b, cloud_length",
+        [(float("nan"), 15.0), (1.0, float("nan")), (1.0, float("inf")),
+         (float("inf"), 15.0), (-1.0, 15.0), (1.0, -15.0)],
+        ids=["nan-radius", "nan-cloud", "inf-cloud", "inf-radius", "negative-radius",
+             "negative-cloud"],
+    )
+    def test_rejects_what_the_config_rejects(self, r_b, cloud_length):
+        with pytest.raises(ValidationError, match="finite"):
+            exact_pair_survival(r_b, cloud_length)
+        with pytest.raises(ValidationError, match="finite"):
+            BlockadeConfig(cloud_length=cloud_length, blockade_radius=r_b)
+
 
 class TestSimulateFock:
     def test_vacuum_input(self):

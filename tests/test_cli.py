@@ -281,6 +281,26 @@ class TestExitCodes:
         assert run(["--out", tmp_path, *argv]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["reproduce", "figS5", "--zeta", "abc"],
+             "argument --zeta: expected comma-separated numbers, got 'abc'"),
+            (["reproduce", "fig3", "--zeta-range", "0.01,x,5"],
+             "argument --zeta-range: expected comma-separated numbers, got '0.01,x,5'"),
+            (["g2", "clicks.csv", "--detectors-1", ","],
+             "argument --detectors-1: expected comma-separated detector names, got ','"),
+            (["g2", "clicks.csv", "--detectors-2", " , "],
+             "argument --detectors-2: expected comma-separated detector names, got ' , '"),
+        ],
+        ids=["zeta", "zeta-range", "detectors-1", "detectors-2"],
+    )
+    def test_malformed_list_flag_names_expected_form(self, tmp_path, argv, expected, capsys):
+        assert run(["--out", tmp_path, *argv]) == 1
+        err = capsys.readouterr().err
+        assert expected in err
+        assert "_list" not in err
+
     @pytest.mark.parametrize("points", ["2.5", "0", "-1", "nan"])
     def test_zeta_range_points_must_be_positive_integer(self, tmp_path, points):
         code = run(["--out", tmp_path, "reproduce", "fig3", "--trials", 100,

@@ -17,7 +17,7 @@ from rydstats import (
     sweep,
     zeta_to_param,
 )
-from rydstats.pipeline import _pre_blockade_matrix
+from rydstats.pipeline import SweepPoint, _pre_blockade_matrix
 
 
 def make_cfg(kind="dlcz", n_max=24, trials=20_000, **kwargs):
@@ -70,6 +70,18 @@ class TestPostBlockade:
         out = pre.apply(coherent(0.3, 24))
         expected = coherent(0.3 * 0.15 * 0.6 * np.sqrt(0.6), 24)
         np.testing.assert_allclose(out.probs, expected.probs, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
+    @pytest.mark.parametrize("ec", [0.6, 0.45, 0.75])
+    def test_single_thinning_matches_composed_chain(self, kind, ec):
+        cfg = make_cfg(kind=kind)
+        stages = [loss_matrix(cfg.t_losses, 100)] if kind == "dlcz" else []
+        stages += [loss_matrix(ec, 100), loss_matrix(np.sqrt(cfg.eta_eit), 100)]
+        chain = stages[0]
+        for stage in stages[1:]:
+            chain = stage.compose(chain)
+        single = _pre_blockade_matrix(cfg, 100, ec)
+        np.testing.assert_allclose(single.matrix, chain.matrix, rtol=0, atol=1e-12)
 
     def test_mismatched_n_max_rejected(self):
         cfg = make_cfg(kind="wcs", n_max=10)
@@ -211,6 +223,27 @@ class TestSweep:
         cfg = make_cfg(kind="wcs", trials=50_000)
         result = sweep(cfg, np.geomspace(0.002, 0.35, 10))
         assert np.all(np.diff(result.column("g2_out")) > -1e-12)
+
+    @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
+    def test_columns_equal_per_point_public_path(self, kind):
+        # the stage matrices and the shared zeta curve built once per sweep
+        # give, bit for bit, what the public functions give point by point
+        cfg = make_cfg(kind=kind, n_max=40, trials=2_000)
+        lo, hi = cfg.compression_band
+        assert lo != hi
+        medium = medium_matrix(cfg)
+        grid = [0.01, 0.05, 0.2]
+        result = sweep(cfg, grid, medium=medium)
+        for pt, zeta in zip(result.points, grid):
+            param = zeta_to_param(cfg, zeta)
+            src = source_distribution(cfg, param)
+            band = sorted(g2_after_storage(cfg, src, medium, eta_compression=ec) for ec in (lo, hi))
+            expected = SweepPoint(
+                zeta, param, src.g2(), g2_after_storage(cfg, src, medium),
+                efficiency(cfg, src, medium), *band,
+            )
+            assert pt == expected
+            assert pt.g2_out_lo < pt.g2_out_hi
 
     def test_shared_medium_matches_fresh(self):
         cfg = make_cfg(kind="wcs", trials=10_000)

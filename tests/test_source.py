@@ -9,8 +9,6 @@ from rydstats import (
     ideal_cross_correlation,
     infer_p_from_g2,
     loss_matrix,
-    reference_g2_scaling,
-    two_mode_joint,
 )
 from rydstats.source import read_state_p_upper_bound
 
@@ -37,30 +35,6 @@ class TestSourceModel:
             SourceModel(0.1, t_w=0.0)
         with pytest.raises(ValidationError):
             SourceModel(0.1, t_w=1.2)
-
-
-class TestTwoModeJoint:
-    def test_vacuum_at_p_zero(self):
-        joint = two_mode_joint(SourceModel(0.0), 6)
-        expected = np.zeros((7, 7))
-        expected[0, 0] = 1.0
-        np.testing.assert_array_equal(joint, expected)
-
-    def test_geometric_weights(self):
-        joint = two_mode_joint(SourceModel(0.5), 64)
-        assert joint[1, 1] == pytest.approx(0.25)
-        assert np.count_nonzero(joint - np.diag(np.diag(joint))) == 0
-
-    def test_read_marginal_mean(self):
-        # geometric series: mean = p / (1 - p) = 1 at p = 0.5
-        joint = two_mode_joint(SourceModel(0.5), 64)
-        marginal = joint.sum(axis=0)
-        mean = np.dot(np.arange(65), marginal)
-        assert mean == pytest.approx(1.0, abs=1e-9)
-
-    def test_truncation_guard(self):
-        with pytest.raises(NumericalError):
-            two_mode_joint(SourceModel(0.5), 10)
 
 
 class TestConditionalReadState:
@@ -150,10 +124,3 @@ class TestIdealCrossCorrelation:
             ideal_cross_correlation(0.0)
         with pytest.raises(ValidationError):
             ideal_cross_correlation(1.0)
-
-
-class TestReferenceScaling:
-    def test_values(self):
-        assert reference_g2_scaling(0.0) == 0.0
-        assert reference_g2_scaling(1.0) == pytest.approx(1.5)
-        assert reference_g2_scaling(0.1) == pytest.approx(0.3471074380165289, abs=1e-6)

@@ -6,7 +6,6 @@ from rydstats import (
     NumericalError,
     ValidationError,
     coherent,
-    identity_matrix,
     loss_matrix,
     perfect_filter_matrix,
 )
@@ -105,7 +104,7 @@ class TestPerfectFilter:
 class TestApplyCompose:
     def test_identity_apply(self):
         d = coherent(0.6, 15)
-        np.testing.assert_allclose(identity_matrix(15).apply(d).probs, d.probs)
+        np.testing.assert_allclose(TransferMatrix(np.eye(16)).apply(d).probs, d.probs)
 
     def test_poisson_thinning(self):
         out = loss_matrix(0.3, 20).apply(coherent(1.0, 20))
@@ -123,7 +122,7 @@ class TestApplyCompose:
 
     def test_identity_compose(self):
         m = loss_matrix(0.4, 9)
-        np.testing.assert_array_equal(identity_matrix(9).compose(m).matrix, m.matrix)
+        np.testing.assert_array_equal(TransferMatrix(np.eye(10)).compose(m).matrix, m.matrix)
 
     def test_compose_preserves_column_sums(self):
         m = loss_matrix(0.7, 14).compose(perfect_filter_matrix(14))
@@ -132,7 +131,7 @@ class TestApplyCompose:
 
 class TestInvert:
     def test_identity(self):
-        inv = identity_matrix(6).invert()
+        inv = TransferMatrix(np.eye(7)).invert()
         np.testing.assert_allclose(inv.matrix, np.eye(7), atol=1e-12)
         assert not inv.physical
 
