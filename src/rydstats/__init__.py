@@ -112,4 +112,5 @@ __all__ = [
     "synthesize",
     "vacuum",
     "with_storage",
+    "zeta_to_param",
 ]

@@ -9,6 +9,7 @@ here than iteration count.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import NumericalError
@@ -37,20 +38,17 @@ def bisect_monotone(
     Raises
     ------
     BracketError
-        If target lies outside [f(lo), f(hi)].
+        If target is not finite or lies outside [f(lo), f(hi)].
     NumericalError
         If the final residual check fails.
     """
-    f_lo = f(lo) - target
-    f_hi = f(hi) - target
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise BracketError(
-            f"target {target!r} outside attainable range "
-            f"[{f_lo + target!r}, {f_hi + target!r}]"
-        )
-    if f_lo == 0.0:
+    y_lo, y_hi = f(lo), f(hi)
+    # Written so that a NaN target (or NaN end value) fails the check.
+    if not y_lo <= target <= y_hi or not math.isfinite(target):
+        raise BracketError(f"target {target!r} outside attainable range [{y_lo!r}, {y_hi!r}]")
+    if y_lo == target:
         return lo
-    if f_hi == 0.0:
+    if y_hi == target:
         return hi
     a, b = bisect_bracket(lambda x: f(x) - target < 0.0, lo, hi,
                           x_tol=x_tol, max_iter=max_iter)

@@ -3,17 +3,24 @@
 Photons enter a uniform 1-D cloud one at a time and become lossless
 polaritons at i.i.d. uniform positions.  A newcomer is scattered if it sits
 within one blockade radius of any *surviving* polariton; polaritons that
-were themselves scattered do not block anyone.  Tallying survivor counts
-over many trials per input Fock state yields the columns of a transfer
-matrix for the medium.
+were themselves scattered do not block anyone.
+
+An arrival never changes the polaritons that survived before it, so the
+survivor count after the first n arrivals of a trial is a sample of the
+n-photon column (random sequential adsorption on an interval).  Each trial
+draws n_max arrivals once and its counts fill every column of the medium's
+transfer matrix: columns share trials, each with the distribution of an
+independent n-photon run.
 
 Reproducibility contract
 ------------------------
-Trials are partitioned into fixed chunks of ``CHUNK_TRIALS``; chunk c of
-Fock state n draws from a generator seeded with SeedSequence(seed,
-spawn_key=(n, c)).  Results depend only on (seed, trials) - never on
-thread count or scheduling order - because per-chunk histograms are
-integers and their sum is exact.
+Trials are partitioned into fixed chunks of ``CHUNK_TRIALS``; chunk c draws
+its arrivals, one position per trial and arrival in arrival order, from a
+generator seeded with SeedSequence(seed, spawn_key=(c,)).  Results depend
+only on (seed, trials) - never on thread count or scheduling order -
+because per-chunk histograms are integers and their sum is exact.  Column
+n does not depend on n_max either: it sees the same draws however many
+arrivals follow.
 """
 
 from __future__ import annotations
@@ -96,93 +103,72 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 
 def _max_survivors(n: int, cloud_length: float, r_b: float) -> int:
-    # Upper bound on mutually unblocked polaritons; keeps the survivor
-    # buffer narrow so the per-arrival distance check stays O(trials).
-    if r_b <= 0.0:
-        return n
+    # Upper bound on mutually unblocked polaritons (r_b > 0); keeps the
+    # survivor buffer narrow so the per-arrival distance check stays O(trials).
     return min(n, int(cloud_length // r_b) + 1)
 
 
-def _simulate_chunk(n: int, size: int, seed: int, chunk_index: int,
+def _simulate_chunk(n_max: int, size: int, seed: int, chunk: int,
                     cloud_length: float, r_b: float) -> np.ndarray:
-    """Histogram of survivor counts over one chunk of trials."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(n, chunk_index))
-    )
+    """Survivor histogram of one chunk of trials, n_max arrivals each:
+    entry (k, n) counts the trials with k survivors after n arrivals."""
+    hist = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
     if r_b <= 0.0:
         # Nothing ever blocks; every polariton survives.
-        hist = np.zeros(n + 1, dtype=np.int64)
-        hist[n] = size
+        np.fill_diagonal(hist, size)
         return hist
-    slots = _max_survivors(n, cloud_length, r_b)
-    surviving = np.full((size, slots), np.inf)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+    surviving = np.full((size, _max_survivors(n_max, cloud_length, r_b)), np.inf)
     count = np.zeros(size, dtype=np.int64)
-    for arrival in range(n):
+    hist[0, 0] = size
+    for n in range(1, n_max + 1):
         x = rng.uniform(0.0, cloud_length, size)
-        if arrival == 0:
-            surviving[:, 0] = x
-            count[:] = 1
-            continue
         blocked = np.any(np.abs(surviving - x[:, None]) <= r_b, axis=1)
         idx = np.nonzero(~blocked)[0]
         surviving[idx, count[idx]] = x[idx]
         count[idx] += 1
-    return np.bincount(count, minlength=n + 1)
+        hist[:, n] = np.bincount(count, minlength=n_max + 1)
+    return hist
 
 
 def simulate_fock(cfg: BlockadeConfig, n: int, threads: int = 1) -> SurvivalDistribution:
     """Survivor-count distribution for an n-photon input.
 
-    n = 0 and n = 1 are exact without sampling (nothing can be blocked);
-    larger n runs ``cfg.trials_per_fock`` trials, deterministic for a
+    The same trials as :func:`blockade_matrix`, stopped after n arrivals,
+    so this is column n of that matrix bit for bit; deterministic for a
     fixed seed regardless of ``threads``.
     """
     if not 0 <= n <= cfg.n_max:
         raise ValidationError(f"input Fock number {n} outside 0..{cfg.n_max}")
-    if n == 0:
-        return SurvivalDistribution(0, np.array([1.0]), cfg.trials_per_fock)
-    if n == 1:
-        return SurvivalDistribution(1, np.array([0.0, 1.0]), cfg.trials_per_fock)
-    (hist,) = _histograms(cfg, [n], threads)
+    hist = _histograms(cfg, n, threads)[: n + 1, n]
     return SurvivalDistribution(n, hist / cfg.trials_per_fock, cfg.trials_per_fock)
 
 
-def _histograms(cfg: BlockadeConfig, ns, threads: int) -> list[np.ndarray]:
-    """Summed int64 survivor histogram of each input Fock state in ``ns``.
-
-    The (fock state, chunk) pairs form one flat task list, so a few large-n
-    columns cannot serialize the pool (used only when ``threads`` > 1).
+def _histograms(cfg: BlockadeConfig, n_max: int, threads: int) -> np.ndarray:
+    """Survivor histogram of ``cfg.trials_per_fock`` trials of ``n_max``
+    arrivals, summed over the chunks (on a pool when ``threads`` > 1).
     Integer sums are exact: the thread count cannot change the result."""
-    sizes = _chunk_sizes(cfg.trials_per_fock)
     tasks = [
-        (n, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
-        for n in ns
-        for c, size in enumerate(sizes)
+        (n_max, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
+        for c, size in enumerate(_chunk_sizes(cfg.trials_per_fock))
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hists = list(pool.map(lambda t: _simulate_chunk(*t), tasks))
     else:
         hists = [_simulate_chunk(*t) for t in tasks]
-    per_n = len(sizes)
-    return [np.sum(hists[i : i + per_n], axis=0) for i in range(0, len(hists), per_n)]
+    return np.sum(hists, axis=0)
 
 
 def blockade_matrix(cfg: BlockadeConfig, threads: int = 1) -> TransferMatrix:
     """Transfer matrix of the partially blockaded medium.
 
-    Column n is the survivor distribution for an n-photon input, padded to
-    n_max + 1; columns 0 and 1 are exact.  With r_b = 0 this is the
-    identity; with r_b >= cloud length it reproduces the perfect filter.
+    Column n is the survivor distribution after n arrivals, all columns
+    read from the same ``cfg.trials_per_fock`` trials; columns 0 and 1 come
+    out exact.  With r_b = 0 this is the identity; with r_b >= cloud length
+    it reproduces the perfect filter.
     """
-    dim = cfg.n_max + 1
-    m = np.zeros((dim, dim))
-    m[0, 0] = 1.0
-    m[1, 1] = 1.0
-    ns = range(2, dim)
-    for n, hist in zip(ns, _histograms(cfg, ns, threads)):
-        m[: n + 1, n] = hist / cfg.trials_per_fock
-    return TransferMatrix(m)
+    return TransferMatrix(_histograms(cfg, cfg.n_max, threads) / cfg.trials_per_fock)
 
 
 def slow_light_matrix(cfg: BlockadeConfig, medium_scale: float,

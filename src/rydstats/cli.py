@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from ._table import read_table, write_table
 from .blockade import (
+    CHUNK_TRIALS,
     BlockadeConfig,
     SurvivalDistribution,
     blockade_matrix,
@@ -105,7 +106,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", type=Path, help="key = value configuration file")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
-    parser.add_argument("--threads", type=int, help="Monte Carlo worker threads")
+    parser.add_argument("--threads", type=int, help="Monte Carlo worker threads; "
+                        f"they share out the {CHUNK_TRIALS}-trial chunks")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -442,9 +442,8 @@ def bootstrap_error(
     data: TrialData,
     resamples: int = 1000,
     seed: int = 0,
-    corrected: bool = True,
 ) -> float:
-    """Nonparametric bootstrap standard error of the (noise-corrected) g2.
+    """Nonparametric bootstrap standard error of the noise-corrected g2.
 
     Trials are resampled with replacement.  Because every trial is fully
     described by its (click-1, click-2, noise-1, noise-2) pattern, the
@@ -483,19 +482,14 @@ def bootstrap_error(
     nn1 = (w @ f_noise1) / n * (len1 / noise_len)
     nn2 = (w @ f_noise2) / n * (len2 / noise_len)
 
-    valid = (n1 > 0) & (n2 > 0)
-    if corrected:
-        valid &= (n1 > nn1) & (n2 > nn2)
+    valid = (n1 > 0) & (n2 > 0) & (n1 > nn1) & (n2 > nn2)
     if valid.sum() < 2:
         raise NumericalError("bootstrap degenerate: almost all resamples lack clicks")
     n1, n2, n12, nn1, nn2 = (arr[valid] for arr in (n1, n2, n12, nn1, nn2))
     g2n = n12 / (n * n1 * n2)
-    if corrected:
-        a = np.where(nn1 > 0, nn1 / (n1 - nn1), 0.0)
-        b = np.where(nn2 > 0, nn2 / (n2 - nn2), 0.0)
-        values = g2n - (1.0 - g2n) * (a + b + a * b)
-    else:
-        values = g2n
+    a = np.where(nn1 > 0, nn1 / (n1 - nn1), 0.0)
+    b = np.where(nn2 > 0, nn2 / (n2 - nn2), 0.0)
+    values = g2n - (1.0 - g2n) * (a + b + a * b)
     return float(np.std(values, ddof=1))
 
 

@@ -10,7 +10,7 @@ from rydstats import (
     simulate_fock,
     slow_light_matrix,
 )
-from rydstats.blockade import _histograms
+from rydstats.blockade import CHUNK_TRIALS, _histograms, _simulate_chunk
 
 
 def small_cfg(**kwargs):
@@ -109,13 +109,12 @@ class TestSimulateFock:
             b = simulate_fock(cfg, n, threads=2)
             np.testing.assert_array_equal(a.probs * a.trials, b.probs * b.trials)
 
-    def test_flat_task_list_keeps_each_column_apart(self):
-        cfg = small_cfg(trials_per_fock=25_000)
-        together = _histograms(cfg, [2, 5], threads=2)
-        apart = [_histograms(cfg, [n], threads=1)[0] for n in (2, 5)]
-        for got, want in zip(together, apart):
-            assert got.dtype == np.int64 and got.sum() == 25_000
-            np.testing.assert_array_equal(got, want)
+    def test_equals_matrix_column(self):
+        cfg = small_cfg(trials_per_fock=25_000, cloud_length=37.5)
+        m = blockade_matrix(cfg).matrix
+        for n in range(cfg.n_max + 1):
+            d = simulate_fock(cfg, n, threads=2)
+            np.testing.assert_array_equal(d.probs, m[: n + 1, n])
 
     def test_n_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -146,6 +145,86 @@ class TestSimulateFock:
         assert d.standard_errors[2] == pytest.approx(
             np.sqrt(d.probs[2] * (1 - d.probs[2]) / 10_000)
         )
+
+
+def sequential_adsorption_p1(n, r_b, cloud_length):
+    """P(1 survivor | n arrivals) for r_b <= L <= 2 r_b, where a second
+    survivor blocks the whole cloud: 2 rho - 1 + 2 (1 - rho^n) / n with
+    rho = r_b / L.  P(2 | n) = 1 - P(1 | n) for n >= 2."""
+    rho = r_b / cloud_length
+    return 2 * rho - 1 + 2 * (1 - rho**n) / n
+
+
+def reference_fock(n, trials, seed, cloud_length, r_b):
+    """Literal per-column sampler: n arrivals per trial, survivors kept
+    in a list, independent of the prefix sampler's streams and buffers."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, cloud_length, (trials, n))
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for row in x:
+        survivors = []
+        for pos in row:
+            if all(abs(pos - s) > r_b for s in survivors):
+                survivors.append(pos)
+        counts[len(survivors)] += 1
+    return counts
+
+
+class TestPrefixSampler:
+    @pytest.mark.parametrize("r_b", [10.5, 8.0])
+    def test_columns_match_closed_form(self, r_b):
+        trials = 100_000
+        cfg = BlockadeConfig(cloud_length=15.0, blockade_radius=r_b,
+                             trials_per_fock=trials, rng_seed=707, n_max=60)
+        m = blockade_matrix(cfg).matrix
+        assert m[3:].sum() == 0.0  # a second survivor blocks the whole cloud
+        np.testing.assert_array_equal(m[:2, :2], np.eye(2))
+        n = np.arange(2, cfg.n_max + 1)
+        p1 = sequential_adsorption_p1(n, r_b, 15.0)
+        z = (m[1, 2:] - p1) / np.sqrt(p1 * (1 - p1) / trials)
+        assert np.abs(z).max() < 4.5
+        np.testing.assert_allclose(m[2, 2:], 1.0 - m[1, 2:], atol=1e-12)
+
+    def test_closed_form_gives_pair_survival(self):
+        for r_b in (7.5, 10.5, 15.0):
+            assert 1 - sequential_adsorption_p1(2, r_b, 15.0) == pytest.approx(
+                exact_pair_survival(r_b, 15.0), abs=1e-15)
+
+    def test_tail_probabilities_never_fall_with_n(self):
+        # a trial's survivor count never falls, so neither can P(K >= k | n)
+        cfg = small_cfg(trials_per_fock=25_000, cloud_length=37.5, n_max=30)
+        hist = _histograms(cfg, cfg.n_max, threads=1)
+        tail = np.cumsum(hist[::-1], axis=0)[::-1]
+        assert np.all(np.diff(tail, axis=1) >= 0)
+        assert tail[4, -1] > 0  # slow light reaches 4 survivors
+
+    def test_slow_light_matches_per_column_reference(self):
+        # two-sample z of every entry against independent n-photon runs;
+        # bound fixed at 4.5 for the 33 entries with nonzero variance
+        trials, cloud_length, r_b = 20_000, 37.5, 10.5
+        cfg = small_cfg(trials_per_fock=trials, cloud_length=cloud_length, n_max=10)
+        m = blockade_matrix(cfg).matrix
+        worst = 0.0
+        for n in range(2, cfg.n_max + 1):
+            ref = reference_fock(n, trials, 1000 + n, cloud_length, r_b) / trials
+            got = m[: n + 1, n]
+            var = (got * (1 - got) + ref * (1 - ref)) / trials
+            nonzero = var > 0
+            z = (got - ref)[nonzero] / np.sqrt(var[nonzero])
+            worst = max(worst, np.abs(z).max())
+        assert worst < 4.5
+
+    def test_chunk_sum_is_thread_independent(self):
+        trials = 2 * CHUNK_TRIALS + 5_000
+        cfg = small_cfg(trials_per_fock=trials, cloud_length=37.5)
+        by_threads = [_histograms(cfg, cfg.n_max, threads=t) for t in (1, 2, 3)]
+        chunks = [_simulate_chunk(cfg.n_max, size, cfg.rng_seed, c, 37.5, 10.5)
+                  for c, size in enumerate((CHUNK_TRIALS, CHUNK_TRIALS, 5_000))]
+        want = np.sum(chunks, axis=0)
+        for got in by_threads:
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(want.sum(axis=0), trials)
 
 
 class TestBlockadeMatrix:

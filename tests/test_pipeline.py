@@ -185,6 +185,14 @@ class TestZetaInversion:
         with pytest.raises(ValidationError, match="not attainable"):
             zeta_to_param(cfg, 0.9)
 
+    @pytest.mark.parametrize("zeta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_zeta(self, zeta):
+        # the message reports the attainable range, not [nan, nan]
+        cfg = make_cfg(n_max=12)
+        with pytest.raises(ValidationError, match="not attainable") as info:
+            zeta_to_param(cfg, zeta)
+        assert "[nan" not in str(info.value)
+
     def test_wcs_zeta_matches_closed_form(self):
         # independent oracle: zeta(mu) = 1 - mu e^-mu / (1 - e^-mu)
         cfg = make_cfg(kind="wcs", n_max=40)

@@ -59,3 +59,9 @@ def test_monotone_solves_and_checks():
         bisect_monotone(lambda x: x, 0.0, 1.0, 2.0, f_tol=1e-12)
     with pytest.raises(NumericalError):
         bisect_monotone(lambda x: x, 0.0, 1.0, 0.3, f_tol=1e-12, max_iter=5)
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
+def test_monotone_rejects_non_finite_target(target):
+    with pytest.raises(BracketError, match=r"range \[0\.0, 1\.0\]"):
+        bisect_monotone(lambda x: x, 0.0, 1.0, target, f_tol=1e-12)

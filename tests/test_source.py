@@ -106,6 +106,13 @@ class TestInferP:
         with pytest.raises(ValidationError):
             infer_p_from_g2(2.5, 0.21, 20)
 
+    @pytest.mark.parametrize("g2", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_target(self, g2):
+        # the message reports the attainable range, not [nan, nan]
+        with pytest.raises(ValidationError, match="outside the attainable range") as info:
+            infer_p_from_g2(g2, 0.21, 20)
+        assert "[nan" not in str(info.value)
+
 
 class TestIdealCrossCorrelation:
     def test_unblockaded(self):
