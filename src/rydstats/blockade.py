@@ -105,7 +105,8 @@ def _chunk_sizes(trials: int) -> list[int]:
 def _max_survivors(n: int, cloud_length: float, r_b: float) -> int:
     # Upper bound on mutually unblocked polaritons (r_b > 0); keeps the
     # survivor buffer narrow so the per-arrival distance check stays O(trials).
-    return min(n, int(cloud_length // r_b) + 1)
+    # Capped before the conversion: a tiny r_b makes the quotient inf.
+    return int(min(n, cloud_length // r_b + 1))
 
 
 def _simulate_chunk(n_max: int, size: int, seed: int, chunk: int,
@@ -119,11 +120,16 @@ def _simulate_chunk(n_max: int, size: int, seed: int, chunk: int,
         return hist
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
     surviving = np.full((size, _max_survivors(n_max, cloud_length, r_b)), np.inf)
+    # One distance buffer for all arrivals: a fresh (size, width) temporary
+    # per arrival is big enough to go back to the OS each time and fault
+    # its pages in again.
+    gap = np.empty_like(surviving)
     count = np.zeros(size, dtype=np.int64)
     hist[0, 0] = size
     for n in range(1, n_max + 1):
         x = rng.uniform(0.0, cloud_length, size)
-        blocked = np.any(np.abs(surviving - x[:, None]) <= r_b, axis=1)
+        np.abs(np.subtract(surviving, x[:, None], out=gap), out=gap)
+        blocked = np.any(gap <= r_b, axis=1)
         idx = np.nonzero(~blocked)[0]
         surviving[idx, count[idx]] = x[idx]
         count[idx] += 1

@@ -126,16 +126,38 @@ class TrialData:
     windows: WindowSpec
 
     def counts(self) -> TrialCounts:
-        len1, len2 = self.windows.signal_lengths
-        noise_len = self.windows.noise_length
+        nn1, nn2 = _noise_means((float(self.noise1.sum()), float(self.noise2.sum())),
+                                self.n_trials, self.windows)
         return TrialCounts(
             n_trials=self.n_trials,
             n1=float(self.sig1.mean()),
             n2=float(self.sig2.mean()),
             n12=int(np.count_nonzero(self.sig1 & self.sig2)),
-            nn1=float(self.noise1.sum()) / self.n_trials * (len1 / noise_len),
-            nn2=float(self.noise2.sum()) / self.n_trials * (len2 / noise_len),
+            nn1=nn1,
+            nn2=nn2,
         )
+
+
+def _noise_means(totals, n_trials, windows: WindowSpec):
+    """Noise clicks per trial on each role, rescaled from the noise window
+    to that role's signal window (scalars or arrays)."""
+    return [total / n_trials * (length / windows.noise_length)
+            for total, length in zip(totals, windows.signal_lengths)]
+
+
+def _g2_corrected(n_trials, n1, n2, n12, nn1, nn2):
+    """Noise-corrected g2 (scalars or arrays; needs n1 > nn1, n2 > nn2)::
+
+        g2 = g2n - (1 - g2n) (a + b + a b),
+        g2n = n12 / (N n1 n2),  a = nn1 / (n1 - nn1),  b = nn2 / (n2 - nn2)
+
+    which removes signal-noise and noise-noise accidentals; zero noise
+    gives exactly g2n.
+    """
+    g2n = n12 / (n_trials * n1 * n2)
+    a = nn1 / (n1 - nn1)
+    b = nn2 / (n2 - nn2)
+    return g2n - (1.0 - g2n) * (a + b + a * b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,25 +378,15 @@ def g2_raw(c: TrialCounts) -> float:
 
 
 def g2_noise_corrected(c: TrialCounts) -> float:
-    """Correlation corrected for background uncorrelated with the signal.
-
-    With zero noise this returns exactly ``g2_raw``.  Otherwise::
-
-        g2 = g2n - (1 - g2n) (a + b + a b),
-        a = nn1 / (n1 - nn1),  b = nn2 / (n2 - nn2)
-
-    which removes signal-noise and noise-noise accidentals.
-    """
-    if c.nn1 == 0.0 and c.nn2 == 0.0:
-        return g2_raw(c)
+    """Correlation corrected for background uncorrelated with the signal
+    (formula in ``_g2_corrected``).  With zero noise this returns exactly
+    ``g2_raw``."""
+    g2_raw(c)  # the no-signal check
     if c.n1 <= c.nn1 or c.n2 <= c.nn2:
         raise ValidationError(
             "noise correction impossible: estimated noise exceeds signal clicks"
         )
-    g2n = g2_raw(c)
-    a = c.nn1 / (c.n1 - c.nn1)
-    b = c.nn2 / (c.n2 - c.nn2)
-    return g2n - (1.0 - g2n) * (a + b + a * b)
+    return _g2_corrected(c.n_trials, c.n1, c.n2, c.n12, c.nn1, c.nn2)
 
 
 def synthesize(
@@ -474,22 +486,15 @@ def bootstrap_error(
     rng = np.random.default_rng(seed)
     w = rng.multinomial(n, pvals, size=resamples).astype(float)
 
-    len1, len2 = data.windows.signal_lengths
-    noise_len = data.windows.noise_length
     n1 = w @ f_sig1 / n
     n2 = w @ f_sig2 / n
     n12 = w @ f_coinc
-    nn1 = (w @ f_noise1) / n * (len1 / noise_len)
-    nn2 = (w @ f_noise2) / n * (len2 / noise_len)
+    nn1, nn2 = _noise_means((w @ f_noise1, w @ f_noise2), n, data.windows)
 
     valid = (n1 > 0) & (n2 > 0) & (n1 > nn1) & (n2 > nn2)
     if valid.sum() < 2:
         raise NumericalError("bootstrap degenerate: almost all resamples lack clicks")
-    n1, n2, n12, nn1, nn2 = (arr[valid] for arr in (n1, n2, n12, nn1, nn2))
-    g2n = n12 / (n * n1 * n2)
-    a = np.where(nn1 > 0, nn1 / (n1 - nn1), 0.0)
-    b = np.where(nn2 > 0, nn2 / (n2 - nn2), 0.0)
-    values = g2n - (1.0 - g2n) * (a + b + a * b)
+    values = _g2_corrected(n, *(arr[valid] for arr in (n1, n2, n12, nn1, nn2)))
     return float(np.std(values, ddof=1))
 
 

@@ -7,10 +7,10 @@ represented; there are no coherences anywhere in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
 
 from ._roots import bisect_bracket
 from ._table import read_table, write_table
@@ -115,33 +115,60 @@ def fock_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
     return FockDistribution(probs)
 
 
+def _poisson_terms(mu: float, n_max: int) -> tuple[np.ndarray, float]:
+    """Poisson pmf over 0..n_max and the probability mass beyond n_max.
+
+    The terms follow p_k = p_{k-1} mu / k both ways from k = a, the mode
+    capped at n_max, with p_a taken from its logarithm, so a large mean
+    neither overflows nor underflows the whole vector to zero.  When the
+    mode lies within 0..n_max the tail is summed from its terms, not taken
+    as 1 - cdf, so that a tail far below ``TAIL_TOLERANCE`` keeps its
+    relative precision.
+    """
+    # Written so that NaN fails the check.
+    if not 0.0 <= mu < math.inf:
+        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu}")
+    a = min(math.floor(mu), n_max)
+    log_p = -mu if a == 0 else a * math.log(mu) - mu - math.lgamma(a + 1)
+    pmf = np.empty(n_max + 1)
+    pmf[a::-1] = math.exp(log_p) * np.cumprod(np.r_[1.0, np.arange(a, 0, -1) / mu])
+    pmf[a:] = pmf[a] * np.cumprod(np.r_[1.0, mu / np.arange(a + 1, n_max + 1)])
+    if a < math.floor(mu):
+        # The mode lies beyond n_max: most of the mass is in the tail.
+        return pmf, max(0.0, 1.0 - float(pmf.sum()))
+    # Past the mode each ratio mu / k is below (n_max + 1) / k, so after
+    # n_max + 100 more terms the rest is below e^-49 of the tail.
+    beyond = pmf[-1] * np.cumprod(mu / np.arange(n_max + 1, 2 * n_max + 102))
+    return pmf, float(beyond[::-1].sum())
+
+
 def coherent(mu: float, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
     """Poissonian distribution with mean photon number ``mu``.
 
     Parameters
     ----------
     mu : float
-        Mean photon number, >= 0.
+        Mean photon number, finite and >= 0.
     n_max : int
         Truncation order.  Must be large enough that the Poisson tail
         beyond it is below ``TAIL_TOLERANCE``, otherwise the truncation
         would silently bias g2 upward and an error is raised instead.
     """
-    if mu < 0:
-        raise ValidationError(f"mean photon number must be >= 0, got {mu}")
-    tail = float(poisson.sf(n_max, mu))
+    probs, tail = _poisson_terms(mu, n_max)
     if tail >= TAIL_TOLERANCE:
         raise NumericalError(
             f"Poisson tail beyond n_max={n_max} is {tail:.2e} >= "
             f"{TAIL_TOLERANCE:.0e} for mu={mu}; increase n_max"
         )
-    return FockDistribution(poisson.pmf(np.arange(n_max + 1), mu))
+    return FockDistribution(probs)
 
 
 def coherent_mu_upper_bound(n_max: int) -> float:
     """Largest mean photon number representable at ``n_max`` within the
     tail tolerance (used to bracket root searches)."""
+
+    def fits(mu):
+        return _poisson_terms(mu, n_max)[1] < TAIL_TOLERANCE
+
     hi = float(n_max)
-    if poisson.sf(n_max, hi) < TAIL_TOLERANCE:
-        return hi
-    return bisect_bracket(lambda mu: poisson.sf(n_max, mu) < TAIL_TOLERANCE, 0.0, hi)[0]
+    return hi if fits(hi) else bisect_bracket(fits, 0.0, hi)[0]

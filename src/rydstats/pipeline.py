@@ -17,13 +17,12 @@ import math
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.stats import poisson
 
 from ._roots import BracketError, bisect_monotone
 from ._table import write_table
 from .blockade import BlockadeConfig, blockade_matrix, slow_light_matrix
 from .errors import ValidationError
-from .fock import FockDistribution, coherent, coherent_mu_upper_bound
+from .fock import FockDistribution, _poisson_terms, coherent, coherent_mu_upper_bound
 from .source import (
     SourceModel,
     _read_state_terms,
@@ -176,10 +175,9 @@ def _zeta_curve(cfg: PipelineConfig, n_max: int):
             return FockDistribution(loss @ _read_state_terms(p, cfg.t_w, n_max)).zeta()
 
         return f, read_state_p_upper_bound(cfg.t_w, n_max)
-    k = np.arange(n_max + 1)
 
     def f(mu):
-        return FockDistribution(poisson.pmf(k, mu)).zeta()
+        return FockDistribution(_poisson_terms(mu, n_max)[0]).zeta()
 
     return f, coherent_mu_upper_bound(n_max)
 
@@ -266,7 +264,7 @@ def sweep(
     ]
     points = []
     for zeta in zeta_grid:
-        param = _invert_zeta(cfg, zeta, n_max, f, hi)
+        param = _invert_zeta(cfg, float(zeta), n_max, f, hi)
         src = source_distribution(cfg, param, n_max)
         out, *edges = (stage.apply(src) for stage in stages)
         band = sorted(edge.g2() for edge in edges)

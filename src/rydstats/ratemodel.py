@@ -98,6 +98,8 @@ class EfficiencyTable:
             raise ValidationError("efficiency table is empty")
         if p_w.ndim != 1 or p_w.shape != eta.shape:
             raise ValidationError("efficiency table columns must be equal-length 1-D")
+        if not (np.all(np.isfinite(p_w)) and np.all(np.isfinite(eta))):
+            raise ValidationError("efficiency table values must be finite")
         if np.any(np.diff(p_w) <= 0):
             raise ValidationError("efficiency table p_w values must be strictly increasing")
         if np.any((eta < 0) | (eta > 1)):

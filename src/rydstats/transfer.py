@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from ._table import write_table
 from .errors import NumericalError, ValidationError
@@ -118,12 +117,17 @@ def loss_matrix(t: float, n_max: int = DEFAULT_N_MAX) -> TransferMatrix:
 
     Each of l input photons survives independently with probability t, so
     column l is the binomial pmf B(l, t): M_kl = C(l, k) t^k (1-t)^(l-k).
+    Columns follow Pascal's rule, the last photon lost or kept, so t = 0
+    and t = 1 come out exact.
     """
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"transmission must lie in [0, 1], got {t}")
-    k = np.arange(n_max + 1)[:, None]
-    l = np.arange(n_max + 1)[None, :]
-    return TransferMatrix(binom.pmf(k, l, t))
+    m = np.zeros((n_max + 1, n_max + 1))
+    m[0, 0] = 1.0
+    for l in range(1, n_max + 1):
+        m[:, l] = (1.0 - t) * m[:, l - 1]
+        m[1:, l] += t * m[:-1, l - 1]
+    return TransferMatrix(m)
 
 
 def perfect_filter_matrix(n_max: int = DEFAULT_N_MAX) -> TransferMatrix:

@@ -104,6 +104,14 @@ class TestBlockadeCommand:
         assert summary["config"]["medium_scale"] == 2.5
         assert summary["pair_survival_check"]["analytic"] == pytest.approx(0.5184)
 
+    @pytest.mark.parametrize("lengths", [["--rb", "1e-320"], ["-L", "1e308", "--rb", "1e-5"]])
+    def test_tiny_radius_against_the_cloud(self, tmp_path, lengths):
+        # the survivor bound L // r_b overflows to inf; nothing is blocked
+        assert run(["--out", tmp_path, "blockade", "--trials", 100, "--n", 3, *lengths]) == 0
+        lines = (tmp_path / "blockade_matrix.csv").read_text().splitlines()
+        matrix = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+        np.testing.assert_array_equal(matrix, np.eye(4))
+
 
 class TestG2Command:
     def make_stream(self, tmp_path, dist, noise=(0.0, 0.0), n=20_000):
@@ -223,6 +231,13 @@ class TestReproduceCommands:
             assert run(["--out", tmp_path / name, *argv]) == 0
             outputs[name] = (tmp_path / name / "figS3_cross_correlation.csv").read_bytes()
         assert outputs["file"] == outputs["flag"] != outputs["default"]
+
+    def test_unattainable_zeta_names_a_plain_number(self, tmp_path, capsys):
+        assert run(["--out", tmp_path, "reproduce", "fig3", "--n-max", 1,
+                    "--trials", 100]) == 2
+        err = capsys.readouterr().err
+        assert "(target 0.004 outside attainable range" in err
+        assert "np." not in err
 
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert run(["--out", tmp_path, "reproduce", "fig9"]) == 1

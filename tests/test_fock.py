@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from rydstats import (
     FockDistribution,
@@ -12,6 +13,11 @@ from rydstats import (
     loss_matrix,
     vacuum,
 )
+from rydstats._roots import bisect_bracket
+from rydstats.fock import TAIL_TOLERANCE, _poisson_terms, coherent_mu_upper_bound
+
+# scipy is the independent oracle; entries below this are underflow dust
+_SIGNIFICANT = 1e-290
 
 
 class TestConstruction:
@@ -56,6 +62,51 @@ class TestCoherent:
     def test_truncation_guard(self):
         with pytest.raises(NumericalError):
             coherent(5.0, 5)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, mu):
+        with pytest.raises(ValidationError, match=f"got {mu}"):
+            coherent(mu)
+
+    def test_huge_mean_is_a_tail_failure(self):
+        # exp(-1e6) underflows; that must not read as an empty tail
+        with pytest.raises(NumericalError, match="tail beyond n_max=20 is 1.00e\\+00"):
+            coherent(1e6, 20)
+
+    def test_mean_beyond_exp_underflow(self):
+        d = coherent(800.0, 1200)
+        assert d.mean_photons() == pytest.approx(800.0, rel=1e-12)
+        assert d.g2() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPoissonAgainstScipy:
+    @pytest.mark.parametrize("mu", [0.0, 1e-6, 0.5, 5.0, 50.0, 140.0])
+    @pytest.mark.parametrize("n_max", [1, 20, 150, 300])
+    def test_terms_and_tail(self, mu, n_max):
+        pmf, tail = _poisson_terms(mu, n_max)
+        expected = poisson.pmf(np.arange(n_max + 1), mu)
+        keep = expected > _SIGNIFICANT
+        np.testing.assert_allclose(pmf[keep], expected[keep], rtol=1e-12, atol=0)
+        assert np.all(pmf[~keep] <= 1e-280)
+        expected_tail = poisson.sf(n_max, mu)
+        if expected_tail > _SIGNIFICANT:
+            assert tail == pytest.approx(expected_tail, rel=1e-12)
+        else:
+            assert tail <= 1e-280
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6, 0.5, 5.0, 50.0, 140.0])
+    def test_coherent_pmf(self, mu):
+        k = np.arange(301)
+        expected = poisson.pmf(k, mu) / poisson.cdf(300, mu)
+        keep = expected > _SIGNIFICANT
+        np.testing.assert_allclose(coherent(mu, 300).probs[keep], expected[keep],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_max", [1, 3, 20, 100, 150])
+    def test_mu_upper_bound(self, n_max):
+        expected = bisect_bracket(lambda mu: poisson.sf(n_max, mu) < TAIL_TOLERANCE,
+                                  0.0, float(n_max))[0]
+        assert coherent_mu_upper_bound(n_max) == pytest.approx(expected, rel=1e-12)
 
 
 class TestStatistics:

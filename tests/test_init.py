@@ -1,5 +1,9 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import rydstats
 
@@ -22,3 +26,10 @@ def test_every_export_resolves():
     for name in rydstats.__all__:
         assert getattr(rydstats, name) is namespace[name]
     assert "zeta_to_param" in namespace
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test oracle only; the runtime is numpy alone
+    env = dict(os.environ, PYTHONPATH=str(Path(rydstats.__file__).parents[1]))
+    code = "import rydstats.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -110,6 +110,16 @@ class TestEfficiencyTable:
         with pytest.raises(ValidationError):
             EfficiencyTable(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("p_w, eta", [
+        ([0.0, 1.0], [np.nan, 0.5]),
+        ([0.0, 1.0], [0.2, np.inf]),
+        ([0.0, np.inf], [0.2, 0.5]),
+        ([np.nan, 1.0], [0.2, 0.5]),
+    ])
+    def test_rejects_non_finite(self, p_w, eta):
+        with pytest.raises(ValidationError, match="finite"):
+            EfficiencyTable(np.array(p_w), np.array(eta))
+
     def test_from_csv(self, tmp_path):
         path = tmp_path / "eff.csv"
         path.write_text("p_w,eta\n0.01,0.3\n0.03,0.1\n")

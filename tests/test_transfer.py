@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from rydstats import (
     FockDistribution,
@@ -65,6 +66,19 @@ class TestLossMatrix:
             np.testing.assert_allclose(
                 combined.matrix, loss_matrix(t1 * t2, 12).matrix, atol=1e-12
             )
+
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.0465, 0.3, 0.999, 1.0])
+    @pytest.mark.parametrize("n_max", [1, 20, 100, 150])
+    def test_against_scipy_binomial(self, t, n_max):
+        k = np.arange(n_max + 1)
+        expected = binom.pmf(k[:, None], k[None, :], t)
+        m = loss_matrix(t, n_max).matrix
+        keep = expected > 1e-290  # below that, underflow dust
+        np.testing.assert_allclose(m[keep], expected[keep], rtol=1e-12, atol=0)
+        assert np.all(m[~keep] <= 1e-280)
+        if t in (0.0, 1.0):
+            np.testing.assert_array_equal(m, expected)
 
 
 class TestPerfectFilter:
