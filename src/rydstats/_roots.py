@@ -65,14 +65,20 @@ def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float, *,
                    x_tol: float = 0.0, max_iter: int = 200) -> tuple[float, float]:
     """Halve [a, b] = [lo, hi] around the point where ``below`` turns False,
     ``max_iter`` times or until b - a < ``x_tol`` * max(1, |b|) (never, with
-    the default ``x_tol`` = 0).  Returns the final (a, b)."""
+    the default ``x_tol`` = 0).  Returns the final (a, b).
+
+    Once the midpoint rounds to a or b, one more step sets the bracket to
+    where every later step would leave it, so the loop stops there with
+    the (a, b) that ``max_iter`` steps would give.
+    """
     a, b = lo, hi
     for _ in range(max_iter):
         mid = 0.5 * (a + b)
+        fixed = mid == a or mid == b
         if below(mid):
             a = mid
         else:
             b = mid
-        if b - a < x_tol * max(1.0, abs(b)):
+        if fixed or b - a < x_tol * max(1.0, abs(b)):
             break
     return a, b

@@ -414,6 +414,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy refuses an allocation that the requested sizes imply
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
     return 0
 
 

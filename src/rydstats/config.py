@@ -9,6 +9,7 @@ command-specific and resolved by the CLI).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -22,6 +23,10 @@ def _positive_int(value: int) -> bool:
 
 def _non_negative(value: float) -> bool:
     return value >= 0.0  # False for NaN
+
+
+def _positive_finite(value: float) -> bool:
+    return 0.0 < value < math.inf  # False for NaN
 
 
 def _unit_interval(value: float) -> bool:
@@ -62,9 +67,10 @@ _KEYS: dict[str, _Key] = {
                   "Fock truncation; unset -> per-command default"),
     # blockade geometry and sampling
     "trials": _Key(int, 100_000, _positive_int, "Monte Carlo trials per Fock state"),
-    "cloud_length": _Key(float, 15.0, lambda v: v > 0, "cloud length (um, FWHM)"),
-    "blockade_radius": _Key(float, 10.5, _non_negative, "blockade radius (um)"),
-    "medium_scale": _Key(float, 2.5, lambda v: v >= 1,
+    "cloud_length": _Key(float, 15.0, _positive_finite, "cloud length (um, FWHM)"),
+    "blockade_radius": _Key(float, 10.5, lambda v: 0.0 <= v < math.inf,
+                            "blockade radius (um)"),
+    "medium_scale": _Key(float, 2.5, lambda v: 1.0 <= v < math.inf,
                          "medium stretch for the slow-light variant"),
     # pipeline stages
     "t_losses": _Key(float, 0.15, _open_unit, "transmission between the setups"),
@@ -82,13 +88,13 @@ _KEYS: dict[str, _Key] = {
     "p_nr": _Key(float, 1.5e-3, _unit_interval, "read noise probability"),
     "stored_p_nr": _Key(float, 1.3e-4, _unit_interval, "read noise after storage"),
     # sweep grids
-    "zeta_min": _Key(float, 0.004, lambda v: v > 0, "sweep grid start"),
-    "zeta_max": _Key(float, 0.4, lambda v: v > 0, "sweep grid end"),
+    "zeta_min": _Key(float, 0.004, _positive_finite, "sweep grid start"),
+    "zeta_max": _Key(float, 0.4, _positive_finite, "sweep grid end"),
     "zeta_points": _Key(int, 21, _positive_int, "sweep grid size (log-spaced)"),
-    "zeta_values": _Key(_float_list, (0.01, 0.05, 0.5), lambda v: all(x > 0 for x in v),
+    "zeta_values": _Key(_float_list, (0.01, 0.05, 0.5), lambda v: all(map(_positive_finite, v)),
                         "comma list for the distribution-comparison table"),
-    "pw_min": _Key(float, 2e-4, lambda v: v > 0, "write-probability grid start"),
-    "pw_max": _Key(float, 0.05, lambda v: v > 0, "write-probability grid end"),
+    "pw_min": _Key(float, 2e-4, _positive_finite, "write-probability grid start"),
+    "pw_max": _Key(float, 0.05, _positive_finite, "write-probability grid end"),
     "pw_points": _Key(int, 25, _positive_int, "write-probability grid size"),
     "efficiency_table": _Key(str, None, help="CSV path with measured p_w,eta"),
     # click analysis

@@ -84,10 +84,7 @@ class FockDistribution:
 
     def zeta(self) -> float:
         """Multiphoton strength: P(k >= 2) / P(k >= 1), in [0, 1]."""
-        p_ge1 = float(self.probs[1:].sum())
-        if p_ge1 <= 0.0:
-            raise ValidationError("zeta is undefined for a vacuum-only state")
-        return float(self.probs[2:].sum()) / p_ge1
+        return _zeta(self.probs)
 
     def to_csv(self, path) -> None:
         """Write the distribution as CSV with header ``k,prob``."""
@@ -99,6 +96,14 @@ class FockDistribution:
         if not np.array_equal(rows[:, 0], np.arange(len(rows))):
             raise ValidationError(f"{path}: rows must cover k = 0..n_max in order")
         return FockDistribution(rows[:, 1])
+
+
+def _zeta(probs: np.ndarray) -> float:
+    """P(k >= 2) / P(k >= 1) of a normalized probability vector."""
+    p_ge1 = float(probs[1:].sum())
+    if p_ge1 <= 0.0:
+        raise ValidationError("zeta is undefined for a vacuum-only state")
+    return float(probs[2:].sum()) / p_ge1
 
 
 def vacuum(n_max: int = DEFAULT_N_MAX) -> FockDistribution:
@@ -115,25 +120,38 @@ def fock_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
     return FockDistribution(probs)
 
 
-def _poisson_terms(mu: float, n_max: int) -> tuple[np.ndarray, float]:
-    """Poisson pmf over 0..n_max and the probability mass beyond n_max.
+def _poisson_pmf(mu: float, n_max: int) -> np.ndarray:
+    """Poisson pmf over 0..n_max.
 
     The terms follow p_k = p_{k-1} mu / k both ways from k = a, the mode
     capped at n_max, with p_a taken from its logarithm, so a large mean
-    neither overflows nor underflows the whole vector to zero.  When the
-    mode lies within 0..n_max the tail is summed from its terms, not taken
-    as 1 - cdf, so that a tail far below ``TAIL_TOLERANCE`` keeps its
-    relative precision.
+    neither overflows nor underflows the whole vector to zero.
     """
     # Written so that NaN fails the check.
     if not 0.0 <= mu < math.inf:
         raise ValidationError(f"mean photon number must be finite and >= 0, got {mu}")
     a = min(math.floor(mu), n_max)
     log_p = -mu if a == 0 else a * math.log(mu) - mu - math.lgamma(a + 1)
+    # ratios[k] = p_k / p_{k+1} below the mode and p_k / p_{k-1} above it
+    ratios = np.empty(n_max + 1)
+    ratios[a] = 1.0
+    np.divide(np.arange(1, a + 1), mu, out=ratios[:a])
+    np.divide(mu, np.arange(a + 1, n_max + 1), out=ratios[a + 1:])
     pmf = np.empty(n_max + 1)
-    pmf[a::-1] = math.exp(log_p) * np.cumprod(np.r_[1.0, np.arange(a, 0, -1) / mu])
-    pmf[a:] = pmf[a] * np.cumprod(np.r_[1.0, mu / np.arange(a + 1, n_max + 1)])
-    if a < math.floor(mu):
+    pmf[a::-1] = math.exp(log_p) * np.cumprod(ratios[a::-1])
+    pmf[a:] = pmf[a] * np.cumprod(ratios[a:])
+    return pmf
+
+
+def _poisson_terms(mu: float, n_max: int) -> tuple[np.ndarray, float]:
+    """Poisson pmf over 0..n_max and the probability mass beyond n_max.
+
+    When the mode lies within 0..n_max the tail is summed from its terms,
+    not taken as 1 - cdf, so that a tail far below ``TAIL_TOLERANCE``
+    keeps its relative precision.
+    """
+    pmf = _poisson_pmf(mu, n_max)
+    if math.floor(mu) > n_max:
         # The mode lies beyond n_max: most of the mass is in the tail.
         return pmf, max(0.0, 1.0 - float(pmf.sum()))
     # Past the mode each ratio mu / k is below (n_max + 1) / k, so after

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rydstats
 from rydstats import WindowSpec, coherent, exact_pair_survival, fock_state, synthesize
 from rydstats.cli import main
 from rydstats.config import RunConfig, parse_config_file
@@ -69,6 +74,22 @@ class TestConfigFile:
         path.write_text("trials = 10\nseed = -1\n")
         with pytest.raises(ValidationError, match=":2: value out of range for seed"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "name",
+        ["zeta_min", "zeta_max", "pw_min", "pw_max", "cloud_length", "medium_scale",
+         "blockade_radius"],
+    )
+    def test_float_keys_must_be_finite(self, tmp_path, name, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{name} = {text}\n")
+        with pytest.raises(ValidationError, match=f":1: value out of range for {name}: {text}$"):
+            parse_config_file(path)
+
+    def test_zeta_values_must_be_finite(self):
+        with pytest.raises(ValidationError, match=r"zeta_values: \(0\.01, inf\)"):
+            RunConfig().set("zeta_values", (0.01, float("inf")))
 
 
 class TestBlockadeCommand:
@@ -322,6 +343,47 @@ class TestExitCodes:
                     "--zeta-range", f"0.01,0.3,{points}"])
         assert code == 2
         assert not list(tmp_path.glob("fig3_*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blockade", "--n-max", 10_000_000, "--trials", 10],
+            # 1e15 points: more bytes than a 64-bit address space holds
+            ["reproduce", "fig3", "--zeta-range", "0.004,0.4,1e15", "--trials", 100],
+        ],
+        ids=["blockade-n-max", "fig3-zeta-points"],
+    )
+    def test_impossible_allocation_is_data_error(self, tmp_path, argv, capsys):
+        assert run(["--out", tmp_path, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["reproduce", "fig3", "--zeta-range", "0.004,inf,3", "--trials", 100], None,
+             "error: value out of range for zeta_max: inf"),
+            (["reproduce", "figS3"], "pw_max = inf\n",
+             "value out of range for pw_max: inf"),
+        ],
+        ids=["zeta-range", "pw-max"],
+    )
+    def test_infinite_grid_end_is_rejected_without_warning(self, tmp_path, argv, config,
+                                                            message):
+        # a separate interpreter, so that a warning would reach stderr
+        head = ["--out", tmp_path]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            head = ["--config", tmp_path / "run.cfg", *head]
+        env = dict(os.environ, PYTHONPATH=str(Path(rydstats.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rydstats.cli", *(str(a) for a in head + argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_non_finite_json_is_numerical_error(self, tmp_path):
         from rydstats.cli import _write_json

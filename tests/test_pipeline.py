@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydstats import (
     BlockadeConfig,
+    FockDistribution,
     PipelineConfig,
     ValidationError,
     cloud_input_distribution,
@@ -17,7 +20,16 @@ from rydstats import (
     sweep,
     zeta_to_param,
 )
-from rydstats.pipeline import SweepPoint, _pre_blockade_matrix
+from rydstats.fock import _poisson_terms
+from rydstats.pipeline import (
+    _PARAM_FLOOR,
+    INPUT_KINDS,
+    SweepPoint,
+    _pre_blockade_matrix,
+    _zeta_curve,
+)
+from rydstats.source import _read_state_terms
+from rydstats.transfer import TransferMatrix
 
 
 def make_cfg(kind="dlcz", n_max=24, trials=20_000, **kwargs):
@@ -87,6 +99,11 @@ class TestPostBlockade:
         cfg = make_cfg(kind="wcs", n_max=10)
         with pytest.raises(ValidationError):
             post_blockade_distribution(cfg, coherent(0.1, 24))
+
+    def test_mismatched_medium_rejected(self):
+        cfg = make_cfg(kind="wcs", n_max=10, trials=1_000)
+        with pytest.raises(ValidationError, match="n_max=10"):
+            post_blockade_distribution(cfg, coherent(0.1, 24), medium_matrix(cfg))
 
 
 class TestG2AfterStorage:
@@ -193,6 +210,39 @@ class TestZetaInversion:
             zeta_to_param(cfg, zeta)
         assert "[nan" not in str(info.value)
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(INPUT_KINDS), n_max=st.sampled_from([20, 100]),
+           frac=st.floats(0.0, 1.0))
+    def test_curve_is_the_distribution_zeta(self, kind, n_max, frac):
+        # the bisection's zeta is FockDistribution.zeta, bit for bit
+        cfg = make_cfg(kind=kind, n_max=n_max)
+        f, hi = _zeta_curve(cfg, n_max)
+        x = _PARAM_FLOOR + frac * (hi - _PARAM_FLOOR)
+        if kind == "dlcz":
+            terms = loss_matrix(cfg.t_losses, n_max).matrix @ _read_state_terms(x, cfg.t_w, n_max)
+        else:
+            terms = _poisson_terms(x, n_max)[0]
+        assert f(x) == FockDistribution(terms).zeta()
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(INPUT_KINDS), frac=st.floats(0.0, 1.0))
+    def test_zeta_param_zeta_round_trip(self, kind, frac):
+        cfg = make_cfg(kind=kind, n_max=64)
+        f, hi = _zeta_curve(cfg, 64)
+        zeta = f(_PARAM_FLOOR) + frac * (f(hi) - f(_PARAM_FLOOR))
+        param = zeta_to_param(cfg, zeta)
+        assert abs(cloud_input_distribution(cfg, param).zeta() - zeta) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(INPUT_KINDS), frac=st.floats(1e-3, 1.0))
+    def test_param_zeta_param_round_trip(self, kind, frac):
+        # up to p = 0.3 and mu = 3, where zeta still rises steeply enough
+        # to pin the parameter
+        cfg = make_cfg(kind=kind, n_max=64)
+        param = frac * (0.3 if kind == "dlcz" else 3.0)
+        zeta = cloud_input_distribution(cfg, param).zeta()
+        assert zeta_to_param(cfg, zeta) == pytest.approx(param, rel=1e-9)
+
     def test_wcs_zeta_matches_closed_form(self):
         # independent oracle: zeta(mu) = 1 - mu e^-mu / (1 - e^-mu)
         cfg = make_cfg(kind="wcs", n_max=40)
@@ -252,6 +302,23 @@ class TestSweep:
             )
             assert pt == expected
             assert pt.g2_out_lo < pt.g2_out_hi
+
+    @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
+    def test_no_matrix_products(self, kind, monkeypatch):
+        # the sweep and the public per-point path use matrix-vector
+        # products only
+        cfg = make_cfg(kind=kind, n_max=24, trials=2_000)
+        medium = medium_matrix(cfg)
+
+        def refuse(self, inner):
+            raise AssertionError("TransferMatrix.compose called")
+
+        monkeypatch.setattr(TransferMatrix, "compose", refuse)
+        sweep(cfg, [0.01, 0.1], medium=medium)
+        src = source_distribution(cfg, 0.1)
+        post_blockade_distribution(cfg, src, medium)
+        g2_after_storage(cfg, src, medium, eta_compression=0.45)
+        efficiency(cfg, src)
 
     def test_shared_medium_matches_fresh(self):
         cfg = make_cfg(kind="wcs", trials=10_000)

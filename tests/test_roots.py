@@ -16,13 +16,13 @@ def halving(below, lo, hi, iterations=200):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
 
 
 @pytest.mark.parametrize("n_max", [3, 20, 100, 130])
 def test_coherent_bound_is_the_plain_halving_result(n_max):
     expected = halving(lambda mu: _poisson_terms(mu, n_max)[1] < TAIL_TOLERANCE,
-                       0.0, float(n_max))
+                       0.0, float(n_max))[0]
     assert coherent_mu_upper_bound(n_max) == expected
 
 
@@ -31,13 +31,42 @@ def test_read_state_bound_is_the_plain_halving_result(t_w, n_max):
     def fits(p):
         return 1.0 - _read_state_terms(p, t_w, n_max).sum() < 0.999 * TAIL_TOLERANCE
 
-    assert read_state_p_upper_bound(t_w, n_max) == halving(fits, 0.0, 1.0 - 1e-12)
+    assert read_state_p_upper_bound(t_w, n_max) == halving(fits, 0.0, 1.0 - 1e-12)[0]
 
 
 def test_bracket_keeps_below_on_the_left():
     a, b = bisect_bracket(lambda x: x * x < 2.0, 0.0, 2.0)
     assert a * a < 2.0 <= b * b
     assert b - a <= math.ulp(a)
+
+
+def test_bracket_stops_at_its_fixed_point():
+    calls = []
+
+    def below(x):
+        calls.append(x)
+        return x < 60.2
+
+    assert bisect_bracket(below, 0.0, 100.0) == halving(lambda x: x < 60.2, 0.0, 100.0)
+    assert len(calls) < 70  # the bracket is one ulp wide after ~55 halvings
+
+
+@pytest.mark.parametrize(
+    "below",
+    [
+        lambda x: True,
+        lambda x: False,  # never evaluated at lo, and False there
+        lambda x: x <= 0.0,
+        lambda x: x < 1e-300,  # the 200-step cap comes first
+        lambda x: x * x < 2.0,
+        lambda x: x <= 1.0 - 1e-12 or x == math.nextafter(1.0, 2.0),  # True at hi
+    ],
+    ids=["true", "false", "zero", "tiny", "sqrt2", "hi"],
+)
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0 - 1e-12), (1.0, math.nextafter(1.0, 2.0))],
+                         ids=["wide", "one-ulp"])
+def test_bracket_equals_the_full_halving_loop(below, lo, hi):
+    assert bisect_bracket(below, lo, hi) == halving(below, lo, hi)
 
 
 def test_bracket_width_stop():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydstats import (
     NumericalError,
@@ -90,6 +92,14 @@ class TestInferP:
         for p in np.linspace(1e-4, p_hi * 0.999, 50):
             g2 = conditional_read_state(SourceModel(p, t_w), n_max).g2()
             assert infer_p_from_g2(g2, t_w, n_max) == pytest.approx(p, abs=1e-8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(t_w=st.floats(0.05, 1.0), n_max=st.sampled_from([20, 60]),
+           frac=st.floats(0.0, 0.999))
+    def test_round_trip_property(self, t_w, n_max, frac):
+        p = 1e-4 + frac * (read_state_p_upper_bound(t_w, n_max) - 1e-4)
+        g2 = conditional_read_state(SourceModel(p, t_w), n_max).g2()
+        assert infer_p_from_g2(g2, t_w, n_max) == pytest.approx(p, abs=1e-8)
 
     def test_monotone_in_p(self):
         t_w, n_max = 0.21, 80
