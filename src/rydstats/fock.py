@@ -24,8 +24,9 @@ DEFAULT_N_MAX = 20
 #: Tail mass beyond n_max that a source constructor is allowed to discard.
 TAIL_TOLERANCE = 1e-9
 
-#: Most-negative entry tolerated on construction (round-off dust from
-#: back-propagation through inverted matrices); anything below is an error.
+#: Most-negative entry tolerated on construction (round-off dust in a
+#: vector computed outside this package, e.g. one read by ``from_csv``);
+#: anything below is an error.
 NEGATIVE_TOLERANCE = 1e-9
 
 
@@ -84,7 +85,10 @@ class FockDistribution:
 
     def zeta(self) -> float:
         """Multiphoton strength: P(k >= 2) / P(k >= 1), in [0, 1]."""
-        return _zeta(self.probs)
+        p_ge1 = float(self.probs[1:].sum())
+        if p_ge1 <= 0.0:
+            raise ValidationError("zeta is undefined for a vacuum-only state")
+        return float(self.probs[2:].sum()) / p_ge1
 
     def to_csv(self, path) -> None:
         """Write the distribution as CSV with header ``k,prob``."""
@@ -96,14 +100,6 @@ class FockDistribution:
         if not np.array_equal(rows[:, 0], np.arange(len(rows))):
             raise ValidationError(f"{path}: rows must cover k = 0..n_max in order")
         return FockDistribution(rows[:, 1])
-
-
-def _zeta(probs: np.ndarray) -> float:
-    """P(k >= 2) / P(k >= 1) of a normalized probability vector."""
-    p_ge1 = float(probs[1:].sum())
-    if p_ge1 <= 0.0:
-        raise ValidationError("zeta is undefined for a vacuum-only state")
-    return float(probs[2:].sum()) / p_ge1
 
 
 def vacuum(n_max: int = DEFAULT_N_MAX) -> FockDistribution:
@@ -120,12 +116,15 @@ def fock_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
     return FockDistribution(probs)
 
 
-def _poisson_pmf(mu: float, n_max: int) -> np.ndarray:
-    """Poisson pmf over 0..n_max.
+def _poisson_terms(mu: float, n_max: int) -> tuple[np.ndarray, float]:
+    """Poisson pmf over 0..n_max and the probability mass beyond n_max.
 
     The terms follow p_k = p_{k-1} mu / k both ways from k = a, the mode
     capped at n_max, with p_a taken from its logarithm, so a large mean
-    neither overflows nor underflows the whole vector to zero.
+    neither overflows nor underflows the whole vector to zero.  When the
+    mode lies within 0..n_max the tail is summed from its terms, not taken
+    as 1 - cdf, so that a tail far below ``TAIL_TOLERANCE`` keeps its
+    relative precision.
     """
     # Written so that NaN fails the check.
     if not 0.0 <= mu < math.inf:
@@ -140,17 +139,6 @@ def _poisson_pmf(mu: float, n_max: int) -> np.ndarray:
     pmf = np.empty(n_max + 1)
     pmf[a::-1] = math.exp(log_p) * np.cumprod(ratios[a::-1])
     pmf[a:] = pmf[a] * np.cumprod(ratios[a:])
-    return pmf
-
-
-def _poisson_terms(mu: float, n_max: int) -> tuple[np.ndarray, float]:
-    """Poisson pmf over 0..n_max and the probability mass beyond n_max.
-
-    When the mode lies within 0..n_max the tail is summed from its terms,
-    not taken as 1 - cdf, so that a tail far below ``TAIL_TOLERANCE``
-    keeps its relative precision.
-    """
-    pmf = _poisson_pmf(mu, n_max)
     if math.floor(mu) > n_max:
         # The mode lies beyond n_max: most of the mass is in the tail.
         return pmf, max(0.0, 1.0 - float(pmf.sum()))

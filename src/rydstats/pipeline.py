@@ -22,10 +22,10 @@ from ._roots import BracketError, bisect_monotone
 from ._table import write_table
 from .blockade import BlockadeConfig, blockade_matrix, slow_light_matrix
 from .errors import ValidationError
-from .fock import FockDistribution, _poisson_pmf, _zeta, coherent, coherent_mu_upper_bound
+from .fock import FockDistribution, coherent, coherent_mu_upper_bound
 from .source import (
     SourceModel,
-    _read_state_terms,
+    _herald_weights,
     conditional_read_state,
     read_state_p_upper_bound,
 )
@@ -180,19 +180,39 @@ def _efficiency(cfg: PipelineConfig, input_dist: FockDistribution, out: FockDist
 def _zeta_curve(cfg: PipelineConfig, n_max: int):
     """Multiphoton strength of the cloud-entrance state as a function of
     the source parameter, and the largest parameter the truncation at
-    ``n_max`` holds."""
+    ``n_max`` holds.
+
+    The curve is the zeta of the state truncated at ``n_max``, written as
+    (W2 . c) / (W1 . c): c is the source vector over n = 1..n_max without
+    its normalization, which cancels, and W_j[n] is the chance that at
+    least j of n photons reach the cloud.  The tables are built here,
+    once; one evaluation is a length-n_max power (dlcz) or exp (wcs) and
+    two dot products against them, with no matrix product and no pmf.
+    """
     if cfg.input_kind == "dlcz":
+        # c[n] = p^(n-1) (1 - (1-t_w)^n); the second factor joins W_j.
         loss = loss_matrix(cfg.t_losses, n_max).matrix
+        herald = _herald_weights(cfg.t_w, n_max)
+        u1 = loss[1:, 1:].sum(axis=0) * herald
+        u2 = loss[2:, 1:].sum(axis=0) * herald
+        exponents = np.arange(n_max, dtype=float)
 
         def f(p):
-            terms = loss @ _read_state_terms(p, cfg.t_w, n_max)
-            return _zeta(terms / terms.sum())
+            powers = p ** exponents
+            return float(np.dot(u2, powers) / np.dot(u1, powers))
 
         return f, read_state_p_upper_bound(cfg.t_w, n_max)
 
+    # c[k] = mu^k / k!, scaled by its largest term so that no mean
+    # overflows; W1 is 1 from k = 1 on and W2 from k = 2 on.
+    k = np.arange(1, n_max + 1, dtype=float)
+    log_factorial = np.array([math.lgamma(j + 1.0) for j in k])
+
     def f(mu):
-        terms = _poisson_pmf(mu, n_max)
-        return _zeta(terms / terms.sum())
+        log_terms = k * math.log(mu) - log_factorial
+        terms = np.exp(log_terms - log_terms.max())
+        ge2 = terms[1:].sum()
+        return float(ge2 / (terms[0] + ge2))
 
     return f, coherent_mu_upper_bound(n_max)
 
@@ -253,11 +273,12 @@ def sweep(
     """Evaluate g2_in, g2_out and efficiency over a multiphoton-strength
     grid, with an uncertainty band from the compression-efficiency range.
 
-    Built once per sweep: the zeta curve and its truncation bound, the
-    medium, and the pre-blockade thinning for eta_compression and for each
-    band edge.  A grid point costs one inversion and, per thinning, two
-    matrix-vector products (thinning, then medium); no matrix is ever
-    multiplied by another.
+    Built once per sweep: the zeta curve with its tables and truncation
+    bound, the medium, and the pre-blockade thinning for eta_compression
+    and for each band edge.  A grid point costs one inversion (about 50
+    curve evaluations, each two length-n_max dot products against the
+    curve's tables) and, per thinning, two matrix-vector products
+    (thinning, then medium); no matrix is ever multiplied by another.
     """
     n_max = cfg.blockade.n_max
     f, hi = _zeta_curve(cfg, n_max)

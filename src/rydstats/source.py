@@ -43,13 +43,19 @@ class SourceModel:
             raise ValidationError(f"write transmission must be in (0, 1], got {self.t_w}")
 
 
+def _herald_weights(t_w: float, n_max: int) -> np.ndarray:
+    """1 - (1-t_w)^n for n = 1..n_max: the chance that the write detector
+    clicks on n write photons, the factor the heralding puts on p^(n-1)."""
+    return 1.0 - (1.0 - t_w) ** np.arange(1, n_max + 1, dtype=float)
+
+
 def _read_state_terms(p: float, t_w: float, n_max: int) -> np.ndarray:
     """Unnormalized heralded read-state vector including its exact
     normalization prefactor; sums to 1 - (discarded tail)."""
     n = np.arange(1, n_max + 1, dtype=float)
     prefactor = (1.0 - p) * (1.0 - p * (1.0 - t_w)) / t_w
     terms = np.zeros(n_max + 1)
-    terms[1:] = prefactor * p ** (n - 1.0) * (1.0 - (1.0 - t_w) ** n)
+    terms[1:] = prefactor * p ** (n - 1.0) * _herald_weights(t_w, n_max)
     return terms
 
 

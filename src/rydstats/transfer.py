@@ -4,8 +4,9 @@ Any element that maps an input photon-number distribution to an output one
 (beam splitter, transmission loss, filter, blockaded medium) is represented
 by a matrix M with M[k, l] = P(l input photons -> k output photons).
 Columns sum to one so that probability is conserved; lossy elements are
-upper triangular.  Back-propagation is matrix inversion, guarded by a
-condition-number check.
+upper triangular.  Every map here runs forward: a state is moved back
+towards the source by rescaling its source parameter (see ``pipeline``),
+never by inverting a matrix.
 """
 
 from __future__ import annotations
@@ -15,28 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_table
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .fock import DEFAULT_N_MAX, FockDistribution
 
-#: Tolerance on column sums of a physical transfer matrix.
+#: Tolerance on column sums of a transfer matrix.
 COLUMN_SUM_TOLERANCE = 1e-12
-
-#: Condition-number ceiling above which an inverse is not trusted.
-CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
     """A (n_max+1) x (n_max+1) map between photon-number distributions.
 
-    ``physical`` marks forward (completely positive) maps: entries >= 0 and
-    column sums equal to 1 within ``COLUMN_SUM_TOLERANCE``.  Inverses are
-    flagged non-physical and skip those checks (they may contain negative
-    entries by construction).
+    Entries are >= 0 and column sums equal 1 within
+    ``COLUMN_SUM_TOLERANCE``; construction checks both.
     """
 
     matrix: np.ndarray
-    physical: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -44,20 +39,19 @@ class TransferMatrix:
             raise ValidationError("transfer matrix must be square and non-empty")
         if not np.all(np.isfinite(m)):
             raise ValidationError("transfer matrix contains non-finite entries")
-        if self.physical:
-            if m.min() < -COLUMN_SUM_TOLERANCE:
-                raise ValidationError(
-                    f"physical transfer matrix has negative entry {m.min():.3e}"
-                )
-            m = np.clip(m, 0.0, None)
-            colsums = m.sum(axis=0)
-            bad = np.abs(colsums - 1.0) > COLUMN_SUM_TOLERANCE
-            if np.any(bad):
-                worst = colsums[bad][np.argmax(np.abs(colsums[bad] - 1.0))]
-                raise ValidationError(
-                    f"column sums must be 1 within {COLUMN_SUM_TOLERANCE:.0e}; "
-                    f"worst offender sums to {worst!r}"
-                )
+        if m.min() < -COLUMN_SUM_TOLERANCE:
+            raise ValidationError(
+                f"transfer matrix has negative entry {m.min():.3e}"
+            )
+        m = np.clip(m, 0.0, None)
+        colsums = m.sum(axis=0)
+        bad = np.abs(colsums - 1.0) > COLUMN_SUM_TOLERANCE
+        if np.any(bad):
+            worst = colsums[bad][np.argmax(np.abs(colsums[bad] - 1.0))]
+            raise ValidationError(
+                f"column sums must be 1 within {COLUMN_SUM_TOLERANCE:.0e}; "
+                f"worst offender sums to {worst!r}"
+            )
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -81,29 +75,7 @@ class TransferMatrix:
             raise ValidationError(
                 f"dimension mismatch: {self.n_max} vs {inner.n_max}"
             )
-        return TransferMatrix(
-            self.matrix @ inner.matrix, physical=self.physical and inner.physical
-        )
-
-    def invert(self) -> "TransferMatrix":
-        """Back-propagation map: the matrix inverse, flagged non-physical.
-
-        Raises
-        ------
-        NumericalError
-            If the matrix is singular (e.g. a perfect filter) or its
-            condition number exceeds ``CONDITION_LIMIT``.
-        """
-        dim = self.matrix.shape[0]
-        if np.linalg.matrix_rank(self.matrix) < dim:
-            raise NumericalError("transfer matrix is singular and cannot be inverted")
-        cond = float(np.linalg.cond(self.matrix))
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise NumericalError(
-                f"transfer matrix is ill-conditioned (cond ~ {cond:.2e} > "
-                f"{CONDITION_LIMIT:.0e}); back-propagation would not be trustworthy"
-            )
-        return TransferMatrix(np.linalg.inv(self.matrix), physical=False)
+        return TransferMatrix(self.matrix @ inner.matrix)
 
     def to_csv(self, path) -> None:
         r"""Dump as CSV, row-major, header ``k\l,0,1,...`` (for debugging

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydstats import (
     ClickStream,
@@ -396,6 +398,34 @@ class TestClosedLoop:
         assert g2_raw(counts) > 0
         err = bootstrap_error(data, resamples=300, seed=14)
         assert abs(g2_noise_corrected(counts)) <= 3 * err
+
+    @staticmethod
+    def click_g2(dist):
+        """P(c1 c2) / (P(c1) P(c2)) with k photons split 50/50 onto two
+        click detectors: a role stays dark with probability 2^-k, both
+        only at k = 0.  Poissonian light gives exactly 1, one photon 0."""
+        k = np.arange(dist.probs.size)
+        dark = 0.5 ** k
+        one = dist.probs @ (1.0 - dark)
+        both = dist.probs @ (1.0 - 2.0 * dark + (k == 0))
+        return both / one**2
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        dist=st.one_of(
+            st.floats(0.05, 0.6).map(lambda mu: coherent(mu, 15)),
+            st.floats(0.01, 0.3).map(lambda p: conditional_read_state(SourceModel(p, 0.21), 40)),
+            st.just(fock_state(1, 15)),
+        ),
+        rate_hz=st.sampled_from([0.0, 5e3, 2e4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noise_corrected_recovers_synthetic_g2(self, dist, rate_hz, seed):
+        stream = synthesize(dist, 20_000, WINDOWS, noise_rates_hz=(rate_hz, rate_hz), seed=seed)
+        data = count_trials(stream, WINDOWS)
+        g2 = g2_noise_corrected(data.counts())
+        err = bootstrap_error(data, resamples=200, seed=seed)
+        assert abs(g2 - self.click_g2(dist)) <= 4 * err + 1e-12
 
 
 class TestBootstrap:

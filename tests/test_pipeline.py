@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rydstats import (
@@ -210,19 +210,29 @@ class TestZetaInversion:
             zeta_to_param(cfg, zeta)
         assert "[nan" not in str(info.value)
 
-    @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(INPUT_KINDS), n_max=st.sampled_from([20, 100]),
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(INPUT_KINDS), n_max=st.sampled_from([2, 20, 100, 400]),
            frac=st.floats(0.0, 1.0))
+    @example(kind="dlcz", n_max=2, frac=0.0).via("the floor")
+    @example(kind="wcs", n_max=2, frac=0.0).via("the floor")
+    @example(kind="dlcz", n_max=400, frac=0.0).via("the floor")
+    @example(kind="wcs", n_max=400, frac=0.0).via("the floor")
+    @example(kind="dlcz", n_max=2, frac=1.0).via("the upper bound")
+    @example(kind="wcs", n_max=2, frac=1.0).via("the upper bound")
+    @example(kind="dlcz", n_max=400, frac=1.0).via("the upper bound")
+    @example(kind="wcs", n_max=400, frac=1.0).via("the upper bound")
+    @example(kind="wcs", n_max=1200, frac=1.0).via("terms beyond exp's range")
     def test_curve_is_the_distribution_zeta(self, kind, n_max, frac):
-        # the bisection's zeta is FockDistribution.zeta, bit for bit
+        # the bisection's zeta is FockDistribution.zeta of the truncated
+        # state, built here by the matrix product and the pmf it avoids
         cfg = make_cfg(kind=kind, n_max=n_max)
         f, hi = _zeta_curve(cfg, n_max)
-        x = _PARAM_FLOOR + frac * (hi - _PARAM_FLOOR)
+        x = hi if frac == 1.0 else _PARAM_FLOOR + frac * (hi - _PARAM_FLOOR)
         if kind == "dlcz":
             terms = loss_matrix(cfg.t_losses, n_max).matrix @ _read_state_terms(x, cfg.t_w, n_max)
         else:
             terms = _poisson_terms(x, n_max)[0]
-        assert f(x) == FockDistribution(terms).zeta()
+        assert f(x) == pytest.approx(FockDistribution(terms).zeta(), rel=1e-14, abs=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(INPUT_KINDS), frac=st.floats(0.0, 1.0))
