@@ -29,7 +29,7 @@ from .clicks import (
     synthesize,
 )
 from .errors import NumericalError, RydstatsError, ValidationError
-from .fock import DEFAULT_N_MAX, FockDistribution, coherent, fock_state, vacuum
+from .fock import DEFAULT_N_MAX, FockDistribution, coherent, fock_state
 from .pipeline import (
     PipelineConfig,
     SweepResult,
@@ -110,7 +110,6 @@ __all__ = [
     "source_distribution",
     "sweep",
     "synthesize",
-    "vacuum",
     "with_storage",
     "zeta_to_param",
 ]

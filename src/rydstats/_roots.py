@@ -15,24 +15,22 @@ from typing import Callable
 from .errors import NumericalError
 
 
+#: Bracket width, relative to max(1, |b|), at which :func:`bisect_monotone` stops.
+X_TOL = 1e-13
+#: Most halving steps :func:`bisect_bracket` takes.
+MAX_ITER = 200
+
+
 class BracketError(ValueError):
     """The target value is not enclosed by the search bracket."""
 
 
-def bisect_monotone(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-    *,
-    f_tol: float,
-    x_tol: float = 1e-13,
-    max_iter: int = 200,
-) -> float:
+def bisect_monotone(f: Callable[[float], float], lo: float, hi: float, target: float,
+                    *, f_tol: float) -> float:
     """Solve f(x) = target for monotone non-decreasing f on [lo, hi].
 
     Runs :func:`bisect_bracket` until the bracket is narrower than
-    ``x_tol`` (or ``max_iter`` is hit), then verifies
+    ``X_TOL`` (or ``MAX_ITER`` steps are taken), then verifies
     |f(x) - target| < ``f_tol`` at its midpoint.
 
     Raises
@@ -50,8 +48,7 @@ def bisect_monotone(
         return lo
     if y_hi == target:
         return hi
-    a, b = bisect_bracket(lambda x: f(x) - target < 0.0, lo, hi,
-                          x_tol=x_tol, max_iter=max_iter)
+    a, b = bisect_bracket(lambda x: f(x) - target < 0.0, lo, hi, x_tol=X_TOL)
     mid = 0.5 * (a + b)
     residual = abs(f(mid) - target)
     if not residual < f_tol:
@@ -62,17 +59,17 @@ def bisect_monotone(
 
 
 def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float, *,
-                   x_tol: float = 0.0, max_iter: int = 200) -> tuple[float, float]:
+                   x_tol: float = 0.0) -> tuple[float, float]:
     """Halve [a, b] = [lo, hi] around the point where ``below`` turns False,
-    ``max_iter`` times or until b - a < ``x_tol`` * max(1, |b|) (never, with
+    ``MAX_ITER`` times or until b - a < ``x_tol`` * max(1, |b|) (never, with
     the default ``x_tol`` = 0).  Returns the final (a, b).
 
     Once the midpoint rounds to a or b, one more step sets the bracket to
     where every later step would leave it, so the loop stops there with
-    the (a, b) that ``max_iter`` steps would give.
+    the (a, b) that ``MAX_ITER`` steps would give.
     """
     a, b = lo, hi
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (a + b)
         fixed = mid == a or mid == b
         if below(mid):

@@ -26,6 +26,7 @@ arrivals follow.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -48,6 +49,13 @@ def _check_lengths(r_b: float, cloud_length: float) -> None:
         raise ValidationError(f"blockade radius must be finite and >= 0, got {r_b}")
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    # A float such as 2.5 or NaN would otherwise reach numpy as a size or
+    # a seed and fail there with a TypeError or a bare ValueError.
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BlockadeConfig:
     """Geometry and sampling parameters of the blockade Monte Carlo.
@@ -65,10 +73,9 @@ class BlockadeConfig:
 
     def __post_init__(self):
         _check_lengths(self.blockade_radius, self.cloud_length)
-        if self.trials_per_fock < 1:
-            raise ValidationError("trials_per_fock must be >= 1")
-        if self.n_max < 1:
-            raise ValidationError("n_max must be >= 1")
+        _check_count("trials_per_fock", self.trials_per_fock, 1)
+        _check_count("rng_seed", self.rng_seed, 0)
+        _check_count("n_max", self.n_max, 1)
 
 
 @dataclass(frozen=True)
@@ -137,16 +144,16 @@ def _simulate_chunk(n_max: int, size: int, seed: int, chunk: int,
     return hist
 
 
-def simulate_fock(cfg: BlockadeConfig, n: int, threads: int = 1) -> SurvivalDistribution:
+def simulate_fock(cfg: BlockadeConfig, n: int) -> SurvivalDistribution:
     """Survivor-count distribution for an n-photon input.
 
     The same trials as :func:`blockade_matrix`, stopped after n arrivals,
     so this is column n of that matrix bit for bit; deterministic for a
-    fixed seed regardless of ``threads``.
+    fixed seed.
     """
     if not 0 <= n <= cfg.n_max:
         raise ValidationError(f"input Fock number {n} outside 0..{cfg.n_max}")
-    hist = _histograms(cfg, n, threads)[: n + 1, n]
+    hist = _histograms(cfg, n, threads=1)[: n + 1, n]
     return SurvivalDistribution(n, hist / cfg.trials_per_fock, cfg.trials_per_fock)
 
 
@@ -154,6 +161,7 @@ def _histograms(cfg: BlockadeConfig, n_max: int, threads: int) -> np.ndarray:
     """Survivor histogram of ``cfg.trials_per_fock`` trials of ``n_max``
     arrivals, summed over the chunks (on a pool when ``threads`` > 1).
     Integer sums are exact: the thread count cannot change the result."""
+    _check_count("threads", threads, 1)
     tasks = [
         (n_max, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
         for c, size in enumerate(_chunk_sizes(cfg.trials_per_fock))
@@ -185,7 +193,7 @@ def slow_light_matrix(cfg: BlockadeConfig, medium_scale: float,
     model stretches the medium by ``medium_scale`` (>= 1) so that less of
     the pulse is inside one blockade radius at a time.
     """
-    if medium_scale < 1.0:
-        raise ValidationError(f"medium scale must be >= 1, got {medium_scale}")
+    if not 1.0 <= medium_scale < math.inf:
+        raise ValidationError(f"medium scale must be finite and >= 1, got {medium_scale}")
     scaled = replace(cfg, cloud_length=cfg.cloud_length * medium_scale)
     return blockade_matrix(scaled, threads=threads)

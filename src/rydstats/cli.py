@@ -25,19 +25,20 @@ from .blockade import (
     CHUNK_TRIALS,
     BlockadeConfig,
     SurvivalDistribution,
-    blockade_matrix,
     exact_pair_survival,
     slow_light_matrix,
 )
 from .clicks import WindowSpec, analysis_report, ingest
 from .config import _KEYS, RunConfig, _float_list, describe_keys, parse_config_file
 from .errors import NumericalError, ValidationError
+from .fock import DEFAULT_N_MAX
 from .pipeline import (
     PipelineConfig,
+    _invert_zeta,
+    _zeta_curve,
     cloud_input_distribution,
     medium_matrix,
     sweep,
-    zeta_to_param,
 )
 from .ratemodel import (
     EfficiencyTable,
@@ -53,7 +54,7 @@ FIGURES = ("fig3", "fig4", "figS3", "figS5")
 #: Truncation defaults when the config leaves n_max unset.  The sweep
 #: figures need room for the heralded source's geometric tail at large
 #: multiphoton strength; the distribution table reaches even higher.
-N_MAX_DEFAULTS = {"blockade": 20, "fig3": 100, "fig4": 100, "figS5": 130}
+N_MAX_DEFAULTS = {"blockade": DEFAULT_N_MAX, "fig3": 100, "fig4": 100, "figS5": 130}
 
 _DEFAULT_EFFICIENCY = 0.2
 
@@ -204,12 +205,8 @@ def _say(path: Path) -> None:
 
 def cmd_blockade(args, cfg: RunConfig, out: Path) -> None:
     bcfg = _blockade_config(cfg, N_MAX_DEFAULTS["blockade"])
-    if args.slow_light:
-        matrix = slow_light_matrix(bcfg, cfg.medium_scale, threads=cfg.threads)
-        effective_length = bcfg.cloud_length * cfg.medium_scale
-    else:
-        matrix = blockade_matrix(bcfg, threads=cfg.threads)
-        effective_length = bcfg.cloud_length
+    scale = cfg.medium_scale if args.slow_light else 1.0
+    matrix = slow_light_matrix(bcfg, scale, threads=cfg.threads)
 
     matrix_path = out / "blockade_matrix.csv"
     matrix.to_csv(matrix_path)
@@ -229,7 +226,7 @@ def cmd_blockade(args, cfg: RunConfig, out: Path) -> None:
             "probs": [float(x) for x in probs[: n + 1]],
             "standard_errors": [float(x) for x in se],
         })
-    oracle_expected = exact_pair_survival(bcfg.blockade_radius, effective_length)
+    oracle_expected = exact_pair_survival(bcfg.blockade_radius, bcfg.cloud_length * scale)
     oracle_se = float(
         np.sqrt(oracle_expected * (1 - oracle_expected) / bcfg.trials_per_fock)
     )
@@ -242,7 +239,7 @@ def cmd_blockade(args, cfg: RunConfig, out: Path) -> None:
             "seed": bcfg.rng_seed,
             "n_max": bcfg.n_max,
             "slow_light": bool(args.slow_light),
-            "medium_scale": cfg.medium_scale if args.slow_light else 1.0,
+            "medium_scale": scale,
         },
         "columns": columns,
         "pair_survival_check": {
@@ -283,8 +280,7 @@ def _pipeline_config(cfg: RunConfig, kind: str, n_max: int, slow_light: bool) ->
         eta_eit=cfg.eta_eit,
         eta_r=cfg.eta_r,
         compression_band=(cfg.eta_compression_lo, cfg.eta_compression_hi),
-        use_slow_light=slow_light,
-        medium_scale=cfg.medium_scale,
+        medium_scale=cfg.medium_scale if slow_light else 1.0,
         blockade=_blockade_config(cfg, n_max),
     )
 
@@ -346,8 +342,10 @@ def _figs5(args, cfg: RunConfig, out: Path) -> None:
     columns = {}
     for kind in ("dlcz", "wcs"):
         pcfg = _pipeline_config(cfg, kind, N_MAX_DEFAULTS["figS5"], slow_light=False)
+        n_max = pcfg.blockade.n_max
+        curve = _zeta_curve(pcfg, n_max)
         for zeta in cfg.zeta_values:
-            param = zeta_to_param(pcfg, zeta)
+            param = _invert_zeta(pcfg, zeta, n_max, *curve)
             dist = cloud_input_distribution(pcfg, param)
             columns[f"{kind}_zeta_{zeta:g}"] = dist.probs
     path = out / "figS5_distributions.csv"

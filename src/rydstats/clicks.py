@@ -395,23 +395,18 @@ def synthesize(
     windows: WindowSpec,
     noise_rates_hz: tuple[float, float] = (0.0, 0.0),
     seed: int = 0,
-    detectors: tuple[str, str] = ("D2", "D3"),
 ) -> ClickStream:
     """Generate a synthetic click stream for closed-loop testing.
 
     Per trial: draw a photon number from ``dist``, split the photons
-    50/50 between the two detectors (beam splitter), and place each photon
-    click uniformly in that role's signal window.  Uncorrelated background
-    is added as Poisson clicks in both the signal and noise windows at the
-    given per-detector rates (counts per second).  Deterministic per seed.
+    50/50 between D2 (role 1) and D3 (role 2), as a beam splitter does,
+    and place each photon click uniformly in that role's signal window.
+    Uncorrelated background is added as Poisson clicks in both the signal
+    and noise windows at the given per-detector rates (counts per second).
+    Deterministic per seed.
     """
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
-    if len(detectors) != 2 or detectors[0] == detectors[1]:
-        raise ValidationError("need two distinct detectors")
-    for name in detectors:
-        if name not in _DETECTOR_CODE:
-            raise ValidationError(f"unknown detector {name!r}")
     if any(r < 0 for r in noise_rates_hz):
         raise ValidationError("noise rates must be >= 0")
     rng = np.random.default_rng(seed)
@@ -422,18 +417,15 @@ def synthesize(
 
     ids_parts, code_parts, time_parts = [], [], []
     trial_index = np.arange(n_trials, dtype=np.int64)
-    for counts, name, window in (
-        (counts_1, detectors[0], windows.signal_1),
-        (counts_2, detectors[1], windows.signal_2),
-    ):
+    roles = (("D2", windows.signal_1), ("D3", windows.signal_2))
+    for counts, (name, window) in zip((counts_1, counts_2), roles):
         total = int(counts.sum())
         ids_parts.append(np.repeat(trial_index, counts))
         code_parts.append(np.full(total, _DETECTOR_CODE[name], dtype=np.int8))
         time_parts.append(rng.integers(window[0], window[1], size=total, dtype=np.int64))
 
-    for rate, name in zip(noise_rates_hz, detectors):
-        for window in (windows.signal_1 if name == detectors[0] else windows.signal_2,
-                       windows.noise):
+    for rate, (name, signal) in zip(noise_rates_hz, roles):
+        for window in (signal, windows.noise):
             lam = rate * (window[1] - window[0]) * 1e-9
             if lam == 0.0:
                 continue

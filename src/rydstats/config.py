@@ -4,7 +4,8 @@ Parsing is strict: unknown keys and out-of-range values are errors with
 the offending line number, because a typo in a physics parameter would
 otherwise silently change every result.  Command-line flags override file
 values; keys not set anywhere fall back to the defaults below (a few are
-command-specific and resolved by the CLI).
+command-specific and resolved by the CLI).  A key that sets a library
+field takes that field's default, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ._table import open_text
+from .blockade import BlockadeConfig
 from .errors import ValidationError
+from .pipeline import PipelineConfig
+from .ratemodel import STORED_P_NR, RateModelParams
 
 
 def _positive_int(value: int) -> bool:
@@ -61,32 +65,37 @@ class _Key:
 
 _KEYS: dict[str, _Key] = {
     # run control
-    "seed": _Key(int, 12345, _non_negative, "RNG seed for every stochastic step"),
+    "seed": _Key(int, BlockadeConfig.rng_seed, _non_negative, "RNG seed for every stochastic step"),
     "threads": _Key(int, 1, _positive_int, "worker threads for the Monte Carlo"),
     "n_max": _Key(int, None, _positive_int,
                   "Fock truncation; unset -> per-command default"),
     # blockade geometry and sampling
-    "trials": _Key(int, 100_000, _positive_int, "Monte Carlo trials per Fock state"),
-    "cloud_length": _Key(float, 15.0, _positive_finite, "cloud length (um, FWHM)"),
-    "blockade_radius": _Key(float, 10.5, lambda v: 0.0 <= v < math.inf,
-                            "blockade radius (um)"),
+    "trials": _Key(int, BlockadeConfig.trials_per_fock, _positive_int,
+                   "Monte Carlo trials per Fock state"),
+    "cloud_length": _Key(float, BlockadeConfig.cloud_length, _positive_finite,
+                         "cloud length (um, FWHM)"),
+    "blockade_radius": _Key(float, BlockadeConfig.blockade_radius,
+                            lambda v: 0.0 <= v < math.inf, "blockade radius (um)"),
     "medium_scale": _Key(float, 2.5, lambda v: 1.0 <= v < math.inf,
                          "medium stretch for the slow-light variant"),
     # pipeline stages
-    "t_losses": _Key(float, 0.15, _open_unit, "transmission between the setups"),
-    "eta_compression": _Key(float, 0.6, _open_unit, "stored fraction of the pulse"),
-    "eta_compression_lo": _Key(float, 0.45, _open_unit, "uncertainty band, low edge"),
-    "eta_compression_hi": _Key(float, 0.75, _open_unit, "uncertainty band, high edge"),
-    "eta_eit": _Key(float, 0.6, _open_unit, "propagation transparency"),
-    "eta_r": _Key(float, 0.41, _open_unit, "retrieval efficiency"),
+    "t_losses": _Key(float, PipelineConfig.t_losses, _open_unit, "transmission between the setups"),
+    "eta_compression": _Key(float, PipelineConfig.eta_compression, _open_unit,
+                            "stored fraction of the pulse"),
+    "eta_compression_lo": _Key(float, PipelineConfig.compression_band[0], _open_unit,
+                               "uncertainty band, low edge"),
+    "eta_compression_hi": _Key(float, PipelineConfig.compression_band[1], _open_unit,
+                               "uncertainty band, high edge"),
+    "eta_eit": _Key(float, PipelineConfig.eta_eit, _open_unit, "propagation transparency"),
+    "eta_r": _Key(float, PipelineConfig.eta_r, _open_unit, "retrieval efficiency"),
     # source / rate model
-    "t_w": _Key(float, 0.21, _open_unit, "write-path transmission incl. detection"),
-    "t_r": _Key(float, 0.09, _open_unit, "read-path transmission incl. detection"),
-    "eta_a": _Key(float, 0.32, _unit_interval, "intrinsic read-out efficiency"),
-    "p_eg": _Key(float, 0.20, _unit_interval, "branching ratio of the stray decay"),
-    "p_nw": _Key(float, 1e-4, _unit_interval, "write dark-count probability"),
-    "p_nr": _Key(float, 1.5e-3, _unit_interval, "read noise probability"),
-    "stored_p_nr": _Key(float, 1.3e-4, _unit_interval, "read noise after storage"),
+    "t_w": _Key(float, RateModelParams.t_w, _open_unit, "write-path transmission incl. detection"),
+    "t_r": _Key(float, RateModelParams.t_r, _open_unit, "read-path transmission incl. detection"),
+    "eta_a": _Key(float, RateModelParams.eta_a, _unit_interval, "intrinsic read-out efficiency"),
+    "p_eg": _Key(float, RateModelParams.p_eg, _unit_interval, "branching ratio of the stray decay"),
+    "p_nw": _Key(float, RateModelParams.p_nw, _unit_interval, "write dark-count probability"),
+    "p_nr": _Key(float, RateModelParams.p_nr, _unit_interval, "read noise probability"),
+    "stored_p_nr": _Key(float, STORED_P_NR, _unit_interval, "read noise after storage"),
     # sweep grids
     "zeta_min": _Key(float, 0.004, _positive_finite, "sweep grid start"),
     "zeta_max": _Key(float, 0.4, _positive_finite, "sweep grid end"),

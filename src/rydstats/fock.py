@@ -102,11 +102,6 @@ class FockDistribution:
         return FockDistribution(rows[:, 1])
 
 
-def vacuum(n_max: int = DEFAULT_N_MAX) -> FockDistribution:
-    """The vacuum state, all mass at k = 0."""
-    return fock_state(0, n_max)
-
-
 def fock_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
     """A number state with exactly ``n`` photons."""
     if not 0 <= n <= n_max:

@@ -20,10 +20,11 @@ import numpy as np
 
 from ._roots import BracketError, bisect_monotone
 from ._table import write_table
-from .blockade import BlockadeConfig, blockade_matrix, slow_light_matrix
+from .blockade import BlockadeConfig, slow_light_matrix
 from .errors import ValidationError
 from .fock import FockDistribution, coherent, coherent_mu_upper_bound
 from .source import (
+    DEFAULT_T_W,
     SourceModel,
     _herald_weights,
     conditional_read_state,
@@ -43,18 +44,19 @@ class PipelineConfig:
     ``input_kind`` selects the source: "dlcz" for the heralded read photon
     (parametrized by excitation probability p, with write transmission
     ``t_w``), "wcs" for an attenuated laser pulse (parametrized by its
-    mean photon number at the cloud entrance).
+    mean photon number at the cloud entrance).  ``medium_scale`` stretches
+    the cloud for the slow-light variant (no storage); the default 1.0 is
+    the storage medium.
     """
 
     input_kind: str = "dlcz"
-    t_w: float = 0.21
+    t_w: float = DEFAULT_T_W
     t_losses: float = 0.15
     eta_compression: float = 0.6
     eta_eit: float = 0.6
     eta_r: float = 0.41
     compression_band: tuple[float, float] = (0.45, 0.75)
-    use_slow_light: bool = False
-    medium_scale: float = 2.5
+    medium_scale: float = 1.0
     blockade: BlockadeConfig = field(default_factory=BlockadeConfig)
 
     def __post_init__(self):
@@ -69,14 +71,16 @@ class PipelineConfig:
         lo, hi = self.compression_band
         if not (0.0 < lo <= hi <= 1.0):
             raise ValidationError(f"compression band must satisfy 0 < lo <= hi <= 1, got {self.compression_band}")
+        if not 1.0 <= self.medium_scale < math.inf:
+            raise ValidationError(f"medium scale must be finite and >= 1, got {self.medium_scale}")
 
 
 def medium_matrix(cfg: PipelineConfig, threads: int = 1) -> TransferMatrix:
-    """The blockade matrix for this configuration (stretched medium when
-    the slow-light variant is selected)."""
-    if cfg.use_slow_light:
-        return slow_light_matrix(cfg.blockade, cfg.medium_scale, threads=threads)
-    return blockade_matrix(cfg.blockade, threads=threads)
+    """The blockade matrix of ``cfg.blockade`` with its cloud stretched by
+    ``cfg.medium_scale``.  At the default scale 1.0 the length is
+    multiplied by exactly 1, so this is ``blockade_matrix(cfg.blockade)``
+    bit for bit."""
+    return slow_light_matrix(cfg.blockade, cfg.medium_scale, threads=threads)
 
 
 def source_distribution(cfg: PipelineConfig, param: float, n_max: int | None = None) -> FockDistribution:
@@ -120,10 +124,10 @@ def post_blockade_distribution(
     cfg: PipelineConfig,
     input_dist: FockDistribution,
     medium: TransferMatrix | None = None,
-    eta_compression: float | None = None,
 ) -> FockDistribution:
     """State after the blockaded medium (before retrieval and the second
-    half of the propagation losses)."""
+    half of the propagation losses), with the pulse compression
+    ``cfg.eta_compression``."""
     n_max = input_dist.n_max
     if medium is None:
         if n_max != cfg.blockade.n_max:
@@ -135,26 +139,24 @@ def post_blockade_distribution(
         raise ValidationError(
             f"medium matrix n_max={medium.n_max} does not match input n_max={n_max}"
         )
-    ec = cfg.eta_compression if eta_compression is None else eta_compression
-    return _propagate(medium, _pre_blockade_matrix(cfg, n_max, ec), input_dist.probs)
+    thinning = _pre_blockade_matrix(cfg, n_max, cfg.eta_compression)
+    return _propagate(medium, thinning, input_dist.probs)
 
 
 def g2_after_storage(
     cfg: PipelineConfig,
     input_dist: FockDistribution,
     medium: TransferMatrix | None = None,
-    eta_compression: float | None = None,
 ) -> float:
     """g2 of the retrieved light.  The linear stages after the blockade
     cannot change it, so it is evaluated right after the medium."""
-    return post_blockade_distribution(cfg, input_dist, medium, eta_compression).g2()
+    return post_blockade_distribution(cfg, input_dist, medium).g2()
 
 
 def efficiency(
     cfg: PipelineConfig,
     input_dist: FockDistribution,
     medium: TransferMatrix | None = None,
-    eta_compression: float | None = None,
 ) -> float:
     """Storage-and-retrieval efficiency: mean retrieved photons over mean
     photons at the cloud entrance.
@@ -164,7 +166,7 @@ def efficiency(
     input mean for the heralded source is the source mean times the
     transmission to the cloud.
     """
-    out = post_blockade_distribution(cfg, input_dist, medium, eta_compression)
+    out = post_blockade_distribution(cfg, input_dist, medium)
     return _efficiency(cfg, input_dist, out)
 
 
@@ -256,9 +258,6 @@ class SweepPoint:
 class SweepResult:
     input_kind: str
     points: list[SweepPoint]
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(pt, name) for pt in self.points])
 
     def write_csv(self, path) -> None:
         header = [f.name for f in fields(SweepPoint)]

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._table import read_table
 from .errors import ValidationError
+from .source import DEFAULT_T_W
 
 #: Read-noise probability after storage (temporal/frequency filtering).
 STORED_P_NR = 1.3e-4
@@ -32,7 +33,7 @@ class RateModelParams:
     """Inputs of the detection-probability model; all probabilities."""
 
     p: float
-    t_w: float = 0.21
+    t_w: float = DEFAULT_T_W
     t_r: float = 0.09
     eta_a: float = 0.32
     p_eg: float = 0.20

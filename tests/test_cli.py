@@ -8,8 +8,17 @@ import numpy as np
 import pytest
 
 import rydstats
-from rydstats import WindowSpec, coherent, exact_pair_survival, fock_state, synthesize
-from rydstats.cli import main
+from rydstats import (
+    BlockadeConfig,
+    PipelineConfig,
+    RateModelParams,
+    WindowSpec,
+    coherent,
+    exact_pair_survival,
+    fock_state,
+    synthesize,
+)
+from rydstats.cli import _blockade_config, _pipeline_config, _rate_model, main
 from rydstats.config import RunConfig, parse_config_file
 from rydstats.errors import NumericalError, ValidationError
 
@@ -90,6 +99,21 @@ class TestConfigFile:
     def test_zeta_values_must_be_finite(self):
         with pytest.raises(ValidationError, match=r"zeta_values: \(0\.01, inf\)"):
             RunConfig().set("zeta_values", (0.01, float("inf")))
+
+
+class TestDefaultsAgreeWithLibrary:
+    # A run with no config file and no flags builds exactly the library's
+    # default objects.
+    @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
+    def test_pipeline_config(self, kind):
+        assert _pipeline_config(RunConfig(), kind, 100, False) == PipelineConfig(
+            input_kind=kind, blockade=BlockadeConfig(n_max=100))
+
+    def test_rate_model(self):
+        assert _rate_model(RunConfig()) == RateModelParams(p=0.0)
+
+    def test_blockade_config(self):
+        assert _blockade_config(RunConfig(), 20) == BlockadeConfig()
 
 
 class TestBlockadeCommand:

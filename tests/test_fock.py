@@ -11,7 +11,6 @@ from rydstats import (
     coherent,
     fock_state,
     loss_matrix,
-    vacuum,
 )
 from rydstats._roots import bisect_bracket
 from rydstats.fock import TAIL_TOLERANCE, _poisson_terms, coherent_mu_upper_bound
@@ -38,7 +37,7 @@ class TestConstruction:
             FockDistribution(np.zeros(3))
 
     def test_immutable(self):
-        d = vacuum(4)
+        d = fock_state(0, 4)
         with pytest.raises(ValueError):
             d.probs[0] = 0.5
 
@@ -118,7 +117,7 @@ class TestStatistics:
 
     def test_g2_vacuum_error(self):
         with pytest.raises(ValidationError):
-            vacuum(5).g2()
+            fock_state(0, 5).g2()
 
     def test_zeta_single_photon(self):
         assert fock_state(1, 10).zeta() == 0.0
@@ -128,7 +127,7 @@ class TestStatistics:
 
     def test_zeta_vacuum_error(self):
         with pytest.raises(ValidationError):
-            vacuum(5).zeta()
+            fock_state(0, 5).zeta()
 
     def test_zeta_coherent(self):
         # (1 - e^-mu - mu e^-mu) / (1 - e^-mu) at mu = 0.1
@@ -139,7 +138,7 @@ class TestStatistics:
         assert np.all(np.diff(values) > 0)
 
     def test_mean_vacuum(self):
-        assert vacuum(5).mean_photons() == 0.0
+        assert fock_state(0, 5).mean_photons() == 0.0
 
     def test_mean_half(self):
         assert FockDistribution(np.array([0.5, 0.5])).mean_photons() == pytest.approx(0.5)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from rydstats import (
     FockDistribution,
     PipelineConfig,
     ValidationError,
+    blockade_matrix,
     cloud_input_distribution,
     coherent,
     efficiency,
@@ -50,6 +53,19 @@ class TestConfig:
             make_cfg(eta_r=0.0)
         with pytest.raises(ValidationError):
             make_cfg(eta_eit=1.5)
+
+    @pytest.mark.parametrize("scale", [0.5, float("nan"), float("inf")])
+    def test_rejects_medium_scale_outside_one_to_inf(self, scale):
+        with pytest.raises(ValidationError, match="medium scale"):
+            PipelineConfig(medium_scale=scale)
+
+    def test_medium_scale_stretches_the_cloud(self):
+        cfg = BlockadeConfig(trials_per_fock=5_000, rng_seed=7, n_max=8)
+        stretched = replace(cfg, cloud_length=cfg.cloud_length * 2.5)
+        np.testing.assert_array_equal(
+            medium_matrix(PipelineConfig(medium_scale=2.5, blockade=cfg)).matrix,
+            blockade_matrix(stretched).matrix,
+        )
 
 
 class TestPostBlockade:
@@ -266,8 +282,8 @@ class TestSweep:
         cfg = make_cfg(kind="wcs", trials=10_000)
         result = sweep(cfg, [0.01, 0.05, 0.2])
         assert len(result.points) == 3
-        np.testing.assert_allclose(result.column("g2_in"), 1.0, atol=1e-9)
-        assert np.all(result.column("g2_out_lo") <= result.column("g2_out_hi"))
+        np.testing.assert_allclose([pt.g2_in for pt in result.points], 1.0, atol=1e-9)
+        assert all(pt.g2_out_lo <= pt.g2_out_hi for pt in result.points)
         path = tmp_path / "sweep.csv"
         result.write_csv(path)
         lines = path.read_text().splitlines()
@@ -284,13 +300,13 @@ class TestSweep:
     def test_dlcz_g2_in_increases(self):
         cfg = make_cfg(n_max=64, trials=10_000)
         result = sweep(cfg, [0.01, 0.05, 0.15, 0.3])
-        assert np.all(np.diff(result.column("g2_in")) > 0)
+        assert np.all(np.diff([pt.g2_in for pt in result.points]) > 0)
 
     def test_wcs_g2_out_non_decreasing(self):
         # for a fixed medium matrix the Poissonian-input curve only rises
         cfg = make_cfg(kind="wcs", trials=50_000)
         result = sweep(cfg, np.geomspace(0.002, 0.35, 10))
-        assert np.all(np.diff(result.column("g2_out")) > -1e-12)
+        assert np.all(np.diff([pt.g2_out for pt in result.points]) > -1e-12)
 
     @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
     def test_columns_equal_per_point_public_path(self, kind):
@@ -305,7 +321,8 @@ class TestSweep:
         for pt, zeta in zip(result.points, grid):
             param = zeta_to_param(cfg, zeta)
             src = source_distribution(cfg, param)
-            band = sorted(g2_after_storage(cfg, src, medium, eta_compression=ec) for ec in (lo, hi))
+            band = sorted(g2_after_storage(replace(cfg, eta_compression=ec), src, medium)
+                          for ec in (lo, hi))
             expected = SweepPoint(
                 zeta, param, src.g2(), g2_after_storage(cfg, src, medium),
                 efficiency(cfg, src, medium), *band,
@@ -327,7 +344,7 @@ class TestSweep:
         sweep(cfg, [0.01, 0.1], medium=medium)
         src = source_distribution(cfg, 0.1)
         post_blockade_distribution(cfg, src, medium)
-        g2_after_storage(cfg, src, medium, eta_compression=0.45)
+        g2_after_storage(replace(cfg, eta_compression=0.45), src, medium)
         efficiency(cfg, src)
 
     def test_shared_medium_matches_fresh(self):

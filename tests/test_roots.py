@@ -86,8 +86,10 @@ def test_monotone_solves_and_checks():
     assert root == pytest.approx(2.0 ** (1 / 3), rel=1e-13)
     with pytest.raises(BracketError):
         bisect_monotone(lambda x: x, 0.0, 1.0, 2.0, f_tol=1e-12)
+    # A step from 0 to 1 at x = 0.3: the bracket closes on the step, but
+    # no x has f(x) within f_tol of 0.5, so the residual check must fail.
     with pytest.raises(NumericalError):
-        bisect_monotone(lambda x: x, 0.0, 1.0, 0.3, f_tol=1e-12, max_iter=5)
+        bisect_monotone(lambda x: float(x >= 0.3), 0.0, 1.0, 0.5, f_tol=1e-12)
 
 
 @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
