@@ -26,13 +26,12 @@ arrivals follow.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .fock import DEFAULT_N_MAX
 from .transfer import TransferMatrix
 
@@ -47,13 +46,6 @@ def _check_lengths(r_b: float, cloud_length: float) -> None:
         raise ValidationError(f"cloud length must be finite and > 0, got {cloud_length}")
     if not 0 <= r_b < math.inf:
         raise ValidationError(f"blockade radius must be finite and >= 0, got {r_b}")
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    # A float such as 2.5 or NaN would otherwise reach numpy as a size or
-    # a seed and fail there with a TypeError or a bare ValueError.
-    if not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +74,6 @@ class BlockadeConfig:
 class SurvivalDistribution:
     """Estimated P(k polaritons survive | n photons entered), k = 0..n."""
 
-    input_n: int
     probs: np.ndarray
     trials: int
 
@@ -154,7 +145,7 @@ def simulate_fock(cfg: BlockadeConfig, n: int) -> SurvivalDistribution:
     if not 0 <= n <= cfg.n_max:
         raise ValidationError(f"input Fock number {n} outside 0..{cfg.n_max}")
     hist = _histograms(cfg, n, threads=1)[: n + 1, n]
-    return SurvivalDistribution(n, hist / cfg.trials_per_fock, cfg.trials_per_fock)
+    return SurvivalDistribution(hist / cfg.trials_per_fock, cfg.trials_per_fock)
 
 
 def _histograms(cfg: BlockadeConfig, n_max: int, threads: int) -> np.ndarray:

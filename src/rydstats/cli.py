@@ -33,12 +33,12 @@ from .config import _KEYS, RunConfig, _float_list, describe_keys, parse_config_f
 from .errors import NumericalError, ValidationError
 from .fock import DEFAULT_N_MAX
 from .pipeline import (
+    INPUT_KINDS,
     PipelineConfig,
-    _invert_zeta,
-    _zeta_curve,
     cloud_input_distribution,
     medium_matrix,
     sweep,
+    zeta_to_param,
 )
 from .ratemodel import (
     EfficiencyTable,
@@ -218,7 +218,7 @@ def cmd_blockade(args, cfg: RunConfig, out: Path) -> None:
         probs = matrix.matrix[:, n]
         mean = float(np.dot(k, probs))
         var = float(np.dot(k**2, probs) - mean**2)
-        se = SurvivalDistribution(n, probs[: n + 1], bcfg.trials_per_fock).standard_errors
+        se = SurvivalDistribution(probs[: n + 1], bcfg.trials_per_fock).standard_errors
         columns.append({
             "n": int(n),
             "mean_survivors": mean,
@@ -296,13 +296,13 @@ def _sweep_figure(args, cfg: RunConfig, out: Path, figure: str) -> None:
     if not 0 < lo < hi:
         raise ValidationError(f"sweep grid needs 0 < min < max, got {lo}, {hi}")
     grid = np.geomspace(lo, hi, points)
-    medium = None
-    for kind in ("dlcz", "wcs"):
-        pcfg = _pipeline_config(cfg, kind, N_MAX_DEFAULTS[figure], args.slow_light)
-        if medium is None:
-            medium = medium_matrix(pcfg, threads=cfg.threads)
-        result = sweep(pcfg, grid, medium=medium)
-        path = out / f"{figure}_{kind}.csv"
+    configs = [_pipeline_config(cfg, kind, N_MAX_DEFAULTS[figure], args.slow_light)
+               for kind in INPUT_KINDS]
+    # The medium does not depend on the input kind.
+    medium = medium_matrix(configs[0], threads=cfg.threads)
+    for pcfg in configs:
+        result = sweep(pcfg, grid, medium)
+        path = out / f"{figure}_{pcfg.input_kind}.csv"
         result.write_csv(path)
         _say(path)
 
@@ -340,13 +340,10 @@ def _figs3(args, cfg: RunConfig, out: Path) -> None:
 
 def _figs5(args, cfg: RunConfig, out: Path) -> None:
     columns = {}
-    for kind in ("dlcz", "wcs"):
+    for kind in INPUT_KINDS:
         pcfg = _pipeline_config(cfg, kind, N_MAX_DEFAULTS["figS5"], slow_light=False)
-        n_max = pcfg.blockade.n_max
-        curve = _zeta_curve(pcfg, n_max)
         for zeta in cfg.zeta_values:
-            param = _invert_zeta(pcfg, zeta, n_max, *curve)
-            dist = cloud_input_distribution(pcfg, param)
+            dist = cloud_input_distribution(pcfg, zeta_to_param(pcfg, zeta))
             columns[f"{kind}_zeta_{zeta:g}"] = dist.probs
     path = out / "figS5_distributions.csv"
     rows = enumerate(zip(*columns.values()))

@@ -342,6 +342,11 @@ def count_trials(
     det = stream.detector_codes
     t = stream.times_ns
     ids = stream.trial_ids
+    # The reader rejects a file with such ids, naming the file; a stream
+    # built in code reaches here unchecked.
+    if ids.size and not 0 <= ids.min() <= ids.max() < n:
+        bad = ids.min() if ids.min() < 0 else ids.max()
+        raise ValidationError(f"trial id {bad} outside 0..{n - 1}")
 
     sig = []
     noise = []

@@ -5,6 +5,8 @@ invalid inputs or data, and numerical breakdowns that no input validation
 can rule out ahead of time.
 """
 
+import numbers
+
 
 class RydstatsError(Exception):
     """Base class for all errors raised by this package."""
@@ -17,3 +19,10 @@ class ValidationError(RydstatsError, ValueError):
 class NumericalError(RydstatsError, ArithmeticError):
     """Numerical failure: singular/ill-conditioned matrix, no convergence
     of a root search, inadequate truncation (CLI exit code 3)."""
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    # A float such as 2.5 or NaN would otherwise reach numpy as a size or
+    # a seed and fail there with a TypeError or a bare ValueError.
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._roots import bisect_bracket
 from ._table import read_table, write_table
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_count
 
 #: Default truncation order.  Adequate (tail < 1e-12) for Poissonian inputs
 #: with mean <~ 1; heralded-source states at large excitation probability
@@ -104,6 +104,7 @@ class FockDistribution:
 
 def fock_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
     """A number state with exactly ``n`` photons."""
+    _check_count("n_max", n_max, 0)
     if not 0 <= n <= n_max:
         raise ValidationError(f"photon number {n} outside 0..{n_max}")
     probs = np.zeros(n_max + 1)
@@ -155,6 +156,7 @@ def coherent(mu: float, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
         beyond it is below ``TAIL_TOLERANCE``, otherwise the truncation
         would silently bias g2 upward and an error is raised instead.
     """
+    _check_count("n_max", n_max, 0)
     probs, tail = _poisson_terms(mu, n_max)
     if tail >= TAIL_TOLERANCE:
         raise NumericalError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,8 @@ class PipelineConfig:
     ``t_w``), "wcs" for an attenuated laser pulse (parametrized by its
     mean photon number at the cloud entrance).  ``medium_scale`` stretches
     the cloud for the slow-light variant (no storage); the default 1.0 is
-    the storage medium.
+    the storage medium.  ``blockade.n_max`` truncates every state and
+    matrix of the chain.
     """
 
     input_kind: str = "dlcz"
@@ -74,6 +76,23 @@ class PipelineConfig:
         if not 1.0 <= self.medium_scale < math.inf:
             raise ValidationError(f"medium scale must be finite and >= 1, got {self.medium_scale}")
 
+    @cached_property
+    def _zeta_inverse(self):
+        # Built on the first inversion and kept, as the config is frozen;
+        # bisection assumes a monotone curve, so it is scanned first.
+        f, hi = _zeta_curve(self)
+        values = [f(x) for x in np.linspace(_PARAM_FLOOR, hi, 50)]
+        if np.any(np.diff(values) < -1e-12):
+            raise ValidationError(
+                "multiphoton strength is not monotone in the source parameter; "
+                "cannot invert it by bisection"
+            )
+        return f, hi
+
+    def __getstate__(self):
+        # pickle cannot store the cached curve, a closure; a copy rebuilds it
+        return {k: v for k, v in self.__dict__.items() if k != "_zeta_inverse"}
+
 
 def medium_matrix(cfg: PipelineConfig, threads: int = 1) -> TransferMatrix:
     """The blockade matrix of ``cfg.blockade`` with its cloud stretched by
@@ -83,32 +102,42 @@ def medium_matrix(cfg: PipelineConfig, threads: int = 1) -> TransferMatrix:
     return slow_light_matrix(cfg.blockade, cfg.medium_scale, threads=threads)
 
 
-def source_distribution(cfg: PipelineConfig, param: float, n_max: int | None = None) -> FockDistribution:
+def source_distribution(cfg: PipelineConfig, param: float) -> FockDistribution:
     """The input state fed to the chain: heralded read state at excitation
     probability ``param``, or Poissonian state with mean ``param``."""
-    n_max = cfg.blockade.n_max if n_max is None else n_max
     if cfg.input_kind == "dlcz":
-        return conditional_read_state(SourceModel(param, cfg.t_w), n_max)
-    return coherent(param, n_max)
+        return conditional_read_state(SourceModel(param, cfg.t_w), cfg.blockade.n_max)
+    return coherent(param, cfg.blockade.n_max)
 
 
-def cloud_input_distribution(cfg: PipelineConfig, param: float, n_max: int | None = None) -> FockDistribution:
+def cloud_input_distribution(cfg: PipelineConfig, param: float) -> FockDistribution:
     """The state right before the cloud: transmission losses applied for
     the heralded input, the Poissonian input unchanged (its mean is
     already back-propagated to that plane).  Multiphoton strength is
     quoted for this state."""
-    n_max = cfg.blockade.n_max if n_max is None else n_max
-    src = source_distribution(cfg, param, n_max)
+    src = source_distribution(cfg, param)
     if cfg.input_kind == "dlcz":
-        return loss_matrix(cfg.t_losses, n_max).apply(src)
+        return loss_matrix(cfg.t_losses, cfg.blockade.n_max).apply(src)
     return src
 
 
-def _pre_blockade_matrix(cfg: PipelineConfig, n_max: int, eta_compression: float) -> TransferMatrix:
-    # Transmission losses (dlcz only), compression and half the EIT loss
-    # are binomial thinnings, and loss(a) o loss(b) = loss(ab).
-    t = cfg.t_losses if cfg.input_kind == "dlcz" else 1.0
-    return loss_matrix(math.sqrt(cfg.eta_eit) * eta_compression * t, n_max)
+def _cloud_transmission(cfg: PipelineConfig) -> float:
+    # Source to cloud entrance: the setup losses for the heralded input;
+    # the Poissonian input's mean is already quoted at the cloud.
+    return cfg.t_losses if cfg.input_kind == "dlcz" else 1.0
+
+
+def _pre_blockade_matrix(cfg: PipelineConfig, eta_compression: float) -> TransferMatrix:
+    # Transmission losses, compression and half the EIT loss are binomial
+    # thinnings, and loss(a) o loss(b) = loss(ab).
+    t = math.sqrt(cfg.eta_eit) * eta_compression * _cloud_transmission(cfg)
+    return loss_matrix(t, cfg.blockade.n_max)
+
+
+def _check_n_max(cfg: PipelineConfig, **parts) -> None:
+    for name, part in parts.items():
+        if part.n_max != cfg.blockade.n_max:
+            raise ValidationError(f"{name} n_max={part.n_max} does not match config n_max={cfg.blockade.n_max}")
 
 
 def _propagate(
@@ -121,32 +150,18 @@ def _propagate(
 
 
 def post_blockade_distribution(
-    cfg: PipelineConfig,
-    input_dist: FockDistribution,
-    medium: TransferMatrix | None = None,
+    cfg: PipelineConfig, input_dist: FockDistribution, medium: TransferMatrix
 ) -> FockDistribution:
-    """State after the blockaded medium (before retrieval and the second
-    half of the propagation losses), with the pulse compression
-    ``cfg.eta_compression``."""
-    n_max = input_dist.n_max
-    if medium is None:
-        if n_max != cfg.blockade.n_max:
-            raise ValidationError(
-                f"input n_max={n_max} does not match blockade n_max={cfg.blockade.n_max}"
-            )
-        medium = medium_matrix(cfg)
-    elif medium.n_max != n_max:
-        raise ValidationError(
-            f"medium matrix n_max={medium.n_max} does not match input n_max={n_max}"
-        )
-    thinning = _pre_blockade_matrix(cfg, n_max, cfg.eta_compression)
-    return _propagate(medium, thinning, input_dist.probs)
+    """State after the blockaded ``medium`` (before retrieval and the
+    second half of the propagation losses), with the pulse compression
+    ``cfg.eta_compression``.  Build the medium once with
+    :func:`medium_matrix` and pass it to every call."""
+    _check_n_max(cfg, input=input_dist, medium=medium)
+    return _propagate(medium, _pre_blockade_matrix(cfg, cfg.eta_compression), input_dist.probs)
 
 
 def g2_after_storage(
-    cfg: PipelineConfig,
-    input_dist: FockDistribution,
-    medium: TransferMatrix | None = None,
+    cfg: PipelineConfig, input_dist: FockDistribution, medium: TransferMatrix
 ) -> float:
     """g2 of the retrieved light.  The linear stages after the blockade
     cannot change it, so it is evaluated right after the medium."""
@@ -154,9 +169,7 @@ def g2_after_storage(
 
 
 def efficiency(
-    cfg: PipelineConfig,
-    input_dist: FockDistribution,
-    medium: TransferMatrix | None = None,
+    cfg: PipelineConfig, input_dist: FockDistribution, medium: TransferMatrix
 ) -> float:
     """Storage-and-retrieval efficiency: mean retrieved photons over mean
     photons at the cloud entrance.
@@ -175,22 +188,23 @@ def _efficiency(cfg: PipelineConfig, input_dist: FockDistribution, out: FockDist
     mean_in = input_dist.mean_photons()
     if mean_in <= 0.0:
         raise ValidationError("efficiency undefined for a vacuum input")
-    t = cfg.t_losses if cfg.input_kind == "dlcz" else 1.0
+    t = _cloud_transmission(cfg)
     return cfg.eta_r * math.sqrt(cfg.eta_eit) * out.mean_photons() / (t * mean_in)
 
 
-def _zeta_curve(cfg: PipelineConfig, n_max: int):
+def _zeta_curve(cfg: PipelineConfig):
     """Multiphoton strength of the cloud-entrance state as a function of
     the source parameter, and the largest parameter the truncation at
-    ``n_max`` holds.
+    ``cfg.blockade.n_max`` holds.
 
-    The curve is the zeta of the state truncated at ``n_max``, written as
+    The curve is the zeta of the state truncated at n_max, written as
     (W2 . c) / (W1 . c): c is the source vector over n = 1..n_max without
     its normalization, which cancels, and W_j[n] is the chance that at
     least j of n photons reach the cloud.  The tables are built here,
     once; one evaluation is a length-n_max power (dlcz) or exp (wcs) and
     two dot products against them, with no matrix product and no pmf.
     """
+    n_max = cfg.blockade.n_max
     if cfg.input_kind == "dlcz":
         # c[n] = p^(n-1) (1 - (1-t_w)^n); the second factor joins W_j.
         loss = loss_matrix(cfg.t_losses, n_max).matrix
@@ -219,9 +233,10 @@ def _zeta_curve(cfg: PipelineConfig, n_max: int):
     return f, coherent_mu_upper_bound(n_max)
 
 
-def zeta_to_param(cfg: PipelineConfig, zeta: float, n_max: int | None = None) -> float:
+def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
     """Invert the multiphoton strength of the cloud-entrance state to the
-    source parameter (p or mean photon number) by bracketed bisection.
+    source parameter (p or mean photon number) by bracketed bisection on
+    the zeta curve that ``cfg`` builds on its first inversion and keeps.
 
     Raises
     ------
@@ -229,17 +244,13 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float, n_max: int | None = None) ->
         If ``zeta`` is not attainable at this truncation (larger n_max
         extends the reachable range).
     """
-    n_max = cfg.blockade.n_max if n_max is None else n_max
-    return _invert_zeta(cfg, zeta, n_max, *_zeta_curve(cfg, n_max))
-
-
-def _invert_zeta(cfg: PipelineConfig, zeta: float, n_max: int, f, hi: float) -> float:
+    f, hi = cfg._zeta_inverse
     try:
         return bisect_monotone(f, _PARAM_FLOOR, hi, zeta, f_tol=1e-10)
     except BracketError as exc:
         raise ValidationError(
             f"multiphoton strength {zeta} not attainable for {cfg.input_kind} "
-            f"at n_max={n_max} ({exc})"
+            f"at n_max={cfg.blockade.n_max} ({exc})"
         ) from exc
 
 
@@ -256,7 +267,6 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    input_kind: str
     points: list[SweepPoint]
 
     def write_csv(self, path) -> None:
@@ -264,47 +274,28 @@ class SweepResult:
         write_table(path, header, (astuple(pt) for pt in self.points))
 
 
-def sweep(
-    cfg: PipelineConfig,
-    zeta_grid,
-    medium: TransferMatrix | None = None,
-) -> SweepResult:
+def sweep(cfg: PipelineConfig, zeta_grid, medium: TransferMatrix) -> SweepResult:
     """Evaluate g2_in, g2_out and efficiency over a multiphoton-strength
     grid, with an uncertainty band from the compression-efficiency range.
 
-    Built once per sweep: the zeta curve with its tables and truncation
-    bound, the medium, and the pre-blockade thinning for eta_compression
-    and for each band edge.  A grid point costs one inversion (about 50
-    curve evaluations, each two length-n_max dot products against the
-    curve's tables) and, per thinning, two matrix-vector products
-    (thinning, then medium); no matrix is ever multiplied by another.
+    Built once per sweep: the pre-blockade thinning for eta_compression
+    and for each band edge (the zeta curve is built once per config).  A
+    grid point costs one inversion (about 50 curve evaluations, each two
+    length-n_max dot products against the curve's tables) and, per
+    thinning, two matrix-vector products (thinning, then medium); no
+    matrix is ever multiplied by another.
     """
-    n_max = cfg.blockade.n_max
-    f, hi = _zeta_curve(cfg, n_max)
-    # Bisection assumes zeta(param) is monotone; scan before sweeping.
-    values = [f(x) for x in np.linspace(_PARAM_FLOOR, hi, 50)]
-    if np.any(np.diff(values) < -1e-12):
-        raise ValidationError(
-            "multiphoton strength is not monotone in the source parameter; "
-            "cannot invert the requested grid"
-        )
-    if medium is None:
-        medium = medium_matrix(cfg)
-    elif medium.n_max != n_max:
-        raise ValidationError(
-            f"medium matrix n_max={medium.n_max} does not match config n_max={n_max}"
-        )
+    _check_n_max(cfg, medium=medium)
     thinnings = [
-        _pre_blockade_matrix(cfg, n_max, ec)
-        for ec in (cfg.eta_compression, *cfg.compression_band)
+        _pre_blockade_matrix(cfg, ec) for ec in (cfg.eta_compression, *cfg.compression_band)
     ]
     points = []
     for zeta in zeta_grid:
-        param = _invert_zeta(cfg, float(zeta), n_max, f, hi)
-        src = source_distribution(cfg, param, n_max)
+        param = zeta_to_param(cfg, float(zeta))
+        src = source_distribution(cfg, param)
         out, *edges = (_propagate(medium, thin, src.probs) for thin in thinnings)
         band = sorted(edge.g2() for edge in edges)
         points.append(SweepPoint(
             float(zeta), param, src.g2(), out.g2(), _efficiency(cfg, src, out), *band
         ))
-    return SweepResult(cfg.input_kind, points)
+    return SweepResult(points)

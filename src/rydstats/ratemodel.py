@@ -80,7 +80,7 @@ def predict_probabilities(params: RateModelParams) -> DetectionProbabilities:
 def predict_cross_correlation(params: RateModelParams) -> float:
     """Write/read cross-correlation, p_wr / (p_w p_r)."""
     probs = predict_probabilities(params)
-    if probs.p_w <= 0.0 or probs.p_r <= 0.0:
+    if probs.p_r <= 0.0:
         raise ValidationError("cross-correlation undefined: zero singles probability")
     return probs.p_wr / (probs.p_w * probs.p_r)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import BracketError, bisect_bracket, bisect_monotone
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_count
 from .fock import DEFAULT_N_MAX, TAIL_TOLERANCE, FockDistribution
 
 #: Write-path transmission (including detection) used when none is given.
@@ -72,6 +72,7 @@ def conditional_read_state(model: SourceModel, n_max: int = DEFAULT_N_MAX) -> Fo
         If the discarded tail beyond n_max reaches ``TAIL_TOLERANCE``
         (the analytic trace of the full state is exactly 1).
     """
+    _check_count("n_max", n_max, 0)
     terms = _read_state_terms(model.p, model.t_w, n_max)
     tail = 1.0 - terms.sum()
     if tail >= TAIL_TOLERANCE:
@@ -116,6 +117,7 @@ def infer_p_from_g2(
     """
     if not 0.0 < t_w <= 1.0:
         raise ValidationError(f"write transmission must be in (0, 1], got {t_w}")
+    _check_count("n_max", n_max, 0)
     p_hi = read_state_p_upper_bound(t_w, n_max)
     try:
         return bisect_monotone(

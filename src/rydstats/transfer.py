@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_table
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .fock import DEFAULT_N_MAX, FockDistribution
 
 #: Tolerance on column sums of a transfer matrix.
@@ -94,6 +94,7 @@ def loss_matrix(t: float, n_max: int = DEFAULT_N_MAX) -> TransferMatrix:
     """
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"transmission must lie in [0, 1], got {t}")
+    _check_count("n_max", n_max, 0)
     m = np.zeros((n_max + 1, n_max + 1))
     m[0, 0] = 1.0
     for l in range(1, n_max + 1):
@@ -105,8 +106,7 @@ def loss_matrix(t: float, n_max: int = DEFAULT_N_MAX) -> TransferMatrix:
 def perfect_filter_matrix(n_max: int = DEFAULT_N_MAX) -> TransferMatrix:
     """Ideal single-photon filter: vacuum stays vacuum, every l >= 1
     input component is mapped onto the one-photon component."""
-    if n_max < 1:
-        raise ValidationError("perfect filter needs n_max >= 1")
+    _check_count("n_max", n_max, 1)
     m = np.zeros((n_max + 1, n_max + 1))
     m[0, 0] = 1.0
     m[1, 1:] = 1.0

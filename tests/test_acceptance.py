@@ -232,7 +232,7 @@ def test_criterion_07_distribution_table_values():
             mu = zeta_to_param(wcs, zeta)
             assert abs(coherent(mu, n_max).g2() - 1.0) < 1e-9
             p = zeta_to_param(dlcz, zeta)
-            g2_in = source_distribution(dlcz, p, n_max).g2()
+            g2_in = source_distribution(dlcz, p).g2()
             p_oracle, g2_oracle = _heralded_oracle(zeta, dlcz.t_w, dlcz.t_losses)
             assert abs(p - p_oracle) / p_oracle < 1e-8, (zeta, p, p_oracle)
             assert abs(g2_in - g2_oracle) / g2_oracle < 1e-8, (zeta, g2_in, g2_oracle)

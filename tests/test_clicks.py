@@ -137,6 +137,17 @@ class TestIngest:
         with pytest.raises(ValidationError, match="per-trial arrays for 4611686018427387904"):
             count_trials(stream, WINDOWS)
 
+    @pytest.mark.parametrize("trial_id, time_ns", [
+        (5, 100),   # signal window: an index past the per-trial flags
+        (7, 600),   # noise window: would lengthen the noise counts
+        (-1, 100),  # negative: would read as an allocation failure
+    ])
+    def test_stream_built_in_code_rejects_trial_id_outside_range(self, trial_id, time_ns):
+        stream = ClickStream(3, np.array([0, trial_id], np.int64), np.array([1, 2], np.int8),
+                             np.array([100, time_ns], np.int64))
+        with pytest.raises(ValidationError, match=f"trial id {trial_id} outside 0..2"):
+            count_trials(stream, WINDOWS)
+
     def test_non_utf8_file_is_validation_error(self, tmp_path):
         path = tmp_path / "clicks.csv"
         path.write_bytes(b"# trials=5\ntrial_id,detector,time_ns\n0,D2,1\n1,D\xff,2\n")

@@ -7,16 +7,40 @@ from scipy.stats import poisson
 from rydstats import (
     FockDistribution,
     NumericalError,
+    SourceModel,
     ValidationError,
     coherent,
+    conditional_read_state,
     fock_state,
+    infer_p_from_g2,
     loss_matrix,
+    perfect_filter_matrix,
 )
 from rydstats._roots import bisect_bracket
 from rydstats.fock import TAIL_TOLERANCE, _poisson_terms, coherent_mu_upper_bound
 
 # scipy is the independent oracle; entries below this are underflow dust
 _SIGNIFICANT = 1e-290
+
+
+@pytest.mark.parametrize("n_max", [-1, 2.5, float("nan"), "3"])
+@pytest.mark.parametrize("build", [
+    lambda n_max: loss_matrix(0.5, n_max),
+    lambda n_max: perfect_filter_matrix(n_max),
+    lambda n_max: fock_state(0, n_max),
+    lambda n_max: coherent(0.1, n_max),
+    lambda n_max: conditional_read_state(SourceModel(0.1), n_max),
+    lambda n_max: infer_p_from_g2(0.3, 0.21, n_max),
+], ids=["loss_matrix", "perfect_filter_matrix", "fock_state", "coherent",
+        "conditional_read_state", "infer_p_from_g2"])
+def test_truncation_must_be_a_non_negative_integer(build, n_max):
+    with pytest.raises(ValidationError, match="n_max must be an integer >= "):
+        build(n_max)
+
+
+def test_perfect_filter_needs_one_photon():
+    with pytest.raises(ValidationError, match="n_max must be an integer >= 1, got 0"):
+        perfect_filter_matrix(0)
 
 
 class TestConstruction:

@@ -33,3 +33,15 @@ def test_cli_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(rydstats.__file__).parents[1]))
     code = "import rydstats.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the documented API must be the one the package has
+    readme = Path(__file__).parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md, Library example", "exec"), {})
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "zeta,param,g2_in,g2_out,eta,g2_out_lo,g2_out_hi"
+    assert len(lines) == 22

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from rydstats import (
     sweep,
     zeta_to_param,
 )
+from rydstats import pipeline
 from rydstats.fock import _poisson_terms
 from rydstats.pipeline import (
     _PARAM_FLOOR,
@@ -75,26 +77,26 @@ class TestPostBlockade:
             eta_compression=1.0, eta_eit=1.0,
         )
         d = coherent(0.4, 24)
-        out = post_blockade_distribution(cfg, d)
+        out = post_blockade_distribution(cfg, d, medium_matrix(cfg))
         np.testing.assert_allclose(out.probs, d.probs, atol=1e-12)
 
     def test_full_blockade_caps_at_one_photon(self):
         cfg = make_cfg(kind="wcs", blockade_radius=20.0)
-        out = post_blockade_distribution(cfg, coherent(0.8, 24))
+        out = post_blockade_distribution(cfg, coherent(0.8, 24), medium_matrix(cfg))
         assert out.probs[2:].sum() == 0.0
 
     def test_wcs_prechain_is_poisson_thinning(self):
         # losses before the medium keep a Poissonian Poissonian: mean
         # mu * eta_compression * sqrt(eta_eit); no setup losses for wcs
         cfg = make_cfg(kind="wcs")
-        pre = _pre_blockade_matrix(cfg, 24, cfg.eta_compression)
+        pre = _pre_blockade_matrix(cfg, cfg.eta_compression)
         out = pre.apply(coherent(0.3, 24))
         expected = coherent(0.3 * 0.6 * np.sqrt(0.6), 24)
         np.testing.assert_allclose(out.probs, expected.probs, atol=1e-9)
 
     def test_dlcz_prechain_includes_setup_losses(self):
         cfg = make_cfg(kind="dlcz")
-        pre = _pre_blockade_matrix(cfg, 24, cfg.eta_compression)
+        pre = _pre_blockade_matrix(cfg, cfg.eta_compression)
         out = pre.apply(coherent(0.3, 24))
         expected = coherent(0.3 * 0.15 * 0.6 * np.sqrt(0.6), 24)
         np.testing.assert_allclose(out.probs, expected.probs, atol=1e-9)
@@ -102,50 +104,53 @@ class TestPostBlockade:
     @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
     @pytest.mark.parametrize("ec", [0.6, 0.45, 0.75])
     def test_single_thinning_matches_composed_chain(self, kind, ec):
-        cfg = make_cfg(kind=kind)
+        cfg = make_cfg(kind=kind, n_max=100)
         stages = [loss_matrix(cfg.t_losses, 100)] if kind == "dlcz" else []
         stages += [loss_matrix(ec, 100), loss_matrix(np.sqrt(cfg.eta_eit), 100)]
         chain = stages[0]
         for stage in stages[1:]:
             chain = stage.compose(chain)
-        single = _pre_blockade_matrix(cfg, 100, ec)
+        single = _pre_blockade_matrix(cfg, ec)
         np.testing.assert_allclose(single.matrix, chain.matrix, rtol=0, atol=1e-12)
 
-    def test_mismatched_n_max_rejected(self):
-        cfg = make_cfg(kind="wcs", n_max=10)
-        with pytest.raises(ValidationError):
-            post_blockade_distribution(cfg, coherent(0.1, 24))
-
-    def test_mismatched_medium_rejected(self):
+    @pytest.mark.parametrize("input_n_max, medium_n_max, culprit", [
+        (24, 10, "input n_max=24"),
+        (10, 24, "medium n_max=24"),
+    ], ids=["input", "medium"])
+    def test_input_and_medium_must_match_config(self, input_n_max, medium_n_max, culprit):
         cfg = make_cfg(kind="wcs", n_max=10, trials=1_000)
-        with pytest.raises(ValidationError, match="n_max=10"):
-            post_blockade_distribution(cfg, coherent(0.1, 24), medium_matrix(cfg))
+        medium = medium_matrix(make_cfg(kind="wcs", n_max=medium_n_max, trials=1_000))
+        with pytest.raises(ValidationError, match=f"{culprit} does not match config n_max=10"):
+            post_blockade_distribution(cfg, coherent(0.1, input_n_max), medium)
+        if medium_n_max != 10:
+            with pytest.raises(ValidationError, match=culprit):
+                sweep(cfg, [0.1], medium)
 
 
 class TestG2AfterStorage:
     def test_wcs_small_mu_plateau(self):
         cfg = make_cfg(kind="wcs", trials=100_000)
         mu = zeta_to_param(cfg, 1e-4)
-        g2_out = g2_after_storage(cfg, coherent(mu, 24))
+        g2_out = g2_after_storage(cfg, coherent(mu, 24), medium_matrix(cfg))
         expected = exact_pair_survival(10.5, 15.0)
         sigma = np.sqrt(expected * (1 - expected) / 100_000)
         assert abs(g2_out - expected) < 3 * sigma + 1e-3
 
     def test_heralded_single_photon_limit(self):
         cfg = make_cfg()
-        g2_out = g2_after_storage(cfg, source_distribution(cfg, 1e-8))
+        g2_out = g2_after_storage(cfg, source_distribution(cfg, 1e-8), medium_matrix(cfg))
         assert g2_out == pytest.approx(0.0, abs=1e-6)
 
     def test_no_blockade_keeps_input_g2(self):
         cfg = make_cfg(kind="wcs", blockade_radius=0.0)
         d = coherent(0.5, 24)
-        assert g2_after_storage(cfg, d) == pytest.approx(d.g2(), abs=1e-7)
+        assert g2_after_storage(cfg, d, medium_matrix(cfg)) == pytest.approx(d.g2(), abs=1e-7)
 
     def test_invariant_under_post_blockade_losses(self):
         # applying the retrieval-leg losses after the medium must not move g2
         cfg = make_cfg()
         d = source_distribution(cfg, 0.1)
-        out = post_blockade_distribution(cfg, d)
+        out = post_blockade_distribution(cfg, d, medium_matrix(cfg))
         retrieval = loss_matrix(cfg.eta_r * np.sqrt(cfg.eta_eit), 24)
         assert retrieval.apply(out).g2() == pytest.approx(out.g2(), abs=1e-9)
 
@@ -154,8 +159,8 @@ class TestG2AfterStorage:
         p = zeta_to_param(cfg, 0.3)
         d = source_distribution(cfg, p)
         medium = medium_matrix(cfg)
-        correct = medium.compose(_pre_blockade_matrix(cfg, 64, 0.6)).apply(d)
-        swapped = _pre_blockade_matrix(cfg, 64, 0.6).compose(medium).apply(d)
+        correct = medium.compose(_pre_blockade_matrix(cfg, 0.6)).apply(d)
+        swapped = _pre_blockade_matrix(cfg, 0.6).compose(medium).apply(d)
         assert abs(correct.g2() - swapped.g2()) > 1e-3
 
 
@@ -164,7 +169,7 @@ class TestEfficiency:
         for kind in ("dlcz", "wcs"):
             cfg = make_cfg(kind=kind)
             param = zeta_to_param(cfg, 1e-8)
-            eta = efficiency(cfg, source_distribution(cfg, param))
+            eta = efficiency(cfg, source_distribution(cfg, param), medium_matrix(cfg))
             assert eta == pytest.approx(0.41 * 0.6 * 0.6, abs=1e-6)
 
     def test_no_blockade_keeps_efficiency_flat(self):
@@ -199,7 +204,7 @@ class TestEfficiency:
             ratios.append(num / den)
         assert ratios[0] == pytest.approx(ratios[1], abs=1e-9)
         # the ratio equals mean(B q)/mean(q) for the pre-medium state q
-        q = _pre_blockade_matrix(cfg_a, 24, 0.6).apply(source_distribution(cfg_a, p))
+        q = _pre_blockade_matrix(cfg_a, 0.6).apply(source_distribution(cfg_a, p))
         survival = medium.apply(q).mean_photons() / q.mean_photons()
         assert ratios[0] == pytest.approx(survival, abs=1e-9)
 
@@ -210,7 +215,7 @@ class TestZetaInversion:
     def test_round_trip(self, kind, zeta):
         cfg = make_cfg(kind=kind, n_max=64)
         param = zeta_to_param(cfg, zeta)
-        d = cloud_input_distribution(cfg, param, 64)
+        d = cloud_input_distribution(cfg, param)
         assert d.zeta() == pytest.approx(zeta, abs=1e-9)
 
     def test_unattainable_zeta(self):
@@ -242,7 +247,7 @@ class TestZetaInversion:
         # the bisection's zeta is FockDistribution.zeta of the truncated
         # state, built here by the matrix product and the pmf it avoids
         cfg = make_cfg(kind=kind, n_max=n_max)
-        f, hi = _zeta_curve(cfg, n_max)
+        f, hi = _zeta_curve(cfg)
         x = hi if frac == 1.0 else _PARAM_FLOOR + frac * (hi - _PARAM_FLOOR)
         if kind == "dlcz":
             terms = loss_matrix(cfg.t_losses, n_max).matrix @ _read_state_terms(x, cfg.t_w, n_max)
@@ -254,7 +259,7 @@ class TestZetaInversion:
     @given(kind=st.sampled_from(INPUT_KINDS), frac=st.floats(0.0, 1.0))
     def test_zeta_param_zeta_round_trip(self, kind, frac):
         cfg = make_cfg(kind=kind, n_max=64)
-        f, hi = _zeta_curve(cfg, 64)
+        f, hi = _zeta_curve(cfg)
         zeta = f(_PARAM_FLOOR) + frac * (f(hi) - f(_PARAM_FLOOR))
         param = zeta_to_param(cfg, zeta)
         assert abs(cloud_input_distribution(cfg, param).zeta() - zeta) < 1e-9
@@ -269,6 +274,34 @@ class TestZetaInversion:
         zeta = cloud_input_distribution(cfg, param).zeta()
         assert zeta_to_param(cfg, zeta) == pytest.approx(param, rel=1e-9)
 
+    def test_curve_built_once_per_config(self, monkeypatch):
+        built = []
+
+        def counted(cfg):
+            built.append(cfg)
+            return _zeta_curve(cfg)
+
+        monkeypatch.setattr(pipeline, "_zeta_curve", counted)
+        cfg = make_cfg(kind="wcs", n_max=40, trials=1_000)
+        zeta_to_param(cfg, 0.1)
+        sweep(cfg, [0.01, 0.2], medium_matrix(cfg))
+        zeta_to_param(cfg, 0.05)
+        assert built == [cfg]
+        zeta_to_param(replace(cfg, t_losses=0.5), 0.1)
+        assert len(built) == 2
+
+    def test_config_pickles_after_inversion(self):
+        cfg = make_cfg(kind="wcs", n_max=40, trials=1_000)
+        mu = zeta_to_param(cfg, 0.1)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg
+        assert zeta_to_param(copy, 0.1) == mu
+
+    def test_non_monotone_curve_rejected(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_zeta_curve", lambda cfg: (lambda x: np.sin(10 * x), 1.0))
+        with pytest.raises(ValidationError, match="not monotone"):
+            zeta_to_param(make_cfg(), 0.1)
+
     def test_wcs_zeta_matches_closed_form(self):
         # independent oracle: zeta(mu) = 1 - mu e^-mu / (1 - e^-mu)
         cfg = make_cfg(kind="wcs", n_max=40)
@@ -280,7 +313,7 @@ class TestZetaInversion:
 class TestSweep:
     def test_columns_and_csv(self, tmp_path):
         cfg = make_cfg(kind="wcs", trials=10_000)
-        result = sweep(cfg, [0.01, 0.05, 0.2])
+        result = sweep(cfg, [0.01, 0.05, 0.2], medium_matrix(cfg))
         assert len(result.points) == 3
         np.testing.assert_allclose([pt.g2_in for pt in result.points], 1.0, atol=1e-9)
         assert all(pt.g2_out_lo <= pt.g2_out_hi for pt in result.points)
@@ -292,20 +325,20 @@ class TestSweep:
 
     def test_band_brackets_default(self):
         cfg = make_cfg(kind="wcs", trials=10_000)
-        result = sweep(cfg, [0.1])
+        result = sweep(cfg, [0.1], medium_matrix(cfg))
         pt = result.points[0]
         assert pt.g2_out_lo <= pt.g2_out + 1e-12
         assert pt.g2_out <= pt.g2_out_hi + 1e-12
 
     def test_dlcz_g2_in_increases(self):
         cfg = make_cfg(n_max=64, trials=10_000)
-        result = sweep(cfg, [0.01, 0.05, 0.15, 0.3])
+        result = sweep(cfg, [0.01, 0.05, 0.15, 0.3], medium_matrix(cfg))
         assert np.all(np.diff([pt.g2_in for pt in result.points]) > 0)
 
     def test_wcs_g2_out_non_decreasing(self):
         # for a fixed medium matrix the Poissonian-input curve only rises
         cfg = make_cfg(kind="wcs", trials=50_000)
-        result = sweep(cfg, np.geomspace(0.002, 0.35, 10))
+        result = sweep(cfg, np.geomspace(0.002, 0.35, 10), medium_matrix(cfg))
         assert np.all(np.diff([pt.g2_out for pt in result.points]) > -1e-12)
 
     @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
@@ -317,7 +350,7 @@ class TestSweep:
         assert lo != hi
         medium = medium_matrix(cfg)
         grid = [0.01, 0.05, 0.2]
-        result = sweep(cfg, grid, medium=medium)
+        result = sweep(cfg, grid, medium)
         for pt, zeta in zip(result.points, grid):
             param = zeta_to_param(cfg, zeta)
             src = source_distribution(cfg, param)
@@ -341,15 +374,8 @@ class TestSweep:
             raise AssertionError("TransferMatrix.compose called")
 
         monkeypatch.setattr(TransferMatrix, "compose", refuse)
-        sweep(cfg, [0.01, 0.1], medium=medium)
+        sweep(cfg, [0.01, 0.1], medium)
         src = source_distribution(cfg, 0.1)
         post_blockade_distribution(cfg, src, medium)
         g2_after_storage(replace(cfg, eta_compression=0.45), src, medium)
-        efficiency(cfg, src)
-
-    def test_shared_medium_matches_fresh(self):
-        cfg = make_cfg(kind="wcs", trials=10_000)
-        medium = medium_matrix(cfg)
-        a = sweep(cfg, [0.05], medium=medium)
-        b = sweep(cfg, [0.05])
-        assert a.points[0] == b.points[0]
+        efficiency(cfg, src, medium)
