@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -363,7 +364,12 @@ def cmd_reproduce(args, cfg: RunConfig, out: Path) -> None:
 def cmd_fit_peg(args, cfg: RunConfig, out: Path) -> None:
     data = read_table(args.data, ("p_w", "p_r_given_w"))
     base = _rate_model(cfg)
-    p_eg, residual = fit_p_eg(data[:, 0], data[:, 1], base)
+    # A bare warning line: Python's format would show this file's path and line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        p_eg, residual = fit_p_eg(data[:, 0], data[:, 1], base)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     fitted = replace(base, p_eg=p_eg)
     predicted = [
         predict_probabilities(replace(fitted, p=(pw - base.p_nw) / base.t_w)).p_r_given_w

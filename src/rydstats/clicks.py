@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from ._table import open_text
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_count
 from .fock import FockDistribution
 
 DETECTORS = ("D1", "D2", "D3")
@@ -115,27 +115,33 @@ class TrialCounts:
 
 @dataclass(frozen=True, eq=False)
 class TrialData:
-    """Per-trial click indicators and noise counts (bootstrap resamples
-    from these; ``counts()`` aggregates them)."""
+    """The distinct trial patterns of one click stream.
+
+    Column j of ``patterns`` (shape 4 x k) is one pattern: the signal click
+    on role 1 and on role 2 (0 or 1), then the noise clicks on role 1 and
+    on role 2.  ``weights[j]`` is the number of trials that show it.  The
+    pattern fully describes a trial, so this table is all that the point
+    estimate (``counts()``) and the bootstrap need.
+    """
 
     n_trials: int
-    sig1: np.ndarray
-    sig2: np.ndarray
-    noise1: np.ndarray
-    noise2: np.ndarray
+    patterns: np.ndarray
+    weights: np.ndarray
     windows: WindowSpec
 
     def counts(self) -> TrialCounts:
-        nn1, nn2 = _noise_means((float(self.noise1.sum()), float(self.noise2.sum())),
-                                self.n_trials, self.windows)
-        return TrialCounts(
-            n_trials=self.n_trials,
-            n1=float(self.sig1.mean()),
-            n2=float(self.sig2.mean()),
-            n12=int(np.count_nonzero(self.sig1 & self.sig2)),
-            nn1=nn1,
-            nn2=nn2,
-        )
+        n1, n2, n12, nn1, nn2 = _sums(self, self.weights)
+        return TrialCounts(self.n_trials, float(n1), float(n2), int(n12), float(nn1), float(nn2))
+
+
+def _sums(data: TrialData, w):
+    """n1, n2, n12, nn1 and nn2 (see ``TrialCounts``) of the trials that
+    show pattern j ``w[..., j]`` times; ``w`` is one weight vector or a
+    stack of them."""
+    sig1, sig2, noise1, noise2 = data.patterns.astype(float)
+    n = data.n_trials
+    nn1, nn2 = _noise_means((w @ noise1, w @ noise2), n, data.windows)
+    return w @ sig1 / n, w @ sig2 / n, w @ (sig1 * sig2), nn1, nn2
 
 
 def _noise_means(totals, n_trials, windows: WindowSpec):
@@ -326,7 +332,8 @@ def count_trials(
     detectors_1: tuple[str, ...] = ("D2",),
     detectors_2: tuple[str, ...] = ("D3",),
 ) -> TrialData:
-    """Reduce a click stream to per-trial signal indicators and noise counts.
+    """Reduce a click stream to its table of distinct trial patterns
+    (see ``TrialData``).
 
     ``detectors_1``/``detectors_2`` map physical detectors onto the two
     analysis roles (e.g. the two arms of a beam-splitter measurement, or
@@ -356,12 +363,19 @@ def count_trials(
         in_noise = role & (t >= windows.noise[0]) & (t < windows.noise[1])
         try:
             flags = np.zeros(n, dtype=bool)
-            noise.append(np.bincount(ids[in_noise], minlength=n).astype(np.int64))
+            noise.append(np.bincount(ids[in_noise], minlength=n))
         except (MemoryError, OverflowError, ValueError) as exc:
             raise ValidationError(f"cannot hold per-trial arrays for {n} trials ({exc})") from None
         flags[ids[in_sig]] = True
         sig.append(flags)
-    return TrialData(n, sig[0], sig[1], noise[0], noise[1], windows)
+
+    # One mixed-radix key per trial sorts like its (sig1, sig2, noise1,
+    # noise2) column, so the patterns come out in np.unique(axis=1) order.
+    dims = (2, 2, int(noise[0].max()) + 1, int(noise[1].max()) + 1)
+    keys = np.ravel_multi_index((sig[0], sig[1], noise[0], noise[1]), dims)
+    del sig, noise, flags  # free the per-trial columns before the sort
+    keys, weights = np.unique(keys, return_counts=True)
+    return TrialData(n, np.array(np.unravel_index(keys, dims)), weights, windows)
 
 
 def ingest(
@@ -370,7 +384,7 @@ def ingest(
     detectors_1: tuple[str, ...] = ("D2",),
     detectors_2: tuple[str, ...] = ("D3",),
 ) -> TrialData:
-    """Read a click CSV and reduce it to per-trial counts."""
+    """Read a click CSV and reduce it to its trial-pattern table."""
     return count_trials(ClickStream.read_csv(path), windows, detectors_1, detectors_2)
 
 
@@ -407,42 +421,36 @@ def synthesize(
     50/50 between D2 (role 1) and D3 (role 2), as a beam splitter does,
     and place each photon click uniformly in that role's signal window.
     Uncorrelated background is added as Poisson clicks in both the signal
-    and noise windows at the given per-detector rates (counts per second).
-    Deterministic per seed.
+    and noise windows at the given per-detector rates (counts per second,
+    at most 1e9: one click per nanosecond).  Deterministic per seed.
     """
-    if n_trials < 1:
-        raise ValidationError("n_trials must be >= 1")
-    if any(r < 0 for r in noise_rates_hz):
-        raise ValidationError("noise rates must be >= 0")
+    _check_count("n_trials", n_trials, 1)
+    if not all(0.0 <= rate <= 1e9 for rate in noise_rates_hz):
+        raise ValidationError(f"noise rates must lie in [0, 1e9] Hz, got {noise_rates_hz}")
     rng = np.random.default_rng(seed)
 
     ks = rng.choice(dist.probs.size, size=n_trials, p=dist.probs)
     counts_1 = rng.binomial(ks, 0.5)
-    counts_2 = ks - counts_1
-
-    ids_parts, code_parts, time_parts = [], [], []
     trial_index = np.arange(n_trials, dtype=np.int64)
-    roles = (("D2", windows.signal_1), ("D3", windows.signal_2))
-    for counts, (name, window) in zip((counts_1, counts_2), roles):
-        total = int(counts.sum())
-        ids_parts.append(np.repeat(trial_index, counts))
-        code_parts.append(np.full(total, _DETECTOR_CODE[name], dtype=np.int8))
-        time_parts.append(rng.integers(window[0], window[1], size=total, dtype=np.int64))
+    parts = []
 
+    def emit(counts, detector, window):
+        """Append one click per count, uniform in ``window``."""
+        total = int(counts.sum())
+        parts.append((np.repeat(trial_index, counts),
+                      np.full(total, _DETECTOR_CODE[detector], dtype=np.int8),
+                      rng.integers(window[0], window[1], size=total, dtype=np.int64)))
+
+    roles = (("D2", windows.signal_1), ("D3", windows.signal_2))
+    for counts, (name, window) in zip((counts_1, ks - counts_1), roles):
+        emit(counts, name, window)
     for rate, (name, signal) in zip(noise_rates_hz, roles):
         for window in (signal, windows.noise):
             lam = rate * (window[1] - window[0]) * 1e-9
-            if lam == 0.0:
-                continue
-            noise_counts = rng.poisson(lam, size=n_trials)
-            total = int(noise_counts.sum())
-            ids_parts.append(np.repeat(trial_index, noise_counts))
-            code_parts.append(np.full(total, _DETECTOR_CODE[name], dtype=np.int8))
-            time_parts.append(rng.integers(window[0], window[1], size=total, dtype=np.int64))
+            if lam > 0.0:
+                emit(rng.poisson(lam, size=n_trials), name, window)
 
-    ids = np.concatenate(ids_parts) if ids_parts else np.empty(0, dtype=np.int64)
-    codes = np.concatenate(code_parts) if code_parts else np.empty(0, dtype=np.int8)
-    times = np.concatenate(time_parts) if time_parts else np.empty(0, dtype=np.int64)
+    ids, codes, times = (np.concatenate(column) for column in zip(*parts))
     order = np.lexsort((codes, times, ids))
     return ClickStream(n_trials, ids[order], codes[order], times[order])
 
@@ -455,10 +463,10 @@ def bootstrap_error(
     """Nonparametric bootstrap standard error of the noise-corrected g2.
 
     Trials are resampled with replacement.  Because every trial is fully
-    described by its (click-1, click-2, noise-1, noise-2) pattern, the
-    resample is drawn as a multinomial over the observed patterns, which
-    is distributionally identical to resampling trial indices and orders
-    of magnitude faster.  Deterministic per seed.
+    described by its pattern, the resample is drawn as a multinomial over
+    the observed patterns, which is distributionally identical to
+    resampling trial indices and orders of magnitude faster.
+    Deterministic per seed.
     """
     if resamples < 100:
         raise ValidationError(f"need at least 100 resamples, got {resamples}")
@@ -466,32 +474,16 @@ def bootstrap_error(
     if n < 10:
         raise ValidationError(f"need at least 10 trials to bootstrap, got {n}")
 
-    # One mixed-radix key per trial sorts like the (sig1, sig2, noise1,
-    # noise2) columns, so the classes come out in np.unique(axis=1) order.
-    fields = (data.sig1, data.sig2, data.noise1, data.noise2)
-    dims = (2, 2, int(data.noise1.max()) + 1, int(data.noise2.max()) + 1)
-    keys, class_counts = np.unique(np.ravel_multi_index(fields, dims), return_counts=True)
-    classes = np.unravel_index(keys, dims)
-    f_sig1 = classes[0].astype(float)
-    f_sig2 = classes[1].astype(float)
-    f_coinc = (classes[0] & classes[1]).astype(float)
-    f_noise1 = classes[2].astype(float)
-    f_noise2 = classes[3].astype(float)
-
-    pvals = class_counts / class_counts.sum()
+    pvals = data.weights / data.weights.sum()
     pvals = pvals / pvals.sum()
     rng = np.random.default_rng(seed)
-    w = rng.multinomial(n, pvals, size=resamples).astype(float)
-
-    n1 = w @ f_sig1 / n
-    n2 = w @ f_sig2 / n
-    n12 = w @ f_coinc
-    nn1, nn2 = _noise_means((w @ f_noise1, w @ f_noise2), n, data.windows)
+    sums = _sums(data, rng.multinomial(n, pvals, size=resamples).astype(float))
+    n1, n2, _, nn1, nn2 = sums
 
     valid = (n1 > 0) & (n2 > 0) & (n1 > nn1) & (n2 > nn2)
     if valid.sum() < 2:
         raise NumericalError("bootstrap degenerate: almost all resamples lack clicks")
-    values = _g2_corrected(n, *(arr[valid] for arr in (n1, n2, n12, nn1, nn2)))
+    values = _g2_corrected(n, *(arr[valid] for arr in sums))
     return float(np.std(values, ddof=1))
 
 

@@ -41,12 +41,14 @@ class RateModelParams:
     p_nr: float = 1.5e-3
 
     def __post_init__(self):
-        for name in ("p", "t_w", "t_r", "eta_a", "p_eg", "p_nw", "p_nr"):
+        for name in ("p", "t_r", "eta_a", "p_eg", "p_nw", "p_nr"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
         if self.p >= 1.0:
             raise ValidationError("excitation probability must be < 1")
+        if not 0.0 < self.t_w <= 1.0:
+            raise ValidationError(f"write transmission must be in (0, 1], got {self.t_w}")
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def conditional_read_state(model: SourceModel, n_max: int = DEFAULT_N_MAX) -> Fo
         If the discarded tail beyond n_max reaches ``TAIL_TOLERANCE``
         (the analytic trace of the full state is exactly 1).
     """
-    _check_count("n_max", n_max, 0)
+    _check_count("n_max", n_max, 1)  # the heralded state has no vacuum term
     terms = _read_state_terms(model.p, model.t_w, n_max)
     tail = 1.0 - terms.sum()
     if tail >= TAIL_TOLERANCE:
@@ -117,7 +117,7 @@ def infer_p_from_g2(
     """
     if not 0.0 < t_w <= 1.0:
         raise ValidationError(f"write transmission must be in (0, 1], got {t_w}")
-    _check_count("n_max", n_max, 0)
+    _check_count("n_max", n_max, 1)
     p_hi = read_state_p_upper_bound(t_w, n_max)
     try:
         return bisect_monotone(

@@ -304,6 +304,16 @@ class TestFitPegCommand:
         assert fit["p_eg"] == pytest.approx(0.20, abs=1e-6)
         assert fit["residual_norm"] < 1e-10
 
+    def test_pegged_fit_warns_in_one_plain_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("p_w,p_r_given_w\n0.001,0.031\n0.005,0.034\n0.01,0.037\n0.02,0.04\n")
+        assert run(["--out", tmp_path, "fit-peg", data]) == 0
+        assert capsys.readouterr().err == (
+            "warning: fitted branching ratio pegged at boundary (1); "
+            "the data may not constrain it\n"
+        )
+        assert json.loads((tmp_path / "p_eg_fit.json").read_text())["p_eg"] == 1.0
+
     def test_nan_row_rejected_with_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("p_w,p_r_given_w\n0.01,0.03\n0.02,nan\n0.03,0.05\n0.04,0.06\n")

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from rydstats import (
     ingest,
     synthesize,
 )
-from rydstats.clicks import _ClickLines
+from rydstats.clicks import DETECTORS, _ClickLines
 from rydstats.source import SourceModel
 
 WINDOWS = WindowSpec(signal_1=(0, 300), noise=(500, 1100))
@@ -363,6 +364,20 @@ class TestSynthesize:
         # rate ratio follows window lengths
         assert in_noise / in_signal == pytest.approx(2.0, rel=0.15)
 
+    @pytest.mark.parametrize("n_trials, rates, message", [
+        (100, (float("nan"), 0.0), "noise rates must lie in [0, 1e9] Hz, got (nan, 0.0)"),
+        (100, (0.0, float("inf")), "noise rates must lie in [0, 1e9] Hz, got (0.0, inf)"),
+        (100, (1e30, 0.0), "noise rates must lie in [0, 1e9] Hz, got (1e+30, 0.0)"),
+        (100, (-1.0, 0.0), "noise rates must lie in [0, 1e9] Hz, got (-1.0, 0.0)"),
+        (2.5, (0.0, 0.0), "n_trials must be an integer >= 1, got 2.5"),
+        (float("nan"), (0.0, 0.0), "n_trials must be an integer >= 1, got nan"),
+        (0, (0.0, 0.0), "n_trials must be an integer >= 1, got 0"),
+    ], ids=["nan-rate", "inf-rate", "huge-rate", "negative-rate",
+            "fractional-trials", "nan-trials", "zero-trials"])
+    def test_rejects_input_naming_it(self, n_trials, rates, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            synthesize(coherent(0.3, 15), n_trials, WINDOWS, noise_rates_hz=rates, seed=1)
+
     def test_file_round_trip_exact(self, tmp_path):
         stream = synthesize(
             coherent(0.4, 15), 3000, WINDOWS, noise_rates_hz=(1e4, 2e4), seed=9
@@ -459,10 +474,8 @@ class TestBootstrap:
         data = self.make_data(20_000)
         doubled = type(data)(
             n_trials=2 * data.n_trials,
-            sig1=np.concatenate([data.sig1, data.sig1]),
-            sig2=np.concatenate([data.sig2, data.sig2]),
-            noise1=np.concatenate([data.noise1, data.noise1]),
-            noise2=np.concatenate([data.noise2, data.noise2]),
+            patterns=data.patterns,
+            weights=2 * data.weights,
             windows=data.windows,
         )
         e1 = bootstrap_error(data, resamples=2000, seed=4)
@@ -487,18 +500,32 @@ class TestBootstrap:
             bootstrap_error(data, resamples=150, seed=7)
 
     @staticmethod
-    def reference_error(data, resamples, seed):
-        """The bootstrap with its classes from np.unique(axis=1) on the
-        stacked per-trial columns."""
-        patterns = np.stack([data.sig1.astype(np.int64), data.sig2.astype(np.int64),
-                             data.noise1, data.noise2])
-        classes, class_counts = np.unique(patterns, axis=1, return_counts=True)
+    def trial_columns(stream, windows):
+        """The (sig1, sig2, noise1, noise2) rows, one entry per trial, read
+        off the stream's records with set operations (D2 is role 1, D3
+        role 2)."""
+        rows = []
+        for name, signal in (("D2", windows.signal_1), ("D3", windows.signal_2)):
+            mine = stream.detector_codes == DETECTORS.index(name)
+            ids, t = stream.trial_ids[mine], stream.times_ns[mine]
+            in_signal = set(ids[(t >= signal[0]) & (t < signal[1])].tolist())
+            rows.append(np.isin(np.arange(stream.n_trials), list(in_signal)).astype(np.int64))
+            noise_ids, noise_clicks = np.unique(
+                ids[(t >= windows.noise[0]) & (t < windows.noise[1])], return_counts=True)
+            rows.append(np.zeros(stream.n_trials, dtype=np.int64))
+            rows[-1][noise_ids] = noise_clicks
+        return np.stack([rows[0], rows[2], rows[1], rows[3]])
+
+    @staticmethod
+    def reference_error(classes, class_counts, windows, resamples, seed):
+        """The bootstrap over classes from np.unique(axis=1) on the
+        per-trial columns."""
         pvals = class_counts / class_counts.sum()
         pvals = pvals / pvals.sum()
-        n = data.n_trials
+        n = int(class_counts.sum())
         w = np.random.default_rng(seed).multinomial(n, pvals, size=resamples).astype(float)
-        len1, len2 = data.windows.signal_lengths
-        scale = data.windows.noise_length
+        len1, len2 = windows.signal_lengths
+        scale = windows.noise_length
         n1 = w @ classes[0].astype(float) / n
         n2 = w @ classes[1].astype(float) / n
         n12 = w @ (classes[0] & classes[1]).astype(float)
@@ -514,12 +541,17 @@ class TestBootstrap:
     @pytest.mark.parametrize("noise", [(2e5, 3e5), (0.0, 0.0)], ids=["noisy", "noise-free"])
     def test_matches_unique_columns_reference(self, noise):
         stream = synthesize(coherent(0.5, 15), 30_000, WINDOWS, noise_rates_hz=noise, seed=41)
-        data = count_trials(stream, WINDOWS)
+        columns = self.trial_columns(stream, WINDOWS)
         if noise[0]:
-            assert data.noise1.max() >= 2 and data.noise2.max() >= 2
+            assert columns[2].max() >= 2 and columns[3].max() >= 2
         else:
-            assert data.noise1.max() == 0 and data.noise2.max() == 0
-        assert bootstrap_error(data, resamples=300, seed=42) == self.reference_error(data, 300, 42)
+            assert columns[2].max() == 0 and columns[3].max() == 0
+        classes, class_counts = np.unique(columns, axis=1, return_counts=True)
+        data = count_trials(stream, WINDOWS)
+        np.testing.assert_array_equal(data.patterns, classes)
+        np.testing.assert_array_equal(data.weights, class_counts)
+        assert bootstrap_error(data, resamples=300, seed=42) == self.reference_error(
+            classes, class_counts, WINDOWS, 300, 42)
 
     def test_too_few_resamples(self):
         data = self.make_data(1000)

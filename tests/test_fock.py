@@ -38,9 +38,14 @@ def test_truncation_must_be_a_non_negative_integer(build, n_max):
         build(n_max)
 
 
-def test_perfect_filter_needs_one_photon():
+@pytest.mark.parametrize("build", [
+    perfect_filter_matrix,
+    lambda n_max: conditional_read_state(SourceModel(0.1), n_max),
+    lambda n_max: infer_p_from_g2(0.3, 0.21, n_max),
+], ids=["perfect_filter_matrix", "conditional_read_state", "infer_p_from_g2"])
+def test_truncation_needs_one_photon(build):
     with pytest.raises(ValidationError, match="n_max must be an integer >= 1, got 0"):
-        perfect_filter_matrix(0)
+        build(0)
 
 
 class TestConstruction:

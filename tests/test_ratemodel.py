@@ -24,6 +24,11 @@ class TestParams:
         with pytest.raises(ValidationError):
             RateModelParams(p=1.0)
 
+    @pytest.mark.parametrize("t_w", [0.0, -0.1, 1.5, float("nan")])
+    def test_write_transmission_in_half_open_unit_interval(self, t_w):
+        with pytest.raises(ValidationError, match=r"write transmission must be in \(0, 1\]"):
+            RateModelParams(p=0.1, t_w=t_w)
+
 
 class TestPredictProbabilities:
     def test_noise_only(self):
