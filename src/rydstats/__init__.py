@@ -25,7 +25,6 @@ from .clicks import (
     count_trials,
     g2_noise_corrected,
     g2_raw,
-    ingest,
     synthesize,
 )
 from .errors import NumericalError, RydstatsError, ValidationError
@@ -98,7 +97,6 @@ __all__ = [
     "g2_raw",
     "ideal_cross_correlation",
     "infer_p_from_g2",
-    "ingest",
     "loss_matrix",
     "medium_matrix",
     "perfect_filter_matrix",

@@ -17,6 +17,8 @@ from .errors import NumericalError
 
 #: Bracket width, relative to max(1, |b|), at which :func:`bisect_monotone` stops.
 X_TOL = 1e-13
+#: Largest residual |f(x) - target| that :func:`bisect_monotone` accepts.
+F_TOL = 1e-10
 #: Most halving steps :func:`bisect_bracket` takes.
 MAX_ITER = 200
 
@@ -25,13 +27,12 @@ class BracketError(ValueError):
     """The target value is not enclosed by the search bracket."""
 
 
-def bisect_monotone(f: Callable[[float], float], lo: float, hi: float, target: float,
-                    *, f_tol: float) -> float:
+def bisect_monotone(f: Callable[[float], float], lo: float, hi: float, target: float) -> float:
     """Solve f(x) = target for monotone non-decreasing f on [lo, hi].
 
     Runs :func:`bisect_bracket` until the bracket is narrower than
     ``X_TOL`` (or ``MAX_ITER`` steps are taken), then verifies
-    |f(x) - target| < ``f_tol`` at its midpoint.
+    |f(x) - target| < ``F_TOL`` at its midpoint.
 
     Raises
     ------
@@ -51,9 +52,9 @@ def bisect_monotone(f: Callable[[float], float], lo: float, hi: float, target: f
     a, b = bisect_bracket(lambda x: f(x) - target < 0.0, lo, hi, x_tol=X_TOL)
     mid = 0.5 * (a + b)
     residual = abs(f(mid) - target)
-    if not residual < f_tol:
+    if not residual < F_TOL:
         raise NumericalError(
-            f"bisection did not converge: residual {residual:.3e} >= {f_tol:.0e}"
+            f"bisection did not converge: residual {residual:.3e} >= {F_TOL:.0e}"
         )
     return mid
 

@@ -142,7 +142,8 @@ def simulate_fock(cfg: BlockadeConfig, n: int) -> SurvivalDistribution:
     so this is column n of that matrix bit for bit; deterministic for a
     fixed seed.
     """
-    if not 0 <= n <= cfg.n_max:
+    _check_count("n", n, 0)
+    if n > cfg.n_max:
         raise ValidationError(f"input Fock number {n} outside 0..{cfg.n_max}")
     hist = _histograms(cfg, n, threads=1)[: n + 1, n]
     return SurvivalDistribution(hist / cfg.trials_per_fock, cfg.trials_per_fock)

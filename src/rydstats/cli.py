@@ -22,14 +22,8 @@ import numpy as np
 
 from . import __version__
 from ._table import read_table, write_table
-from .blockade import (
-    CHUNK_TRIALS,
-    BlockadeConfig,
-    SurvivalDistribution,
-    exact_pair_survival,
-    slow_light_matrix,
-)
-from .clicks import WindowSpec, analysis_report, ingest
+from .blockade import CHUNK_TRIALS, BlockadeConfig, blockade_matrix, exact_pair_survival
+from .clicks import ClickStream, WindowSpec, analysis_report, count_trials
 from .config import _KEYS, RunConfig, _float_list, describe_keys, parse_config_file
 from .errors import NumericalError, ValidationError
 from .fock import DEFAULT_N_MAX
@@ -87,6 +81,27 @@ def _int_pair(text: str) -> tuple[int, int]:
 _WINDOW = _flag_type(_int_pair, "'start,end'")
 _NUMBERS = _flag_type(_float_list, "comma-separated numbers")
 _DETECTORS = _flag_type(_KEYS["detectors_1"].parse, "comma-separated detector names")
+
+
+#: Flags of ``reproduce`` that only some figures read: dest -> (flag, figures).
+_FIGURE_FLAGS = {
+    "zeta_values": ("--zeta", ("figS5",)),
+    "zeta_range": ("--zeta-range", ("fig3", "fig4")),
+    "slow_light": ("--slow-light", ("fig3", "fig4")),
+    "efficiency_table": ("--efficiency-table", ("figS3",)),
+}
+
+
+def _check_flags(args) -> None:
+    """Reject a flag that the chosen command would ignore.  Config-file
+    keys are shared by every command and are not checked here."""
+    if args.command == "blockade" and args.medium_scale is not None and not args.slow_light:
+        raise _UsageError("--medium-scale needs --slow-light")
+    if args.command == "reproduce":
+        for dest, (flag, figures) in _FIGURE_FLAGS.items():
+            if getattr(args, dest) not in (None, False) and args.figure not in figures:
+                raise _UsageError(
+                    f"{flag} is read only by {' and '.join(figures)}, not {args.figure}")
 
 
 #: Flags that set several configuration keys at once, in order.
@@ -178,10 +193,13 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _blockade_config(cfg: RunConfig, default_n_max: int) -> BlockadeConfig:
+def _blockade_config(cfg: RunConfig, default_n_max: int,
+                     slow_light: bool = False) -> BlockadeConfig:
+    """The medium: the slow-light variant is the cloud stretched by
+    ``medium_scale``."""
     n_max = cfg.n_max if cfg.n_max is not None else default_n_max
     return BlockadeConfig(
-        cloud_length=cfg.cloud_length,
+        cloud_length=cfg.cloud_length * cfg.medium_scale if slow_light else cfg.cloud_length,
         blockade_radius=cfg.blockade_radius,
         trials_per_fock=cfg.trials,
         rng_seed=cfg.seed,
@@ -205,42 +223,42 @@ def _say(path: Path) -> None:
 
 
 def cmd_blockade(args, cfg: RunConfig, out: Path) -> None:
-    bcfg = _blockade_config(cfg, N_MAX_DEFAULTS["blockade"])
-    scale = cfg.medium_scale if args.slow_light else 1.0
-    matrix = slow_light_matrix(bcfg, scale, threads=cfg.threads)
+    bcfg = _blockade_config(cfg, N_MAX_DEFAULTS["blockade"], args.slow_light)
+    matrix = blockade_matrix(bcfg, threads=cfg.threads)
 
     matrix_path = out / "blockade_matrix.csv"
     matrix.to_csv(matrix_path)
     _say(matrix_path)
 
     k = np.arange(bcfg.n_max + 1)
+    m = matrix.matrix
+    ses = np.sqrt(m * (1.0 - m) / bcfg.trials_per_fock)  # binomial, per entry
     columns = []
     for n in range(bcfg.n_max + 1):
-        probs = matrix.matrix[:, n]
+        probs = m[:, n]
         mean = float(np.dot(k, probs))
         var = float(np.dot(k**2, probs) - mean**2)
-        se = SurvivalDistribution(probs[: n + 1], bcfg.trials_per_fock).standard_errors
         columns.append({
             "n": int(n),
             "mean_survivors": mean,
             "se_mean": float(np.sqrt(max(var, 0.0) / bcfg.trials_per_fock)),
             "probs": [float(x) for x in probs[: n + 1]],
-            "standard_errors": [float(x) for x in se],
+            "standard_errors": [float(x) for x in ses[: n + 1, n]],
         })
-    oracle_expected = exact_pair_survival(bcfg.blockade_radius, bcfg.cloud_length * scale)
+    oracle_expected = exact_pair_survival(bcfg.blockade_radius, bcfg.cloud_length)
     oracle_se = float(
         np.sqrt(oracle_expected * (1 - oracle_expected) / bcfg.trials_per_fock)
     )
-    estimate = float(matrix.matrix[2, 2]) if bcfg.n_max >= 2 else None
+    estimate = float(m[2, 2]) if bcfg.n_max >= 2 else None
     summary = {
         "config": {
-            "cloud_length_um": bcfg.cloud_length,
+            "cloud_length_um": cfg.cloud_length,
             "blockade_radius_um": bcfg.blockade_radius,
             "trials_per_fock": bcfg.trials_per_fock,
             "seed": bcfg.rng_seed,
             "n_max": bcfg.n_max,
             "slow_light": bool(args.slow_light),
-            "medium_scale": scale,
+            "medium_scale": cfg.medium_scale if args.slow_light else 1.0,
         },
         "columns": columns,
         "pair_survival_check": {
@@ -262,7 +280,9 @@ def cmd_g2(args, cfg: RunConfig, out: Path) -> None:
         signal_2=args.window_2,
         noise=(cfg.noise_start_ns, cfg.noise_end_ns),
     )
-    data = ingest(args.clicks, windows, cfg.detectors_1, cfg.detectors_2)
+    # No name holds the stream: its arrays are freed before the bootstrap.
+    data = count_trials(ClickStream.read_csv(args.clicks), windows,
+                        cfg.detectors_1, cfg.detectors_2)
     report = analysis_report(data, resamples=cfg.resamples, seed=cfg.seed)
     report["source_file"] = str(args.clicks)
     report["detectors_1"] = list(cfg.detectors_1)
@@ -281,8 +301,7 @@ def _pipeline_config(cfg: RunConfig, kind: str, n_max: int, slow_light: bool) ->
         eta_eit=cfg.eta_eit,
         eta_r=cfg.eta_r,
         compression_band=(cfg.eta_compression_lo, cfg.eta_compression_hi),
-        medium_scale=cfg.medium_scale if slow_light else 1.0,
-        blockade=_blockade_config(cfg, n_max),
+        blockade=_blockade_config(cfg, n_max, slow_light),
     )
 
 
@@ -324,8 +343,7 @@ def _figs3(args, cfg: RunConfig, out: Path) -> None:
                 f"p_w={p_w} implies excitation probability {p} outside [0, 1)"
             )
         plain = replace(base, p=p)
-        stored = with_storage(plain, table, predict_probabilities(plain).p_w,
-                              stored_p_nr=cfg.stored_p_nr)
+        stored = with_storage(plain, table, stored_p_nr=cfg.stored_p_nr)
         rows.append((
             p_w, p,
             predict_cross_correlation(plain),
@@ -398,6 +416,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flags(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

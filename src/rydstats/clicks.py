@@ -36,6 +36,11 @@ from .fock import FockDistribution
 
 DETECTORS = ("D1", "D2", "D3")
 _DETECTOR_CODE = {name: i for i, name in enumerate(DETECTORS)}
+#: Default detectors of analysis roles 1 and 2.
+ROLE_DETECTORS = (("D2",), ("D3",))
+#: Default and least number of bootstrap resamples.
+RESAMPLES = 1000
+MIN_RESAMPLES = 100
 
 _TRIALS_RE = re.compile(r"#\s*trials\s*=\s*(\d+)\s*$")
 _HEADER = "trial_id,detector,time_ns"
@@ -45,10 +50,12 @@ _BODY_DTYPE = [("trial_id", np.int64), ("detector", "U3"), ("time_ns", np.int64)
 
 
 def _check_window(name: str, window: tuple[int, int]) -> tuple[int, int]:
-    start, end = int(window[0]), int(window[1])
-    if start < 0 or end <= start:
+    start, end = window[0], window[1]
+    _check_count(f"{name} window start", start, 0)
+    _check_count(f"{name} window end", end, 0)
+    if end <= start:
         raise ValidationError(f"{name} window must satisfy 0 <= start < end, got {window}")
-    return start, end
+    return int(start), int(end)
 
 
 def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -329,8 +336,8 @@ def _bulk_body(fh):
 def count_trials(
     stream: ClickStream,
     windows: WindowSpec,
-    detectors_1: tuple[str, ...] = ("D2",),
-    detectors_2: tuple[str, ...] = ("D3",),
+    detectors_1: tuple[str, ...] = ROLE_DETECTORS[0],
+    detectors_2: tuple[str, ...] = ROLE_DETECTORS[1],
 ) -> TrialData:
     """Reduce a click stream to its table of distinct trial patterns
     (see ``TrialData``).
@@ -378,16 +385,6 @@ def count_trials(
     return TrialData(n, np.array(np.unravel_index(keys, dims)), weights, windows)
 
 
-def ingest(
-    path,
-    windows: WindowSpec,
-    detectors_1: tuple[str, ...] = ("D2",),
-    detectors_2: tuple[str, ...] = ("D3",),
-) -> TrialData:
-    """Read a click CSV and reduce it to its trial-pattern table."""
-    return count_trials(ClickStream.read_csv(path), windows, detectors_1, detectors_2)
-
-
 def g2_raw(c: TrialCounts) -> float:
     """Directly measured zero-delay correlation: n12 / (N n1 n2) with n1,
     n2 as per-trial means (equivalently n12 N / (N1 N2) with totals)."""
@@ -425,6 +422,7 @@ def synthesize(
     at most 1e9: one click per nanosecond).  Deterministic per seed.
     """
     _check_count("n_trials", n_trials, 1)
+    _check_count("seed", seed, 0)
     if not all(0.0 <= rate <= 1e9 for rate in noise_rates_hz):
         raise ValidationError(f"noise rates must lie in [0, 1e9] Hz, got {noise_rates_hz}")
     rng = np.random.default_rng(seed)
@@ -457,7 +455,7 @@ def synthesize(
 
 def bootstrap_error(
     data: TrialData,
-    resamples: int = 1000,
+    resamples: int = RESAMPLES,
     seed: int = 0,
 ) -> float:
     """Nonparametric bootstrap standard error of the noise-corrected g2.
@@ -468,8 +466,8 @@ def bootstrap_error(
     resampling trial indices and orders of magnitude faster.
     Deterministic per seed.
     """
-    if resamples < 100:
-        raise ValidationError(f"need at least 100 resamples, got {resamples}")
+    _check_count("resamples", resamples, MIN_RESAMPLES)
+    _check_count("seed", seed, 0)
     n = data.n_trials
     if n < 10:
         raise ValidationError(f"need at least 10 trials to bootstrap, got {n}")
@@ -489,7 +487,7 @@ def bootstrap_error(
 
 def analysis_report(
     data: TrialData,
-    resamples: int = 1000,
+    resamples: int = RESAMPLES,
     seed: int = 0,
 ) -> dict:
     """Scalar summary of one analyzed click stream (the JSON payload of

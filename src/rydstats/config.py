@@ -16,6 +16,7 @@ from typing import Any, Callable
 
 from ._table import open_text
 from .blockade import BlockadeConfig
+from .clicks import MIN_RESAMPLES, RESAMPLES, ROLE_DETECTORS, WindowSpec
 from .errors import ValidationError
 from .pipeline import PipelineConfig
 from .ratemodel import STORED_P_NR, RateModelParams
@@ -107,13 +108,13 @@ _KEYS: dict[str, _Key] = {
     "pw_points": _Key(int, 25, _positive_int, "write-probability grid size"),
     "efficiency_table": _Key(str, None, help="CSV path with measured p_w,eta"),
     # click analysis
-    "signal_start_ns": _Key(int, 0, _non_negative, "signal window start (ns)"),
-    "signal_end_ns": _Key(int, 300, _positive_int, "signal window end (ns)"),
-    "noise_start_ns": _Key(int, 500, _non_negative, "noise window start (ns)"),
-    "noise_end_ns": _Key(int, 1100, _positive_int, "noise window end (ns)"),
-    "detectors_1": _Key(_detector_list, ("D2",), help="detectors for role 1"),
-    "detectors_2": _Key(_detector_list, ("D3",), help="detectors for role 2"),
-    "resamples": _Key(int, 1000, lambda v: v >= 100, "bootstrap resamples"),
+    "signal_start_ns": _Key(int, WindowSpec.signal_1[0], _non_negative, "signal window start (ns)"),
+    "signal_end_ns": _Key(int, WindowSpec.signal_1[1], _positive_int, "signal window end (ns)"),
+    "noise_start_ns": _Key(int, WindowSpec.noise[0], _non_negative, "noise window start (ns)"),
+    "noise_end_ns": _Key(int, WindowSpec.noise[1], _positive_int, "noise window end (ns)"),
+    "detectors_1": _Key(_detector_list, ROLE_DETECTORS[0], help="detectors for role 1"),
+    "detectors_2": _Key(_detector_list, ROLE_DETECTORS[1], help="detectors for role 2"),
+    "resamples": _Key(int, RESAMPLES, lambda v: v >= MIN_RESAMPLES, "bootstrap resamples"),
 }
 
 

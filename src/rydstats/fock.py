@@ -105,7 +105,8 @@ class FockDistribution:
 def fock_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
     """A number state with exactly ``n`` photons."""
     _check_count("n_max", n_max, 0)
-    if not 0 <= n <= n_max:
+    _check_count("n", n, 0)
+    if n > n_max:
         raise ValidationError(f"photon number {n} outside 0..{n_max}")
     probs = np.zeros(n_max + 1)
     probs[n] = 1.0

@@ -21,10 +21,11 @@ import numpy as np
 
 from ._roots import BracketError, bisect_monotone
 from ._table import write_table
-from .blockade import BlockadeConfig, slow_light_matrix
+from .blockade import BlockadeConfig, blockade_matrix
 from .errors import ValidationError
 from .fock import FockDistribution, coherent, coherent_mu_upper_bound
 from .source import (
+    _P_FLOOR,
     DEFAULT_T_W,
     SourceModel,
     _herald_weights,
@@ -35,8 +36,6 @@ from .transfer import TransferMatrix, loss_matrix
 
 INPUT_KINDS = ("dlcz", "wcs")
 
-_PARAM_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -45,10 +44,10 @@ class PipelineConfig:
     ``input_kind`` selects the source: "dlcz" for the heralded read photon
     (parametrized by excitation probability p, with write transmission
     ``t_w``), "wcs" for an attenuated laser pulse (parametrized by its
-    mean photon number at the cloud entrance).  ``medium_scale`` stretches
-    the cloud for the slow-light variant (no storage); the default 1.0 is
-    the storage medium.  ``blockade.n_max`` truncates every state and
-    matrix of the chain.
+    mean photon number at the cloud entrance).  ``blockade`` is the whole
+    medium: the slow-light variant (no storage) is a longer
+    ``blockade.cloud_length``.  ``blockade.n_max`` truncates every state
+    and matrix of the chain.
     """
 
     input_kind: str = "dlcz"
@@ -58,7 +57,6 @@ class PipelineConfig:
     eta_eit: float = 0.6
     eta_r: float = 0.41
     compression_band: tuple[float, float] = (0.45, 0.75)
-    medium_scale: float = 1.0
     blockade: BlockadeConfig = field(default_factory=BlockadeConfig)
 
     def __post_init__(self):
@@ -73,15 +71,13 @@ class PipelineConfig:
         lo, hi = self.compression_band
         if not (0.0 < lo <= hi <= 1.0):
             raise ValidationError(f"compression band must satisfy 0 < lo <= hi <= 1, got {self.compression_band}")
-        if not 1.0 <= self.medium_scale < math.inf:
-            raise ValidationError(f"medium scale must be finite and >= 1, got {self.medium_scale}")
 
     @cached_property
     def _zeta_inverse(self):
         # Built on the first inversion and kept, as the config is frozen;
         # bisection assumes a monotone curve, so it is scanned first.
         f, hi = _zeta_curve(self)
-        values = [f(x) for x in np.linspace(_PARAM_FLOOR, hi, 50)]
+        values = [f(x) for x in np.linspace(_P_FLOOR, hi, 50)]
         if np.any(np.diff(values) < -1e-12):
             raise ValidationError(
                 "multiphoton strength is not monotone in the source parameter; "
@@ -95,11 +91,8 @@ class PipelineConfig:
 
 
 def medium_matrix(cfg: PipelineConfig, threads: int = 1) -> TransferMatrix:
-    """The blockade matrix of ``cfg.blockade`` with its cloud stretched by
-    ``cfg.medium_scale``.  At the default scale 1.0 the length is
-    multiplied by exactly 1, so this is ``blockade_matrix(cfg.blockade)``
-    bit for bit."""
-    return slow_light_matrix(cfg.blockade, cfg.medium_scale, threads=threads)
+    """The blockade matrix of ``cfg.blockade``."""
+    return blockade_matrix(cfg.blockade, threads=threads)
 
 
 def source_distribution(cfg: PipelineConfig, param: float) -> FockDistribution:
@@ -246,7 +239,7 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
     """
     f, hi = cfg._zeta_inverse
     try:
-        return bisect_monotone(f, _PARAM_FLOOR, hi, zeta, f_tol=1e-10)
+        return bisect_monotone(f, _P_FLOOR, hi, zeta)
     except BracketError as exc:
         raise ValidationError(
             f"multiphoton strength {zeta} not attainable for {cfg.input_kind} "

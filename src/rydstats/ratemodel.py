@@ -125,15 +125,16 @@ class EfficiencyTable:
 def with_storage(
     params: RateModelParams,
     table: EfficiencyTable,
-    p_w_point: float,
     stored_p_nr: float = STORED_P_NR,
 ) -> RateModelParams:
     """Model parameters with the read photon stored in the nonlinear medium.
 
-    The read transmission becomes eta(p_w) * t_r and the read noise drops
-    to ``stored_p_nr`` because noise light cannot be stored.
+    The read transmission becomes eta(p_w) * t_r, with p_w the write
+    probability ``params`` predict, and the read noise drops to
+    ``stored_p_nr`` because noise light cannot be stored.
     """
-    return replace(params, t_r=table(p_w_point) * params.t_r, p_nr=stored_p_nr)
+    eta = table(predict_probabilities(params).p_w)
+    return replace(params, t_r=eta * params.t_r, p_nr=stored_p_nr)
 
 
 def fit_p_eg(

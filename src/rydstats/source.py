@@ -122,7 +122,7 @@ def infer_p_from_g2(
     try:
         return bisect_monotone(
             lambda p: FockDistribution(_read_state_terms(p, t_w, n_max)).g2(),
-            _P_FLOOR, p_hi, g2_target, f_tol=1e-10,
+            _P_FLOOR, p_hi, g2_target,
         )
     except BracketError as exc:
         raise ValidationError(

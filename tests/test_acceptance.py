@@ -255,7 +255,7 @@ def test_criterion_08_rate_model_noise_free_collapse():
         for p in np.linspace(1e-3, 0.05, 20):
             plain = RateModelParams(p=p, t_w=0.21, t_r=0.09, eta_a=0.32,
                                     p_eg=0.20, p_nw=1e-4, p_nr=0.0)
-            stored = with_storage(plain, table, p * 0.21 + 1e-4, stored_p_nr=0.0)
+            stored = with_storage(plain, table, stored_p_nr=0.0)
             a = predict_cross_correlation(plain)
             b = predict_cross_correlation(stored)
             assert abs(a - b) / a < 0.01

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,10 @@ from rydstats import (
     PipelineConfig,
     RateModelParams,
     WindowSpec,
+    analysis_report,
+    bootstrap_error,
     coherent,
+    count_trials,
     exact_pair_survival,
     fock_state,
     synthesize,
@@ -114,6 +118,23 @@ class TestDefaultsAgreeWithLibrary:
 
     def test_blockade_config(self):
         assert _blockade_config(RunConfig(), 20) == BlockadeConfig()
+
+    @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
+    def test_slow_light_is_the_stretched_cloud(self, kind):
+        # medium_scale 2.5 times the 15 um cloud
+        assert _pipeline_config(RunConfig(), kind, 100, True).blockade == BlockadeConfig(
+            cloud_length=37.5, n_max=100)
+
+    def test_click_analysis(self):
+        cfg = RunConfig()
+        windows = WindowSpec(signal_1=(cfg.signal_start_ns, cfg.signal_end_ns),
+                             noise=(cfg.noise_start_ns, cfg.noise_end_ns))
+        assert windows == WindowSpec()
+        roles = inspect.signature(count_trials).parameters
+        assert cfg.detectors_1 == roles["detectors_1"].default
+        assert cfg.detectors_2 == roles["detectors_2"].default
+        for fn in (bootstrap_error, analysis_report):
+            assert cfg.resamples == inspect.signature(fn).parameters["resamples"].default
 
 
 class TestBlockadeCommand:
@@ -284,6 +305,22 @@ class TestReproduceCommands:
         assert "(target 0.004 outside attainable range" in err
         assert "np." not in err
 
+    def test_slow_light_is_the_stretched_cloud(self, tmp_path):
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("cloud_length = 37.5\n")
+        runs = {
+            "flag": ["reproduce", "fig4", "--slow-light"],
+            "file": ["--config", cfg, "reproduce", "fig4"],
+            "storage": ["reproduce", "fig4"],
+        }
+        outputs = {}
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert run(["--out", out, "--seed", 5, *argv, "--trials", 2000,
+                        "--zeta-range", "0.01,0.3,4"]) == 0
+            outputs[name] = [(out / f"fig4_{kind}.csv").read_bytes() for kind in ("dlcz", "wcs")]
+        assert outputs["flag"] == outputs["file"] != outputs["storage"]
+
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert run(["--out", tmp_path, "reproduce", "fig9"]) == 1
 
@@ -333,6 +370,30 @@ class TestExitCodes:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["--out", tmp_path, "g2", tmp_path / "absent.csv"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["blockade", "--medium-scale", 5, "--trials", 100, "--n", 3],
+             "--medium-scale needs --slow-light"),
+            (["reproduce", "fig3", "--zeta", "0.1"], "--zeta is read only by figS5, not fig3"),
+            (["reproduce", "figS5", "--zeta-range", "0.01,0.3,5"],
+             "--zeta-range is read only by fig3 and fig4, not figS5"),
+            (["reproduce", "figS3", "--slow-light"],
+             "--slow-light is read only by fig3 and fig4, not figS3"),
+            (["reproduce", "figS5", "--slow-light"],
+             "--slow-light is read only by fig3 and fig4, not figS5"),
+            (["reproduce", "fig3", "--efficiency-table", "absent.csv"],
+             "--efficiency-table is read only by figS3, not fig3"),
+        ],
+        ids=["medium-scale", "zeta", "zeta-range", "slow-light-figS3", "slow-light-figS5",
+             "efficiency-table"],
+    )
+    def test_ignored_flag_is_usage_error(self, tmp_path, argv, message, capsys):
+        out = tmp_path / "out"
+        assert run(["--seed", 3, "--out", out, *argv]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

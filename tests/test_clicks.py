@@ -21,7 +21,6 @@ from rydstats import (
     fock_state,
     g2_noise_corrected,
     g2_raw,
-    ingest,
     synthesize,
 )
 from rydstats.clicks import DETECTORS, _ClickLines
@@ -43,7 +42,7 @@ class TestWindowSpec:
         assert WINDOWS.noise_length == 600
 
     def test_rejects_inverted_window(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"0 <= start < end, got \(300, 100\)"):
             WindowSpec(signal_1=(300, 100))
 
     def test_rejects_overlapping_noise(self):
@@ -65,7 +64,7 @@ class TestIngest:
             "2,D3,700\n"   # noise window click
             "3,D2,400\n",  # outside all windows
         )
-        counts = ingest(path, WINDOWS).counts()
+        counts = count_trials(ClickStream.read_csv(path), WINDOWS).counts()
         assert counts == TrialCounts(
             n_trials=4, n1=0.5, n2=0.25, n12=1, nn1=0.0, nn2=0.125
         )
@@ -75,13 +74,13 @@ class TestIngest:
             tmp_path,
             "# trials=1\ntrial_id,detector,time_ns\n0,D2,10\n0,D2,20\n0,D2,30\n",
         )
-        counts = ingest(path, WINDOWS).counts()
+        counts = count_trials(ClickStream.read_csv(path), WINDOWS).counts()
         assert counts.n1 == 1.0
         assert counts.n12 == 0
 
     def test_empty_stream_counts_zero(self, tmp_path):
         path = write_stream(tmp_path, "# trials=100\ntrial_id,detector,time_ns\n")
-        counts = ingest(path, WINDOWS).counts()
+        counts = count_trials(ClickStream.read_csv(path), WINDOWS).counts()
         assert counts.n_trials == 100
         assert counts.n1 == 0.0 and counts.n2 == 0.0 and counts.n12 == 0
 
@@ -92,44 +91,44 @@ class TestIngest:
         path = write_stream(
             tmp_path, "# trials=10000\ntrial_id,detector,time_ns\n" + rows + "\n"
         )
-        counts = ingest(path, WINDOWS).counts()
+        counts = count_trials(ClickStream.read_csv(path), WINDOWS).counts()
         assert counts.nn1 == pytest.approx(1.5e-4, rel=1e-12)
 
     def test_missing_trials_header(self, tmp_path):
         path = write_stream(tmp_path, "trial_id,detector,time_ns\n0,D2,10\n")
         with pytest.raises(ValidationError, match="trials"):
-            ingest(path, WINDOWS)
+            count_trials(ClickStream.read_csv(path), WINDOWS)
 
     def test_empty_file(self, tmp_path):
         path = write_stream(tmp_path, "")
         with pytest.raises(ValidationError, match="empty"):
-            ingest(path, WINDOWS)
+            count_trials(ClickStream.read_csv(path), WINDOWS)
 
     def test_parse_error_reports_line(self, tmp_path):
         path = write_stream(
             tmp_path, "# trials=5\ntrial_id,detector,time_ns\n0,D2,10\n1,D9,20\n"
         )
         with pytest.raises(ValidationError, match=":4"):
-            ingest(path, WINDOWS)
+            count_trials(ClickStream.read_csv(path), WINDOWS)
 
     def test_trial_id_out_of_range(self, tmp_path):
         path = write_stream(
             tmp_path, "# trials=2\ntrial_id,detector,time_ns\n5,D2,10\n"
         )
         with pytest.raises(ValidationError, match="trial id"):
-            ingest(path, WINDOWS)
+            count_trials(ClickStream.read_csv(path), WINDOWS)
 
     @pytest.mark.parametrize("row", ["99999999999999999999,D2,10", "0,D2,99999999999999999999"],
                              ids=["trial_id", "time_ns"])
     def test_beyond_int64_reports_line(self, tmp_path, row):
         path = write_stream(tmp_path, f"# trials=5\ntrial_id,detector,time_ns\n0,D2,1\n{row}\n")
         with pytest.raises(ValidationError, match=f"{path}:4: trial id or time above"):
-            ingest(path, WINDOWS)
+            count_trials(ClickStream.read_csv(path), WINDOWS)
 
     def test_trial_count_beyond_int64_reports_line(self, tmp_path):
         path = write_stream(tmp_path, "\n# trials=99999999999999999999\ntrial_id,detector,time_ns\n")
         with pytest.raises(ValidationError, match=f"{path}:2: trial count above"):
-            ingest(path, WINDOWS)
+            count_trials(ClickStream.read_csv(path), WINDOWS)
 
     def test_unallocatable_trial_count_is_validation_error(self):
         # 2**62 bools cannot be allocated; numpy refuses before touching memory
@@ -160,7 +159,8 @@ class TestIngest:
             tmp_path,
             "# trials=2\ntrial_id,detector,time_ns\n0,D1,10\n0,D2,20\n1,D3,30\n",
         )
-        data = ingest(path, WINDOWS, detectors_1=("D1",), detectors_2=("D2", "D3"))
+        data = count_trials(ClickStream.read_csv(path), WINDOWS,
+                            detectors_1=("D1",), detectors_2=("D2", "D3"))
         counts = data.counts()
         assert counts.n1 == 0.5
         assert counts.n2 == 1.0

@@ -5,7 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rydstats
+from rydstats import (
+    BlockadeConfig,
+    ValidationError,
+    WindowSpec,
+    bootstrap_error,
+    coherent,
+    count_trials,
+    fock_state,
+    simulate_fock,
+    synthesize,
+)
 
 
 def _imported_names():
@@ -26,6 +39,28 @@ def test_every_export_resolves():
     for name in rydstats.__all__:
         assert getattr(rydstats, name) is namespace[name]
     assert "zeta_to_param" in namespace
+
+
+def _trial_data():
+    stream = synthesize(coherent(0.3, 10), 1000, WindowSpec(), (1e4, 1e4), seed=1)
+    return count_trials(stream, WindowSpec())
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: WindowSpec(noise=(500, float("nan"))), "noise window end"),
+    (lambda: WindowSpec(signal_1=(0, 299.9)), "signal_1 window end"),
+    (lambda: bootstrap_error(_trial_data(), resamples=100.5), "resamples"),
+    (lambda: bootstrap_error(_trial_data(), resamples=float("nan")), "resamples"),
+    (lambda: bootstrap_error(_trial_data(), seed=-1), "seed"),
+    (lambda: synthesize(coherent(0.3, 10), 100, WindowSpec(), seed=-1), "seed"),
+    (lambda: simulate_fock(BlockadeConfig(trials_per_fock=100, n_max=4), 2.5), "n"),
+    (lambda: fock_state(1.5, 3), "n"),
+], ids=["window-nan", "window-fraction", "resamples-fraction", "resamples-nan",
+        "bootstrap-seed", "synthesize-seed", "simulate_fock-n", "fock_state-n"])
+def test_integer_arguments_are_checked_at_the_boundary(call, name):
+    # numpy would truncate these or fail with its own TypeError or ValueError
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= "):
+        call()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -11,7 +11,6 @@ from rydstats import (
     FockDistribution,
     PipelineConfig,
     ValidationError,
-    blockade_matrix,
     cloud_input_distribution,
     coherent,
     efficiency,
@@ -27,13 +26,12 @@ from rydstats import (
 from rydstats import pipeline
 from rydstats.fock import _poisson_terms
 from rydstats.pipeline import (
-    _PARAM_FLOOR,
     INPUT_KINDS,
     SweepPoint,
     _pre_blockade_matrix,
     _zeta_curve,
 )
-from rydstats.source import _read_state_terms
+from rydstats.source import _P_FLOOR, _read_state_terms
 from rydstats.transfer import TransferMatrix
 
 
@@ -56,18 +54,6 @@ class TestConfig:
         with pytest.raises(ValidationError):
             make_cfg(eta_eit=1.5)
 
-    @pytest.mark.parametrize("scale", [0.5, float("nan"), float("inf")])
-    def test_rejects_medium_scale_outside_one_to_inf(self, scale):
-        with pytest.raises(ValidationError, match="medium scale"):
-            PipelineConfig(medium_scale=scale)
-
-    def test_medium_scale_stretches_the_cloud(self):
-        cfg = BlockadeConfig(trials_per_fock=5_000, rng_seed=7, n_max=8)
-        stretched = replace(cfg, cloud_length=cfg.cloud_length * 2.5)
-        np.testing.assert_array_equal(
-            medium_matrix(PipelineConfig(medium_scale=2.5, blockade=cfg)).matrix,
-            blockade_matrix(stretched).matrix,
-        )
 
 
 class TestPostBlockade:
@@ -248,7 +234,7 @@ class TestZetaInversion:
         # state, built here by the matrix product and the pmf it avoids
         cfg = make_cfg(kind=kind, n_max=n_max)
         f, hi = _zeta_curve(cfg)
-        x = hi if frac == 1.0 else _PARAM_FLOOR + frac * (hi - _PARAM_FLOOR)
+        x = hi if frac == 1.0 else _P_FLOOR + frac * (hi - _P_FLOOR)
         if kind == "dlcz":
             terms = loss_matrix(cfg.t_losses, n_max).matrix @ _read_state_terms(x, cfg.t_w, n_max)
         else:
@@ -260,7 +246,7 @@ class TestZetaInversion:
     def test_zeta_param_zeta_round_trip(self, kind, frac):
         cfg = make_cfg(kind=kind, n_max=64)
         f, hi = _zeta_curve(cfg)
-        zeta = f(_PARAM_FLOOR) + frac * (f(hi) - f(_PARAM_FLOOR))
+        zeta = f(_P_FLOOR) + frac * (f(hi) - f(_P_FLOOR))
         param = zeta_to_param(cfg, zeta)
         assert abs(cloud_input_distribution(cfg, param).zeta() - zeta) < 1e-9
 

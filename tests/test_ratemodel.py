@@ -84,7 +84,7 @@ class TestCrossCorrelation:
         table = EfficiencyTable.constant(0.2)
         for p in (0.01, 0.05, 0.1):
             plain = RateModelParams(p=p, **PAPER)
-            stored = with_storage(plain, table, predict_probabilities(plain).p_w)
+            stored = with_storage(plain, table)
             assert predict_cross_correlation(stored) > predict_cross_correlation(plain)
 
     def test_invariant_under_read_loss_scaling_without_noise(self):
@@ -141,13 +141,13 @@ class TestEfficiencyTable:
 class TestWithStorage:
     def test_constant_unit_table_keeps_t_r(self):
         q = RateModelParams(p=0.1, **PAPER)
-        stored = with_storage(q, EfficiencyTable.constant(1.0), 0.01)
+        stored = with_storage(q, EfficiencyTable.constant(1.0))
         assert stored.t_r == pytest.approx(0.09)
         assert stored.p_nr == pytest.approx(1.3e-4)
 
     def test_scales_t_r(self):
         q = RateModelParams(p=0.1, **PAPER)
-        stored = with_storage(q, EfficiencyTable.constant(0.15), 0.01)
+        stored = with_storage(q, EfficiencyTable.constant(0.15))
         assert stored.t_r == pytest.approx(0.0135)
 
 

@@ -82,17 +82,17 @@ def test_bracket_width_stop():
 
 
 def test_monotone_solves_and_checks():
-    root = bisect_monotone(lambda x: x**3, 0.0, 2.0, 2.0, f_tol=1e-12)
+    root = bisect_monotone(lambda x: x**3, 0.0, 2.0, 2.0)
     assert root == pytest.approx(2.0 ** (1 / 3), rel=1e-13)
     with pytest.raises(BracketError):
-        bisect_monotone(lambda x: x, 0.0, 1.0, 2.0, f_tol=1e-12)
+        bisect_monotone(lambda x: x, 0.0, 1.0, 2.0)
     # A step from 0 to 1 at x = 0.3: the bracket closes on the step, but
-    # no x has f(x) within f_tol of 0.5, so the residual check must fail.
+    # no x has f(x) within F_TOL of 0.5, so the residual check must fail.
     with pytest.raises(NumericalError):
-        bisect_monotone(lambda x: float(x >= 0.3), 0.0, 1.0, 0.5, f_tol=1e-12)
+        bisect_monotone(lambda x: float(x >= 0.3), 0.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
 def test_monotone_rejects_non_finite_target(target):
     with pytest.raises(BracketError, match=r"range \[0\.0, 1\.0\]"):
-        bisect_monotone(lambda x: x, 0.0, 1.0, target, f_tol=1e-12)
+        bisect_monotone(lambda x: x, 0.0, 1.0, target)
