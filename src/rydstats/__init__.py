@@ -9,7 +9,6 @@ time-tagged detector clicks.
 
 from .blockade import (
     BlockadeConfig,
-    SurvivalDistribution,
     blockade_matrix,
     exact_pair_survival,
     simulate_fock,
@@ -52,7 +51,6 @@ from .ratemodel import (
 from .source import (
     SourceModel,
     conditional_read_state,
-    ideal_cross_correlation,
     infer_p_from_g2,
 )
 from .transfer import (
@@ -74,7 +72,6 @@ __all__ = [
     "RateModelParams",
     "RydstatsError",
     "SourceModel",
-    "SurvivalDistribution",
     "SweepResult",
     "TransferMatrix",
     "TrialCounts",
@@ -95,7 +92,6 @@ __all__ = [
     "g2_after_storage",
     "g2_noise_corrected",
     "g2_raw",
-    "ideal_cross_correlation",
     "infer_p_from_g2",
     "loss_matrix",
     "medium_matrix",

@@ -70,19 +70,6 @@ class BlockadeConfig:
         _check_count("n_max", self.n_max, 1)
 
 
-@dataclass(frozen=True)
-class SurvivalDistribution:
-    """Estimated P(k polaritons survive | n photons entered), k = 0..n."""
-
-    probs: np.ndarray
-    trials: int
-
-    @property
-    def standard_errors(self) -> np.ndarray:
-        """Binomial standard error of each entry."""
-        return np.sqrt(self.probs * (1.0 - self.probs) / self.trials)
-
-
 def exact_pair_survival(r_b: float, cloud_length: float) -> float:
     """Probability that two uniform points in [0, L] are more than r_b
     apart: (1 - r_b/L)^2 for r_b <= L, else 0.  Analytic oracle for the
@@ -135,27 +122,14 @@ def _simulate_chunk(n_max: int, size: int, seed: int, chunk: int,
     return hist
 
 
-def simulate_fock(cfg: BlockadeConfig, n: int) -> SurvivalDistribution:
-    """Survivor-count distribution for an n-photon input.
-
-    The same trials as :func:`blockade_matrix`, stopped after n arrivals,
-    so this is column n of that matrix bit for bit; deterministic for a
-    fixed seed.
-    """
-    _check_count("n", n, 0)
-    if n > cfg.n_max:
-        raise ValidationError(f"input Fock number {n} outside 0..{cfg.n_max}")
-    hist = _histograms(cfg, n, threads=1)[: n + 1, n]
-    return SurvivalDistribution(hist / cfg.trials_per_fock, cfg.trials_per_fock)
-
-
-def _histograms(cfg: BlockadeConfig, n_max: int, threads: int) -> np.ndarray:
-    """Survivor histogram of ``cfg.trials_per_fock`` trials of ``n_max``
-    arrivals, summed over the chunks (on a pool when ``threads`` > 1).
-    Integer sums are exact: the thread count cannot change the result."""
+def _histograms(cfg: BlockadeConfig, threads: int) -> np.ndarray:
+    """Survivor histogram of ``cfg.trials_per_fock`` trials of
+    ``cfg.n_max`` arrivals, summed over the chunks (on a pool when
+    ``threads`` > 1).  Integer sums are exact: the thread count cannot
+    change the result."""
     _check_count("threads", threads, 1)
     tasks = [
-        (n_max, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
+        (cfg.n_max, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
         for c, size in enumerate(_chunk_sizes(cfg.trials_per_fock))
     ]
     if threads > 1:
@@ -174,7 +148,20 @@ def blockade_matrix(cfg: BlockadeConfig, threads: int = 1) -> TransferMatrix:
     out exact.  With r_b = 0 this is the identity; with r_b >= cloud length
     it reproduces the perfect filter.
     """
-    return TransferMatrix(_histograms(cfg, cfg.n_max, threads) / cfg.trials_per_fock)
+    return TransferMatrix(_histograms(cfg, threads) / cfg.trials_per_fock)
+
+
+def simulate_fock(cfg: BlockadeConfig, n: int) -> np.ndarray:
+    """Survivor-count distribution P(k | n), k = 0..n, for an n-photon input.
+
+    Column n of :func:`blockade_matrix` run to n arrivals; column n does
+    not depend on n_max, so this equals the column of ``cfg``'s matrix bit
+    for bit.  Deterministic for a fixed seed.
+    """
+    _check_count("n", n, 0)
+    if n > cfg.n_max:
+        raise ValidationError(f"input Fock number {n} outside 0..{cfg.n_max}")
+    return blockade_matrix(replace(cfg, n_max=max(n, 1))).matrix[: n + 1, n]
 
 
 def slow_light_matrix(cfg: BlockadeConfig, medium_scale: float,

@@ -151,8 +151,10 @@ def build_parser() -> _Parser:
 
     r = sub.add_parser("reproduce", help="emit model curves as CSV tables")
     r.add_argument("figure", choices=FIGURES)
-    r.add_argument("--trials", type=int, help="Monte Carlo trials per Fock state")
-    r.add_argument("--n-max", type=int, dest="n_max", help="Fock truncation")
+    r.add_argument("--trials", type=int,
+                   help="Monte Carlo trials per Fock state (read by fig3/fig4 only)")
+    r.add_argument("--n-max", type=int, dest="n_max",
+                   help="Fock truncation (read by fig3/fig4/figS5; figS3 ignores it)")
     r.add_argument("--zeta", type=_NUMBERS, dest="zeta_values",
                    help="comma list of multiphoton strengths (figS5)")
     r.add_argument("--zeta-range", type=_NUMBERS, metavar="MIN,MAX,POINTS",

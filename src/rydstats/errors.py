@@ -17,8 +17,8 @@ class ValidationError(RydstatsError, ValueError):
 
 
 class NumericalError(RydstatsError, ArithmeticError):
-    """Numerical failure: singular/ill-conditioned matrix, no convergence
-    of a root search, inadequate truncation (CLI exit code 3)."""
+    """Numerical failure: no convergence of a root search, inadequate
+    truncation, a non-finite intermediate (CLI exit code 3)."""
 
 
 def _check_count(name: str, value, minimum: int) -> None:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import bisect_bracket
-from ._table import read_table, write_table
 from .errors import NumericalError, ValidationError, _check_count
 
 #: Default truncation order.  Adequate (tail < 1e-12) for Poissonian inputs
@@ -25,8 +24,8 @@ DEFAULT_N_MAX = 20
 TAIL_TOLERANCE = 1e-9
 
 #: Most-negative entry tolerated on construction (round-off dust in a
-#: vector computed outside this package, e.g. one read by ``from_csv``);
-#: anything below is an error.
+#: vector a caller computed outside this package); anything below is an
+#: error.
 NEGATIVE_TOLERANCE = 1e-9
 
 
@@ -89,17 +88,6 @@ class FockDistribution:
         if p_ge1 <= 0.0:
             raise ValidationError("zeta is undefined for a vacuum-only state")
         return float(self.probs[2:].sum()) / p_ge1
-
-    def to_csv(self, path) -> None:
-        """Write the distribution as CSV with header ``k,prob``."""
-        write_table(path, ("k", "prob"), enumerate(self.probs))
-
-    @staticmethod
-    def from_csv(path) -> "FockDistribution":
-        rows = read_table(path, ("k", "prob"))
-        if not np.array_equal(rows[:, 0], np.arange(len(rows))):
-            raise ValidationError(f"{path}: rows must cover k = 0..n_max in order")
-        return FockDistribution(rows[:, 1])
 
 
 def fock_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockDistribution:

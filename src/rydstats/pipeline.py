@@ -22,7 +22,7 @@ import numpy as np
 from ._roots import BracketError, bisect_monotone
 from ._table import write_table
 from .blockade import BlockadeConfig, blockade_matrix
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fock import FockDistribution, coherent, coherent_mu_upper_bound
 from .source import (
     _P_FLOOR,
@@ -75,9 +75,17 @@ class PipelineConfig:
     @cached_property
     def _zeta_inverse(self):
         # Built on the first inversion and kept, as the config is frozen;
-        # bisection assumes a monotone curve, so it is scanned first.
+        # bisection assumes a finite, monotone curve, so it is scanned first.
         f, hi = _zeta_curve(self)
-        values = [f(x) for x in np.linspace(_P_FLOOR, hi, 50)]
+        with np.errstate(all="ignore"):
+            values = [f(x) for x in np.linspace(_P_FLOOR, hi, 50)]
+        if not np.all(np.isfinite(values)):
+            # The herald weights 1 - (1 - t_w)^n round to 0 for t_w below
+            # ~1e-16, and the curve is then 0/0.
+            raise NumericalError(
+                f"multiphoton strength curve of the {self.input_kind} source is not "
+                f"finite at t_w={self.t_w}; the herald weights round to zero"
+            )
         if np.any(np.diff(values) < -1e-12):
             raise ValidationError(
                 "multiphoton strength is not monotone in the source parameter; "
@@ -236,6 +244,9 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
     ValidationError
         If ``zeta`` is not attainable at this truncation (larger n_max
         extends the reachable range).
+    NumericalError
+        If the zeta curve is not finite (a write transmission so small
+        that its herald weights round to zero).
     """
     f, hi = cfg._zeta_inverse
     try:

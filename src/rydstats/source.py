@@ -129,15 +129,3 @@ def infer_p_from_g2(
             f"g2 target {g2_target} outside the attainable range at "
             f"n_max={n_max} ({exc}); larger n_max extends the upper end"
         ) from exc
-
-
-def ideal_cross_correlation(p: float, blockaded: bool = False) -> float:
-    """Write/read cross-correlation of the lossless, noise-free source.
-
-    1 + 1/p for the bare two-mode squeezed state; capping the read mode at
-    one photon (a fully blockaded medium) removes exactly the constant
-    term, giving 1/p.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"excitation probability must be in (0, 1), got {p}")
-    return 1.0 / p if blockaded else 1.0 + 1.0 / p

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,27 @@ class TestBlockadeCommand:
         summary = json.loads((tmp_path / "blockade_summary.json").read_text())
         assert summary["config"]["medium_scale"] == 2.5
         assert summary["pair_survival_check"]["analytic"] == pytest.approx(0.5184)
+
+    def test_summary_uncertainties(self, tmp_path):
+        # binomial standard error of every entry and of every column's mean
+        trials = 20_000
+        assert run(["--out", tmp_path, "--seed", 3, "blockade", "-L", 37.5,
+                    "--trials", trials, "--n-max", 6]) == 0
+        summary = json.loads((tmp_path / "blockade_summary.json").read_text())
+        assert [c["n"] for c in summary["columns"]] == list(range(7))
+        for column in summary["columns"]:
+            probs = np.array(column["probs"])
+            assert len(probs) == column["n"] + 1
+            np.testing.assert_array_equal(column["standard_errors"],
+                                          np.sqrt(probs * (1 - probs) / trials))
+            k = np.arange(len(probs))
+            mean = float(np.dot(k, probs))
+            var = float(np.dot(k**2, probs)) - mean**2
+            assert column["mean_survivors"] == pytest.approx(mean, rel=1e-14)
+            assert column["se_mean"] == pytest.approx(
+                np.sqrt(max(var, 0.0) / trials), rel=1e-12, abs=1e-15)
+        # a stretched cloud leaves columns 3 and up with a spread to report
+        assert all(c["se_mean"] > 0 for c in summary["columns"][2:])
 
     @pytest.mark.parametrize("lengths", [["--rb", "1e-320"], ["-L", "1e308", "--rb", "1e-5"]])
     def test_tiny_radius_against_the_cloud(self, tmp_path, lengths):
@@ -479,6 +501,27 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "fig3", "--trials", 100, "--n-max", 20],
+        ["reproduce", "figS5"],
+    ], ids=["fig3", "figS5"])
+    def test_tiny_write_transmission_is_numerical_error(self, tmp_path, argv):
+        # the herald weights round to zero and the zeta curve is 0/0: one
+        # plain line, no warning and no non-finite number on stderr
+        (tmp_path / "run.cfg").write_text("t_w = 1e-300\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(rydstats.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rydstats.cli", "--config", str(tmp_path / "run.cfg"),
+             "--out", str(tmp_path), *(str(a) for a in argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert "t_w=1e-300" in lines[0]
+        assert not re.search(r"\b(nan|inf)\b", lines[0], re.IGNORECASE)
+        assert proc.stdout == ""
 
     def test_non_finite_json_is_numerical_error(self, tmp_path):
         from rydstats.cli import _write_json

@@ -191,22 +191,3 @@ class TestLossInvariance:
         assert loss_matrix(t, 25).apply(d).mean_photons() == pytest.approx(
             t * d.mean_photons(), abs=1e-9
         )
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        d = coherent(0.4, 12)
-        path = tmp_path / "dist.csv"
-        d.to_csv(path)
-        text = path.read_text().splitlines()
-        assert text[0] == "k,prob"
-        assert len(text) == 14
-        back = FockDistribution.from_csv(path)
-        # construction re-normalizes, which may shift entries by 1 ulp
-        np.testing.assert_allclose(back.probs, d.probs, rtol=1e-15)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n0,1\n")
-        with pytest.raises(ValidationError):
-            FockDistribution.from_csv(path)

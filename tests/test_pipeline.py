@@ -1,4 +1,5 @@
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from rydstats import (
     BlockadeConfig,
     FockDistribution,
+    NumericalError,
     PipelineConfig,
     ValidationError,
     cloud_input_distribution,
@@ -287,6 +289,14 @@ class TestZetaInversion:
         monkeypatch.setattr(pipeline, "_zeta_curve", lambda cfg: (lambda x: np.sin(10 * x), 1.0))
         with pytest.raises(ValidationError, match="not monotone"):
             zeta_to_param(make_cfg(), 0.1)
+
+    def test_tiny_write_transmission_is_numerical_error(self):
+        # 1 - (1 - t_w)^n rounds to 0, so the curve is 0/0 everywhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="t_w=1e-300") as info:
+                zeta_to_param(PipelineConfig(t_w=1e-300), 0.01)
+        assert "nan" not in str(info.value)
 
     def test_wcs_zeta_matches_closed_form(self):
         # independent oracle: zeta(mu) = 1 - mu e^-mu / (1 - e^-mu)

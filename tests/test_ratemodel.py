@@ -6,13 +6,18 @@ from rydstats import (
     RateModelParams,
     ValidationError,
     fit_p_eg,
-    ideal_cross_correlation,
     predict_cross_correlation,
     predict_probabilities,
     with_storage,
 )
 
 PAPER = dict(t_w=0.21, t_r=0.09, eta_a=0.32, p_eg=0.20, p_nw=1e-4, p_nr=1.5e-3)
+
+
+def ideal_cross_correlation(p):
+    """Write/read cross-correlation of the lossless, noise-free two-mode
+    squeezed state: 1 + 1/p (oracle)."""
+    return 1.0 + 1.0 / p
 
 
 class TestParams:

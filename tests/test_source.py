@@ -8,7 +8,6 @@ from rydstats import (
     SourceModel,
     ValidationError,
     conditional_read_state,
-    ideal_cross_correlation,
     infer_p_from_g2,
     loss_matrix,
 )
@@ -122,22 +121,3 @@ class TestInferP:
         with pytest.raises(ValidationError, match="outside the attainable range") as info:
             infer_p_from_g2(g2, 0.21, 20)
         assert "[nan" not in str(info.value)
-
-
-class TestIdealCrossCorrelation:
-    def test_unblockaded(self):
-        assert ideal_cross_correlation(0.01) == pytest.approx(101.0)
-
-    def test_blockaded(self):
-        assert ideal_cross_correlation(0.01, blockaded=True) == pytest.approx(100.0)
-
-    def test_difference_is_one(self):
-        for p in (0.001, 0.1, 0.9):
-            delta = ideal_cross_correlation(p) - ideal_cross_correlation(p, blockaded=True)
-            assert delta == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_p_out_of_range(self):
-        with pytest.raises(ValidationError):
-            ideal_cross_correlation(0.0)
-        with pytest.raises(ValidationError):
-            ideal_cross_correlation(1.0)
