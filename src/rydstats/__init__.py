@@ -2,14 +2,15 @@
 
 A library plus CLI that propagates truncated photon-number distributions
 through loss/filter/blockade transfer matrices, models a heralded photon
-source with realistic detection noise, runs the hard-sphere blockade
-Monte Carlo, and estimates noise-corrected correlation functions from
-time-tagged detector clicks.
+source with realistic detection noise, computes the hard-sphere blockade
+exactly or by Monte Carlo, and estimates noise-corrected correlation
+functions from time-tagged detector clicks.
 """
 
 from .blockade import (
     BlockadeConfig,
     blockade_matrix,
+    exact_matrix,
     exact_pair_survival,
     simulate_fock,
     slow_light_matrix,
@@ -86,6 +87,7 @@ __all__ = [
     "conditional_read_state",
     "count_trials",
     "efficiency",
+    "exact_matrix",
     "exact_pair_survival",
     "fit_p_eg",
     "fock_state",

@@ -1,13 +1,16 @@
-"""Monte Carlo of the one-dimensional hard-sphere blockade.
+"""The one-dimensional hard-sphere blockade: exact matrix and Monte Carlo.
 
 Photons enter a uniform 1-D cloud one at a time and become lossless
 polaritons at i.i.d. uniform positions.  A newcomer is scattered if it sits
 within one blockade radius of any *surviving* polariton; polaritons that
-were themselves scattered do not block anyone.
+were themselves scattered do not block anyone.  This is random sequential
+adsorption on an interval (Renyi 1958; Evans, Rev. Mod. Phys. 65, 1281).
 
-An arrival never changes the polaritons that survived before it, so the
-survivor count after the first n arrivals of a trial is a sample of the
-n-photon column (random sequential adsorption on an interval).  Each trial
+:func:`exact_matrix` computes the survivor distributions by the gap
+recursion, for clouds up to ``EXACT_MAX_RADII`` blockade radii long.
+:func:`blockade_matrix` samples them.  An arrival never changes the
+polaritons that survived before it, so the survivor count after the first
+n arrivals of a trial is a sample of the n-photon column.  Each trial
 draws n_max arrivals once and its counts fill every column of the medium's
 transfer matrix: columns share trials, each with the distribution of an
 independent n-photon run.
@@ -30,10 +33,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, _check_count
 from .fock import DEFAULT_N_MAX
-from .transfer import TransferMatrix
+from .transfer import TransferMatrix, perfect_filter_matrix
 
 #: Trials per RNG chunk; part of the reproducibility contract (changing it
 #: changes the sampled numbers, though not their distribution).
@@ -50,11 +54,15 @@ def _check_lengths(r_b: float, cloud_length: float) -> None:
 
 @dataclass(frozen=True)
 class BlockadeConfig:
-    """Geometry and sampling parameters of the blockade Monte Carlo.
+    """Geometry of the blockaded medium and sampling parameters of its
+    Monte Carlo.
 
     Lengths are in micrometers.  The cloud is uniform over
     ``cloud_length`` (its FWHM); ``blockade_radius`` is the hard-sphere
-    exclusion distance.
+    exclusion distance.  ``trials_per_fock`` and ``rng_seed`` are read only
+    by :func:`blockade_matrix`; the pipeline's medium is exact for clouds up
+    to ``EXACT_MAX_RADII`` blockade radii (the default and the slow-light
+    geometries) and samples only longer ones.
     """
 
     cloud_length: float = 15.0
@@ -78,6 +86,212 @@ def exact_pair_survival(r_b: float, cloud_length: float) -> float:
     if r_b >= cloud_length:
         return 0.0
     return (1.0 - r_b / cloud_length) ** 2
+
+
+#: Longest cloud, in blockade radii, that :func:`exact_matrix` computes.
+#: Up to 2 radii the columns have a closed form; each radius beyond that
+#: nests one more level of quadrature, and the work grows with the node
+#: count to the power of the depth.  At 4 radii the recursion is two
+#: levels deep.
+EXACT_MAX_RADII = 4.0
+
+#: Values per batch of quadrature nodes (series length times nodes); bounds
+#: the recursion's memory at any truncation.
+_BATCH_VALUES = 1 << 16
+
+
+def _exact_covers(cloud_length: float, r_b: float) -> bool:
+    return r_b == 0.0 or cloud_length <= EXACT_MAX_RADII * r_b
+
+
+def _one_survivor(g, m):
+    """P(1 survivor | m >= 2 arrivals) on a segment of g blockade radii,
+    1 < g <= 2: 2 rho - 1 + 2 (1 - rho^m) / m with rho = 1/g.
+
+    The first survivor, at x, leaves free only the stretch beyond one of
+    its ends, of length f(x); a second survivor blocks what is left.  The
+    chance (1 - f/g)^(m-1) that every later arrival misses that stretch,
+    averaged over x, is the formula.
+    """
+    rho = 1.0 / g
+    return 2.0 * rho - 1.0 + 2.0 * (1.0 - rho**m) / m
+
+
+# The gap recursion.  Lengths are in blockade radii, and F_g(m)[k] is the
+# chance of k survivors after m arrivals on a free segment of length g.
+# The first arrival survives at x ~ U[0, g] and blocks (x - 1, x + 1).  The
+# gaps a = max(0, x - 1) and b = max(0, g - x - 1) are free segments again,
+# neither can block the other, and the other m - 1 arrivals split
+# multinomially over a, b and the blocked length c = g - a - b.  In the
+# scaled exponential generating series H_g(m) = (s g)^m / m! F_g(m) the
+# multinomial becomes a convolution in m:
+#     m H_g(m) = s [k -> k + 1] integral_0^g (H_a * H_b * E_c)(m - 1) dx,
+# with E_c(r) = (s c)^r / r! and * convolving in m (and in k for H).  Every
+# term is positive, so nothing cancels.  Between the breaks x in {1, 2, ..}
+# and {g - 1, g - 2, ..} the integrand is a polynomial of degree m - 1 in
+# x, which Gauss-Legendre integrates exactly with ceil(m / 2) nodes.  It is
+# symmetric under x -> g - x, so only [0, g / 2] is integrated.
+#
+# A series array has shape (segments, n + 1, K): entry [., m, k - 1] is
+# H(m)[k] for k = 1..K.  The k = 0 entry is 1 at m = 0 and 0 after, since
+# some arrival always survives, so it is left implicit.
+
+
+def _exp_series(z: np.ndarray, n: int) -> np.ndarray:
+    """z^m / m! for m = 0..n along a new last axis, by a running product."""
+    out = np.ones(z.shape + (n + 1,))
+    out[..., 1:] = np.cumprod(z[..., None] / np.arange(1, n + 1), axis=-1)
+    return out
+
+
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i x[:, m - i] y[:, i, :] for x of shape (N, n + 1) and y of shape
+    (N, n + 1, W): the lower-triangular Toeplitz matrix of x, a strided view
+    with [m, u] = x[m + u - n], times y reversed in m."""
+    count, length = x.shape
+    padded = np.concatenate([np.zeros((count, length - 1)), x], axis=1)
+    return sliding_window_view(padded, length, axis=1) @ y[:, ::-1]
+
+
+def _leaf_series(g: np.ndarray, n: int, s: float) -> np.ndarray:
+    """Series of segments of at most 2 radii: one survivor up to 1 radius,
+    the closed form of :func:`_one_survivor` up to 2."""
+    e = _exp_series(s * g, n)
+    wide = g > 1.0
+    out = np.zeros((g.size, n + 1, 2 if wide.any() else 1))
+    out[:, 1:, 0] = e[:, 1:]
+    if wide.any():
+        p1 = _one_survivor(g[wide, None], np.arange(2, n + 1))
+        out[wide, 2:, 0] *= p1
+        out[wide, 2:, 1] = e[wide, 2:] * (1.0 - p1)
+    return out
+
+
+def _series(g: np.ndarray, n: int, s: float, nodes: int, leaf_max: float) -> np.ndarray:
+    """Series of every segment in ``g``: closed forms up to ``leaf_max``
+    radii, the recursion beyond."""
+    leaf = g <= leaf_max
+    if leaf.all():
+        return _leaf_series(g, n, s)
+    deep = _recurse(g[~leaf], n, s, nodes, leaf_max)
+    out = np.zeros((g.size, n + 1, deep.shape[2]))
+    out[~leaf] = deep
+    if leaf.any():
+        shallow = _leaf_series(g[leaf], n, s)
+        out[leaf, :, : shallow.shape[2]] = shallow
+    return out
+
+
+def _recurse(gaps: np.ndarray, n: int, s: float, nodes: int, leaf_max: float) -> np.ndarray:
+    """Series of segments longer than ``leaf_max`` radii, integrated over
+    the first survivor's position with ``nodes`` nodes per piece."""
+    from numpy.polynomial.legendre import leggauss  # only the recursion needs it
+
+    t, w = leggauss(nodes)
+    t = (t + 1.0) / 2.0
+    x, weight, owner = [], [], []
+    for i, length in enumerate(gaps):
+        half = length / 2.0
+        ends = range(1, math.ceil(length))
+        breaks = [*ends, *(length - j for j in ends)]
+        edges = np.unique([0.0, half, *(v for v in breaks if 0.0 < v < half)])
+        width = np.diff(edges)[:, None]
+        x.append((edges[:-1, None] + width * t).ravel())
+        # (width / 2) w on [0, g / 2], doubled for the mirror half
+        weight.append((width * w).ravel())
+        owner.append(np.full(x[-1].size, i))
+    x, weight, owner = np.concatenate(x), np.concatenate(weight), np.concatenate(owner)
+    total = None
+    batch = max(1, _BATCH_VALUES // (n + 1))
+    for lo in range(0, x.size, batch):
+        part = slice(lo, lo + batch)
+        g = gaps[owner[part]]
+        a = np.maximum(0.0, x[part] - 1.0)
+        b = np.maximum(0.0, g - x[part] - 1.0)
+        left, right = (_series(gap, n, s, nodes, leaf_max) for gap in (a, b))
+        if left.shape[2] > right.shape[2]:
+            left, right = right, left
+        ka, kb = left.shape[2], right.shape[2]
+        # survivors of both gaps together: none, either gap's alone, or both
+        both = np.zeros((a.size, n + 1, ka + kb + 1))
+        both[:, 0, 0] = 1.0
+        both[:, :, 1 : ka + 1] += left
+        both[:, :, 1 : kb + 1] += right
+        for k in range(ka):
+            both[:, :, k + 2 : k + 2 + kb] += _convolve(left[:, :, k], right)
+        integrand = _convolve(_exp_series(s * (g - a - b), n), both)
+        if total is None:
+            total = np.zeros((gaps.size, n + 1, ka + kb + 1))
+        elif total.shape[2] < ka + kb + 1:
+            total = np.pad(total, ((0, 0), (0, 0), (0, ka + kb + 1 - total.shape[2])))
+        # the nodes of one gap are contiguous: sum each run, then add it in
+        starts = np.flatnonzero(np.diff(owner[part], prepend=-1))
+        total[owner[part][starts], :, : ka + kb + 1] += np.add.reduceat(
+            weight[part, None, None] * integrand, starts, axis=0)
+    out = np.zeros_like(total)
+    out[:, 1:] = (s / np.arange(1, n + 1))[:, None] * total[:, :-1]
+    return out
+
+
+def _quadrature_nodes(n_max: int) -> int:
+    """Gauss-Legendre nodes per piece.  ceil(n_max / 2) are exact; the
+    integrands are smooth enough that 2 sqrt(n_max) + 4 already meet the
+    closed form to rounding (1e-14) at truncations up to 200."""
+    return min(math.ceil(n_max / 2), math.ceil(2.0 * math.sqrt(n_max)) + 4)
+
+
+def _survivors(radii: float, n_max: int, nodes: int | None = None,
+               leaf_max: float = 2.0) -> np.ndarray:
+    """P(k | n) on a cloud of ``radii`` > 1 blockade radii: rows k = 0..K,
+    columns n = 0..n_max.  ``nodes`` (per piece) and ``leaf_max`` (the
+    longest segment taken from a closed form) exist for the tests."""
+    n = np.arange(n_max + 1)
+    if radii <= leaf_max:
+        probs = np.zeros((3, n_max + 1))
+        probs[0, 0] = probs[1, 1] = 1.0
+        probs[1, 2:] = _one_survivor(radii, n[2:])
+        probs[2, 2:] = 1.0 - probs[1, 2:]
+        return probs
+    if nodes is None:
+        nodes = _quadrature_nodes(n_max)
+    # The scale keeps (s g)^m / m! within double range up to n_max ~ 1300.
+    # A power of two scales every length exactly, so the lengths of the
+    # three parts still add up to the whole: an error d in that sum would
+    # grow to m d in column m.
+    s = 2.0 ** round(math.log2(n_max / (math.e * radii)))
+    series = _recurse(np.array([radii]), n_max, s, nodes, leaf_max)[0]
+    unscale = np.cumprod(np.concatenate([[1.0], n[1:] / (s * radii)]))  # m! / (s L)^m
+    probs = np.zeros((series.shape[1] + 1, n_max + 1))
+    probs[0, 0] = 1.0
+    probs[1:] = (series * unscale[:, None]).T
+    return probs
+
+
+def exact_matrix(cloud_length: float, r_b: float, n_max: int) -> TransferMatrix:
+    """Exact transfer matrix of the partially blockaded medium, for clouds
+    up to ``EXACT_MAX_RADII`` blockade radii long.
+
+    r_b = 0 gives the identity and cloud_length <= r_b the perfect filter.
+    Up to 2 r_b, P(1 | n) = 2 rho - 1 + 2 (1 - rho^n) / n with rho =
+    r_b / cloud_length, and P(2 | n) = 1 - P(1 | n).  Longer clouds go
+    through the gap recursion (see the comment above ``_exp_series``).
+    Nothing is sampled.
+    """
+    _check_lengths(r_b, cloud_length)
+    _check_count("n_max", n_max, 1)
+    if r_b == 0.0:
+        return TransferMatrix(np.eye(n_max + 1))
+    if cloud_length <= r_b:
+        return perfect_filter_matrix(n_max)
+    if not _exact_covers(cloud_length, r_b):
+        raise ValidationError(
+            f"the exact matrix covers clouds up to {EXACT_MAX_RADII:g} blockade radii, "
+            f"got {cloud_length / r_b:g}")
+    probs = _survivors(cloud_length / r_b, n_max)
+    m = np.zeros((n_max + 1, n_max + 1))
+    rows = min(len(probs), n_max + 1)  # rows beyond n_max are zero: k <= n
+    m[:rows] = probs[:rows]
+    return TransferMatrix(m)
 
 
 def _chunk_sizes(trials: int) -> list[int]:

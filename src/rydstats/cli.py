@@ -22,7 +22,13 @@ import numpy as np
 
 from . import __version__
 from ._table import read_table, write_table
-from .blockade import CHUNK_TRIALS, BlockadeConfig, blockade_matrix, exact_pair_survival
+from .blockade import (
+    CHUNK_TRIALS,
+    EXACT_MAX_RADII,
+    BlockadeConfig,
+    blockade_matrix,
+    exact_pair_survival,
+)
 from .clicks import ClickStream, WindowSpec, analysis_report, count_trials
 from .config import _KEYS, RunConfig, _float_list, describe_keys, parse_config_file
 from .errors import NumericalError, ValidationError
@@ -149,10 +155,16 @@ def build_parser() -> _Parser:
     g.add_argument("--detectors-2", type=_DETECTORS, help="comma list of detectors for role 2")
     g.add_argument("--resamples", type=int, help="bootstrap resamples")
 
-    r = sub.add_parser("reproduce", help="emit model curves as CSV tables")
+    r = sub.add_parser(
+        "reproduce", help="emit model curves as CSV tables",
+        description="fig3 and fig4 use the exact blockade medium for clouds up to "
+        f"{EXACT_MAX_RADII:g} blockade radii: the default geometry and the slow-light "
+        "one. Their outputs then do not depend on --trials, --seed or --threads; a "
+        "longer cloud falls back to the Monte Carlo, which reads all three.")
     r.add_argument("figure", choices=FIGURES)
     r.add_argument("--trials", type=int,
-                   help="Monte Carlo trials per Fock state (read by fig3/fig4 only)")
+                   help="Monte Carlo trials per Fock state (read by fig3/fig4 only, "
+                   "for a cloud that the exact medium does not cover)")
     r.add_argument("--n-max", type=int, dest="n_max",
                    help="Fock truncation (read by fig3/fig4/figS5; figS3 ignores it)")
     r.add_argument("--zeta", type=_NUMBERS, dest="zeta_values",

@@ -4,7 +4,7 @@ The stored state is obtained by applying, in order: transmission losses
 between the setups (heralded input only; attenuated-laser inputs are
 already back-propagated to the cloud entrance), the imperfect pulse
 compression into the medium (a beam-splitter loss), half of the linear
-propagation losses, and finally the Monte Carlo blockade matrix.  The
+propagation losses, and finally the blockade matrix.  The
 stages before the blockade are binomial thinnings, which compose into
 one loss matrix.  The second half of the propagation loss and the
 retrieval efficiency are linear, so they never change g2 and enter only
@@ -21,8 +21,8 @@ import numpy as np
 
 from ._roots import BracketError, bisect_monotone
 from ._table import write_table
-from .blockade import BlockadeConfig, blockade_matrix
-from .errors import NumericalError, ValidationError
+from .blockade import BlockadeConfig, _exact_covers, blockade_matrix, exact_matrix
+from .errors import NumericalError, ValidationError, _check_count
 from .fock import FockDistribution, coherent, coherent_mu_upper_bound
 from .source import (
     _P_FLOOR,
@@ -80,11 +80,11 @@ class PipelineConfig:
         with np.errstate(all="ignore"):
             values = [f(x) for x in np.linspace(_P_FLOOR, hi, 50)]
         if not np.all(np.isfinite(values)):
-            # The herald weights 1 - (1 - t_w)^n round to 0 for t_w below
-            # ~1e-16, and the curve is then 0/0.
+            # At a t_w near the smallest double the herald weights are
+            # subnormal, the curve's terms underflow, and it is 0/0.
             raise NumericalError(
                 f"multiphoton strength curve of the {self.input_kind} source is not "
-                f"finite at t_w={self.t_w}; the herald weights round to zero"
+                f"finite at t_w={self.t_w}; its terms underflow"
             )
         if np.any(np.diff(values) < -1e-12):
             raise ValidationError(
@@ -99,8 +99,14 @@ class PipelineConfig:
 
 
 def medium_matrix(cfg: PipelineConfig, threads: int = 1) -> TransferMatrix:
-    """The blockade matrix of ``cfg.blockade``."""
-    return blockade_matrix(cfg.blockade, threads=threads)
+    """The blockade matrix of ``cfg.blockade``: :func:`exact_matrix` for a
+    cloud of at most ``EXACT_MAX_RADII`` blockade radii, else the Monte
+    Carlo on ``threads`` threads (the only use of the trial count and seed)."""
+    _check_count("threads", threads, 1)
+    b = cfg.blockade
+    if _exact_covers(b.cloud_length, b.blockade_radius):
+        return exact_matrix(b.cloud_length, b.blockade_radius, b.n_max)
+    return blockade_matrix(b, threads=threads)
 
 
 def source_distribution(cfg: PipelineConfig, param: float) -> FockDistribution:
@@ -246,7 +252,7 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
         extends the reachable range).
     NumericalError
         If the zeta curve is not finite (a write transmission so small
-        that its herald weights round to zero).
+        that the curve's terms underflow).
     """
     f, hi = cfg._zeta_inverse
     try:

@@ -45,8 +45,13 @@ class SourceModel:
 
 def _herald_weights(t_w: float, n_max: int) -> np.ndarray:
     """1 - (1-t_w)^n for n = 1..n_max: the chance that the write detector
-    clicks on n write photons, the factor the heralding puts on p^(n-1)."""
-    return 1.0 - (1.0 - t_w) ** np.arange(1, n_max + 1, dtype=float)
+    clicks on n write photons, the factor the heralding puts on p^(n-1).
+
+    Written as -expm1(n log1p(-t_w)), which stays exact to rounding where
+    1 - t_w would round to 1."""
+    with np.errstate(divide="ignore"):  # t_w = 1: log(0) = -inf, weight 1
+        log_miss = np.log1p(-t_w)
+    return -np.expm1(np.arange(1, n_max + 1) * log_miss)
 
 
 def _read_state_terms(p: float, t_w: float, n_max: int) -> np.ndarray:

@@ -1,18 +1,31 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydstats import (
     BlockadeConfig,
+    PipelineConfig,
     ValidationError,
     blockade_matrix,
+    exact_matrix,
     exact_pair_survival,
+    medium_matrix,
     perfect_filter_matrix,
     simulate_fock,
     slow_light_matrix,
 )
-from rydstats.blockade import CHUNK_TRIALS, _histograms, _simulate_chunk
+from rydstats.blockade import (
+    CHUNK_TRIALS,
+    EXACT_MAX_RADII,
+    _histograms,
+    _quadrature_nodes,
+    _simulate_chunk,
+    _survivors,
+)
 
 
 def small_cfg(**kwargs):
@@ -290,3 +303,122 @@ class TestSlowLight:
         # named as the scale, not as the stretched cloud length it implies
         with pytest.raises(ValidationError, match="medium scale"):
             slow_light_matrix(small_cfg(), scale)
+
+
+#: Cloud lengths in blockade radii: the default geometry (15 / 10.5), the
+#: slow-light one (37.5 / 10.5), and either side of each closed-form edge.
+RADII = [15.0 / 10.5, 1.9, 2.0, 2.5, 3.0, 37.5 / 10.5, EXACT_MAX_RADII]
+
+
+def tails(probs):
+    """P(K >= k | n) for every k (rows) and n (columns)."""
+    return np.cumsum(probs[::-1], axis=0)[::-1]
+
+
+class TestExactMatrix:
+    @pytest.mark.parametrize("radii", RADII)
+    @pytest.mark.parametrize("n_max", [100, 130])
+    def test_columns_sum_to_one(self, radii, n_max):
+        m = exact_matrix(10.5 * radii, 10.5, n_max).matrix
+        np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=1e-14)
+
+    def test_limits(self):
+        np.testing.assert_array_equal(exact_matrix(15.0, 0.0, 8).matrix, np.eye(9))
+        for r_b in (15.0, 20.0):
+            np.testing.assert_array_equal(exact_matrix(15.0, r_b, 8).matrix,
+                                          perfect_filter_matrix(8).matrix)
+
+    @pytest.mark.parametrize("radii", RADII)
+    def test_one_photon_truncation(self, radii):
+        # n_max = 1 keeps only the vacuum and the always-surviving photon
+        m = exact_matrix(10.5 * radii, 10.5, 1).matrix
+        np.testing.assert_allclose(m, np.eye(2), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("r_b", [10.5, 8.0])
+    def test_closed_form(self, r_b):
+        m = exact_matrix(15.0, r_b, 60).matrix
+        n = np.arange(2, 61)
+        np.testing.assert_allclose(m[1, 2:], sequential_adsorption_p1(n, r_b, 15.0),
+                                   rtol=0, atol=1e-15)
+        assert m[2, 2] == pytest.approx(exact_pair_survival(r_b, 15.0), abs=1e-15)
+        assert not m[3:].any()
+
+    @pytest.mark.parametrize("radii", [1.2, 15.0 / 10.5, 1.9, 2.0])
+    @pytest.mark.parametrize("n_max", [12, 100, 130])
+    def test_recursion_gives_closed_form(self, radii, n_max):
+        # forced one level down: the cloud itself goes through the
+        # quadrature, with segments of up to one radius as the leaves
+        closed = _survivors(radii, n_max)
+        recursed = _survivors(radii, n_max, leaf_max=1.0)
+        np.testing.assert_allclose(recursed[:3], closed, rtol=0, atol=1e-14)
+        assert not recursed[3:].any()
+
+    @pytest.mark.parametrize("n_max", [100, 130])
+    def test_nodes_are_converged(self, n_max):
+        radii = 37.5 / 10.5
+        nodes = _quadrature_nodes(n_max)
+        np.testing.assert_allclose(_survivors(radii, n_max),
+                                   _survivors(radii, n_max, nodes=2 * nodes),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_max", [4, 7, 12])
+    def test_small_truncations_are_exact(self, n_max):
+        # the integrand is a polynomial of degree < n_max on each piece,
+        # so ceil(n_max / 2) nodes and any more give the same numbers
+        assert _quadrature_nodes(n_max) == math.ceil(n_max / 2)
+        for radii in (37.5 / 10.5, EXACT_MAX_RADII):
+            np.testing.assert_allclose(_survivors(radii, n_max),
+                                       _survivors(radii, n_max, nodes=n_max + 5),
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("cloud_length", [15.0, 37.5])
+    def test_every_cell_against_the_monte_carlo(self, cloud_length):
+        trials = 100_000
+        cfg = BlockadeConfig(cloud_length=cloud_length, trials_per_fock=trials,
+                             rng_seed=4242, n_max=40)
+        sampled = blockade_matrix(cfg).matrix
+        exact = exact_matrix(cloud_length, 10.5, 40).matrix
+        assert not sampled[exact == 0.0].any()
+        tested = (exact * trials >= 5) & ((1 - exact) * trials >= 5)
+        z = (sampled - exact)[tested] / np.sqrt(exact * (1 - exact) / trials)[tested]
+        assert tested.sum() >= 78  # both rows of the 39 columns n >= 2 at 15 um
+        assert np.abs(z).max() < 4.5
+
+    def test_longer_clouds_are_rejected(self):
+        with pytest.raises(ValidationError, match="blockade radii"):
+            exact_matrix(10.5 * EXACT_MAX_RADII * 1.01, 10.5, 10)
+
+    @pytest.mark.parametrize("r_b, cloud_length", [(float("nan"), 15.0), (1.0, float("inf")),
+                                                   (-1.0, 15.0), (1.0, 0.0)])
+    def test_rejects_what_the_config_rejects(self, r_b, cloud_length):
+        with pytest.raises(ValidationError, match="finite"):
+            exact_matrix(cloud_length, r_b, 10)
+
+    def test_medium_is_exact_where_covered(self):
+        # neither the trial count nor the seed reaches an exact medium;
+        # a longer cloud is the Monte Carlo
+        for cloud_length in (15.0, 37.5):
+            media = [medium_matrix(PipelineConfig(blockade=BlockadeConfig(
+                cloud_length=cloud_length, trials_per_fock=trials, rng_seed=seed, n_max=12)))
+                for trials, seed in ((10, 1), (1000, 2))]
+            np.testing.assert_array_equal(media[0].matrix, media[1].matrix)
+        long = BlockadeConfig(cloud_length=10.5 * 5, trials_per_fock=1000, n_max=12)
+        np.testing.assert_array_equal(medium_matrix(PipelineConfig(blockade=long)).matrix,
+                                      blockade_matrix(long).matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radii=st.floats(0.05, EXACT_MAX_RADII), shrink=st.floats(0.5, 1.0),
+       n_max=st.integers(1, 12))
+def test_exact_matrix_properties(radii, shrink, n_max):
+    m = exact_matrix(10.5 * radii, 10.5, n_max).matrix
+    np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=1e-14)
+    # k survivors need (k - 1) gaps wider than r_b, and k <= n
+    assert not m[math.ceil(radii) + 1:].any()
+    assert not np.tril(m, -1).any()
+    tail = tails(m)
+    assert np.all(np.diff(tail, axis=1) >= -1e-14)
+    # a smaller blockade radius in the same cloud never lowers a tail
+    shrink = max(shrink, radii / EXACT_MAX_RADII)
+    wider = tails(exact_matrix(10.5 * radii, 10.5 * shrink, n_max).matrix)
+    assert np.all(wider >= tail - 1e-14)

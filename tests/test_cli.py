@@ -343,6 +343,22 @@ class TestReproduceCommands:
             outputs[name] = [(out / f"fig4_{kind}.csv").read_bytes() for kind in ("dlcz", "wcs")]
         assert outputs["flag"] == outputs["file"] != outputs["storage"]
 
+    @pytest.mark.parametrize("argv", [
+        ["fig3"], ["fig4"], ["fig4", "--slow-light"],
+    ], ids=["fig3", "fig4", "fig4-slow-light"])
+    def test_exact_medium_ignores_sampling_flags(self, tmp_path, argv):
+        # the default and the slow-light media are exact: no trial count,
+        # seed or thread count reaches them
+        figure = argv[0]
+        runs = {"a": [1, 2, 100], "b": [99, 1, 5000]}
+        for name, (seed, threads, trials) in runs.items():
+            assert run(["--out", tmp_path / name, "--seed", seed, "--threads", threads,
+                        "reproduce", *argv, "--trials", trials, "--n-max", 40,
+                        "--zeta-range", "0.004,0.2,7"]) == 0
+        for kind in ("dlcz", "wcs"):
+            name = f"{figure}_{kind}.csv"
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert run(["--out", tmp_path, "reproduce", "fig9"]) == 1
 
@@ -507,9 +523,9 @@ class TestExitCodes:
         ["reproduce", "figS5"],
     ], ids=["fig3", "figS5"])
     def test_tiny_write_transmission_is_numerical_error(self, tmp_path, argv):
-        # the herald weights round to zero and the zeta curve is 0/0: one
-        # plain line, no warning and no non-finite number on stderr
-        (tmp_path / "run.cfg").write_text("t_w = 1e-300\n")
+        # at the smallest double the zeta curve's terms underflow and it is
+        # 0/0: one plain line, no warning and no non-finite number on stderr
+        (tmp_path / "run.cfg").write_text("t_w = 5e-324\n")
         env = dict(os.environ, PYTHONPATH=str(Path(rydstats.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "rydstats.cli", "--config", str(tmp_path / "run.cfg"),
@@ -519,9 +535,22 @@ class TestExitCodes:
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
-        assert "t_w=1e-300" in lines[0]
+        assert "t_w=5e-324" in lines[0]
         assert not re.search(r"\b(nan|inf)\b", lines[0], re.IGNORECASE)
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["reproduce", "fig3", "--zeta-range", "0.004,0.4,5"], "fig3_dlcz.csv"),
+        (["reproduce", "figS5"], "figS5_distributions.csv"),
+    ], ids=["fig3", "figS5"])
+    def test_tiny_write_transmission_runs(self, tmp_path, argv, name):
+        # -expm1(n log1p(-t_w)) keeps the herald weights exact where
+        # 1 - (1 - t_w)^n rounded to zero
+        (tmp_path / "run.cfg").write_text("t_w = 1e-300\n")
+        assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path, *argv]) == 0
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        values = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert values.size and np.all(np.isfinite(values))
 
     def test_non_finite_json_is_numerical_error(self, tmp_path):
         from rydstats.cli import _write_json

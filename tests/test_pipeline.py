@@ -291,12 +291,21 @@ class TestZetaInversion:
             zeta_to_param(make_cfg(), 0.1)
 
     def test_tiny_write_transmission_is_numerical_error(self):
-        # 1 - (1 - t_w)^n rounds to 0, so the curve is 0/0 everywhere
+        # at the smallest double the herald weights are subnormal, the
+        # curve's terms underflow, and it is 0/0 everywhere
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="t_w=1e-300") as info:
-                zeta_to_param(PipelineConfig(t_w=1e-300), 0.01)
+            with pytest.raises(NumericalError, match="t_w=5e-324") as info:
+                zeta_to_param(PipelineConfig(t_w=5e-324), 0.01)
         assert "nan" not in str(info.value)
+
+    def test_tiny_write_transmission_is_its_small_t_w_limit(self):
+        # the heralded state tends to n (1 - p)^2 p^(n - 1) as t_w -> 0, so
+        # t_w = 1e-300 (where 1 - t_w rounds to 1) inverts like t_w = 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = zeta_to_param(PipelineConfig(t_w=1e-300), 0.01)
+        assert tiny == pytest.approx(zeta_to_param(PipelineConfig(t_w=1e-12), 0.01), rel=1e-9)
 
     def test_wcs_zeta_matches_closed_form(self):
         # independent oracle: zeta(mu) = 1 - mu e^-mu / (1 - e^-mu)

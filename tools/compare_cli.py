@@ -11,13 +11,16 @@ directory that is also every command's working directory.
 
 For each command the script compares the exit code, the names and bytes
 of the files written to ``--out``, and stdout and stderr with the output
-directory and the tree's path masked.  It prints one line per command and
-exits 1 if any command differs, 0 if none does.  Standard library only.
+directory and the tree's path masked.  For a CSV file whose bytes differ
+it also prints the largest relative change of a field, each field read
+with ``float``.  It prints one line per command and exits 1 if any command
+differs, 0 if none does.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -93,6 +96,27 @@ def run(tree: Path, args: list[str], inputs: Path, out: Path):
     return proc.returncode, mask(proc.stdout), mask(proc.stderr), files
 
 
+def largest_relative_change(old: bytes, new: bytes) -> str:
+    """The largest |new - old| / |old| over the fields of two CSV tables
+    (inf where old is 0), or why the tables cannot be compared field by
+    field."""
+    old_rows, new_rows = ([line.split(",") for line in data.decode().splitlines()]
+                          for data in (old, new))
+    if [len(row) for row in old_rows] != [len(row) for row in new_rows]:
+        return "shapes differ"
+    worst = 0.0
+    for old_row, new_row in zip(old_rows, new_rows):
+        for a, b in zip(old_row, new_row):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                return f"text differs: {a!r} -> {b!r}"
+            worst = max(worst, abs(y - x) / abs(x) if x else math.inf)
+    return f"largest relative change {worst:.3g}"
+
+
 def differences(old, new) -> list[str]:
     (old_code, old_out, old_err, old_files), (new_code, new_out, new_err, new_files) = old, new
     found = []
@@ -103,7 +127,10 @@ def differences(old, new) -> list[str]:
     changed = [name for name in old_files.keys() & new_files.keys()
                if old_files[name] != new_files[name]]
     if changed:
-        found.append("bytes of " + ", ".join(sorted(changed)))
+        found.append("bytes of " + ", ".join(
+            f"{name} ({largest_relative_change(old_files[name], new_files[name])})"
+            if name.endswith(".csv") else name
+            for name in sorted(changed)))
     if old_out != new_out:
         found.append("stdout")
     if old_err != new_err:
