@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, _check_count
 from .fock import DEFAULT_N_MAX
-from .transfer import TransferMatrix, perfect_filter_matrix
+from .transfer import TransferMatrix
 
 #: Trials per RNG chunk; part of the reproducibility contract (changing it
 #: changes the sampled numbers, though not their distribution).
@@ -104,17 +104,28 @@ def _exact_covers(cloud_length: float, r_b: float) -> bool:
     return r_b == 0.0 or cloud_length <= EXACT_MAX_RADII * r_b
 
 
-def _one_survivor(g, m):
-    """P(1 survivor | m >= 2 arrivals) on a segment of g blockade radii,
-    1 < g <= 2: 2 rho - 1 + 2 (1 - rho^m) / m with rho = 1/g.
+def _leaf_probs(g: np.ndarray, n: int) -> np.ndarray:
+    """P(k | m) for k = 1, 2 (last axis) and m = 0..n on each segment of at
+    most 2 blockade radii in ``g``; the k = 2 axis exists only if some
+    segment is longer than 1 radius.
 
-    The first survivor, at x, leaves free only the stretch beyond one of
-    its ends, of length f(x); a second survivor blocks what is left.  The
-    chance (1 - f/g)^(m-1) that every later arrival misses that stretch,
-    averaged over x, is the formula.
+    Up to 1 radius the first arrival blocks the whole segment: the perfect
+    filter.  Up to 2, P(1 | m) = 2 rho - 1 + 2 (1 - rho^m) / m for m >= 2,
+    with rho = 1/g, and P(2 | m) = 1 - P(1 | m).  The first survivor, at x,
+    leaves free only the stretch beyond one of its ends, of length f(x); a
+    second survivor blocks what is left.  The chance (1 - f/g)^(m-1) that
+    every later arrival misses that stretch, averaged over x, is the formula.
     """
-    rho = 1.0 / g
-    return 2.0 * rho - 1.0 + 2.0 * (1.0 - rho**m) / m
+    wide = g > 1.0
+    out = np.zeros((g.size, n + 1, 2 if wide.any() else 1))
+    out[:, 1:, 0] = 1.0
+    if wide.any():
+        rho = 1.0 / g[wide, None]
+        m = np.arange(2, n + 1)
+        p1 = 2.0 * rho - 1.0 + 2.0 * (1.0 - rho**m) / m
+        out[wide, 2:, 0] = p1
+        out[wide, 2:, 1] = 1.0 - p1
+    return out
 
 
 # The gap recursion.  Lengths are in blockade radii, and F_g(m)[k] is the
@@ -154,17 +165,9 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _leaf_series(g: np.ndarray, n: int, s: float) -> np.ndarray:
-    """Series of segments of at most 2 radii: one survivor up to 1 radius,
-    the closed form of :func:`_one_survivor` up to 2."""
-    e = _exp_series(s * g, n)
-    wide = g > 1.0
-    out = np.zeros((g.size, n + 1, 2 if wide.any() else 1))
-    out[:, 1:, 0] = e[:, 1:]
-    if wide.any():
-        p1 = _one_survivor(g[wide, None], np.arange(2, n + 1))
-        out[wide, 2:, 0] *= p1
-        out[wide, 2:, 1] = e[wide, 2:] * (1.0 - p1)
-    return out
+    """Series of segments of at most 2 radii: :func:`_leaf_probs` times
+    (s g)^m / m!."""
+    return _leaf_probs(g, n) * _exp_series(s * g, n)[:, :, None]
 
 
 def _series(g: np.ndarray, n: int, s: float, nodes: int, leaf_max: float) -> np.ndarray:
@@ -242,28 +245,26 @@ def _quadrature_nodes(n_max: int) -> int:
 
 def _survivors(radii: float, n_max: int, nodes: int | None = None,
                leaf_max: float = 2.0) -> np.ndarray:
-    """P(k | n) on a cloud of ``radii`` > 1 blockade radii: rows k = 0..K,
+    """P(k | n) on a cloud of ``radii`` blockade radii: rows k = 0..K,
     columns n = 0..n_max.  ``nodes`` (per piece) and ``leaf_max`` (the
     longest segment taken from a closed form) exist for the tests."""
     n = np.arange(n_max + 1)
     if radii <= leaf_max:
-        probs = np.zeros((3, n_max + 1))
-        probs[0, 0] = probs[1, 1] = 1.0
-        probs[1, 2:] = _one_survivor(radii, n[2:])
-        probs[2, 2:] = 1.0 - probs[1, 2:]
-        return probs
-    if nodes is None:
-        nodes = _quadrature_nodes(n_max)
-    # The scale keeps (s g)^m / m! within double range up to n_max ~ 1300.
-    # A power of two scales every length exactly, so the lengths of the
-    # three parts still add up to the whole: an error d in that sum would
-    # grow to m d in column m.
-    s = 2.0 ** round(math.log2(n_max / (math.e * radii)))
-    series = _recurse(np.array([radii]), n_max, s, nodes, leaf_max)[0]
-    unscale = np.cumprod(np.concatenate([[1.0], n[1:] / (s * radii)]))  # m! / (s L)^m
-    probs = np.zeros((series.shape[1] + 1, n_max + 1))
+        table = _leaf_probs(np.array([radii]), n_max)[0]
+    else:
+        if nodes is None:
+            nodes = _quadrature_nodes(n_max)
+        # The scale keeps (s g)^m / m! within double range up to n_max ~
+        # 1300.  A power of two scales every length exactly, so the lengths
+        # of the three parts still add up to the whole: an error d in that
+        # sum would grow to m d in column m.
+        s = 2.0 ** round(math.log2(n_max / (math.e * radii)))
+        series = _recurse(np.array([radii]), n_max, s, nodes, leaf_max)[0]
+        unscale = np.cumprod(np.concatenate([[1.0], n[1:] / (s * radii)]))  # m! / (s L)^m
+        table = series * unscale[:, None]
+    probs = np.zeros((table.shape[1] + 1, n_max + 1))
     probs[0, 0] = 1.0
-    probs[1:] = (series * unscale[:, None]).T
+    probs[1:] = table.T
     return probs
 
 
@@ -271,18 +272,15 @@ def exact_matrix(cloud_length: float, r_b: float, n_max: int) -> TransferMatrix:
     """Exact transfer matrix of the partially blockaded medium, for clouds
     up to ``EXACT_MAX_RADII`` blockade radii long.
 
-    r_b = 0 gives the identity and cloud_length <= r_b the perfect filter.
-    Up to 2 r_b, P(1 | n) = 2 rho - 1 + 2 (1 - rho^n) / n with rho =
-    r_b / cloud_length, and P(2 | n) = 1 - P(1 | n).  Longer clouds go
-    through the gap recursion (see the comment above ``_exp_series``).
+    r_b = 0 gives the identity.  Up to 2 r_b the columns are the closed
+    form of :func:`_leaf_probs`, the perfect filter up to r_b; longer clouds
+    go through the gap recursion (see the comment above ``_exp_series``).
     Nothing is sampled.
     """
     _check_lengths(r_b, cloud_length)
     _check_count("n_max", n_max, 1)
     if r_b == 0.0:
         return TransferMatrix(np.eye(n_max + 1))
-    if cloud_length <= r_b:
-        return perfect_filter_matrix(n_max)
     if not _exact_covers(cloud_length, r_b):
         raise ValidationError(
             f"the exact matrix covers clouds up to {EXACT_MAX_RADII:g} blockade radii, "
