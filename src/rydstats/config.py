@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 from ._table import open_text
 from .blockade import BlockadeConfig
-from .clicks import MIN_RESAMPLES, RESAMPLES, ROLE_DETECTORS, WindowSpec
+from .clicks import DETECTORS, MIN_RESAMPLES, RESAMPLES, ROLE_DETECTORS, WindowSpec
 from .errors import ValidationError
 from .pipeline import PipelineConfig
 from .ratemodel import STORED_P_NR, RateModelParams
@@ -47,6 +47,10 @@ def _detector_list(text: str) -> tuple[str, ...]:
     if not names:
         raise ValueError("empty detector list")
     return names
+
+
+def _known_detectors(names: tuple[str, ...]) -> bool:
+    return set(names) <= set(DETECTORS)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -112,8 +116,10 @@ _KEYS: dict[str, _Key] = {
     "signal_end_ns": _Key(int, WindowSpec.signal_1[1], _positive_int, "signal window end (ns)"),
     "noise_start_ns": _Key(int, WindowSpec.noise[0], _non_negative, "noise window start (ns)"),
     "noise_end_ns": _Key(int, WindowSpec.noise[1], _positive_int, "noise window end (ns)"),
-    "detectors_1": _Key(_detector_list, ROLE_DETECTORS[0], help="detectors for role 1"),
-    "detectors_2": _Key(_detector_list, ROLE_DETECTORS[1], help="detectors for role 2"),
+    "detectors_1": _Key(_detector_list, ROLE_DETECTORS[0], _known_detectors,
+                        "detectors for role 1"),
+    "detectors_2": _Key(_detector_list, ROLE_DETECTORS[1], _known_detectors,
+                        "detectors for role 2"),
     "resamples": _Key(int, RESAMPLES, lambda v: v >= MIN_RESAMPLES, "bootstrap resamples"),
 }
 

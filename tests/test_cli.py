@@ -62,6 +62,15 @@ class TestConfigFile:
         with pytest.raises(ValidationError, match="out of range"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("name", ["detectors_1", "detectors_2"])
+    def test_unknown_detector_fails_with_line(self, tmp_path, name):
+        # a typo fails where it was written, not first in g2's click counting
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\n{name} = D2, D9\n")
+        with pytest.raises(ValidationError, match=f":2: value out of range for {name}"):
+            parse_config_file(path)
+        assert run(["--config", path, "--out", tmp_path, "reproduce", "figS3"]) == 2
+
     def test_bad_value_type(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("trials = many\n")
