@@ -37,9 +37,15 @@ synthesize(state, 20_000, WindowSpec(), (1e4, 1e4), seed=1).write_csv("clicks.cs
 
 _INPUTS = {
     "tiny_tw.cfg": "t_w = 1e-300\n",
+    "underflow_tw.cfg": "t_w = 5e-324\n",
+    "filter.cfg": "blockade_radius = 20\n",
+    "identity.cfg": "blockade_radius = 0\n",
     "efficiency.csv": "p_w,eta\n0.001,0.25\n0.005,0.22\n0.01,0.18\n0.02,0.12\n",
     "fit_peg.csv": "p_w,p_r_given_w\n0.001,0.031\n0.005,0.034\n0.01,0.037\n0.02,0.04\n",
 }
+
+#: The golden set's grid (tests/test_golden.py): every geometry attains it.
+_GRID = ["--n-max", "40", "--zeta-range", "0.004,0.2,7"]
 
 #: name -> arguments after ``--out DIR``.
 COMMANDS = {
@@ -65,6 +71,10 @@ COMMANDS = {
     "reproduce-help": ["reproduce", "--help"],
     "fig3-n-max-2": ["reproduce", "fig3", "--n-max", "2", "--trials", "100"],
     "figS5-tiny-t_w": ["--config", "tiny_tw.cfg", "reproduce", "figS5"],
+    "fig3-filter": ["--config", "filter.cfg", "reproduce", "fig3", *_GRID],
+    "fig3-identity": ["--config", "identity.cfg", "reproduce", "fig3", *_GRID],
+    "fig4-slow-light-n-max-40": ["reproduce", "fig4", "--slow-light", *_GRID],
+    "figS5-t_w-underflow": ["--config", "underflow_tw.cfg", "reproduce", "figS5"],
 }
 
 
