@@ -248,7 +248,6 @@ def _survivors(radii: float, n_max: int, nodes: int | None = None,
     """P(k | n) on a cloud of ``radii`` blockade radii: rows k = 0..K,
     columns n = 0..n_max.  ``nodes`` (per piece) and ``leaf_max`` (the
     longest segment taken from a closed form) exist for the tests."""
-    n = np.arange(n_max + 1)
     if radii <= leaf_max:
         table = _leaf_probs(np.array([radii]), n_max)[0]
     else:
@@ -260,6 +259,7 @@ def _survivors(radii: float, n_max: int, nodes: int | None = None,
         # sum would grow to m d in column m.
         s = 2.0 ** round(math.log2(n_max / (math.e * radii)))
         series = _recurse(np.array([radii]), n_max, s, nodes, leaf_max)[0]
+        n = np.arange(n_max + 1)
         unscale = np.cumprod(np.concatenate([[1.0], n[1:] / (s * radii)]))  # m! / (s L)^m
         table = series * unscale[:, None]
     probs = np.zeros((table.shape[1] + 1, n_max + 1))

@@ -57,15 +57,12 @@ CASES = {
     "numerical-error": ["--config", "underflow.cfg", "reproduce", "figS5"],
 }
 
-#: Output files whose listed keys hold random numbers.
-_RANDOM_KEYS = {"g2_report.json": ("error",)}
-
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def run_case(argv: list[str], out: Path) -> tuple[dict, dict[str, str]]:
     """The console record ({exit, stdout, stderr}, output directory masked)
-    and {file name: text} of one CLI run, random keys dropped."""
+    and {file name: text} of one CLI run."""
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(INPUTS)
@@ -79,10 +76,9 @@ def run_case(argv: list[str], out: Path) -> tuple[dict, dict[str, str]]:
     files = {}
     for path in sorted(out.iterdir()) if out.is_dir() else ():
         text = path.read_text()
-        if path.name in _RANDOM_KEYS:
+        if path.name == "g2_report.json":  # its bootstrap error is random
             report = json.loads(text)
-            for key in _RANDOM_KEYS[path.name]:
-                del report[key]
+            del report["error"]
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         files[path.name] = text
     return {"exit": code, **console}, files
