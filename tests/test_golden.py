@@ -51,10 +51,18 @@ CASES = {
     "fig3-identity": ["--config", "identity.cfg", "reproduce", "fig3", *GRID],
     "fig4-slow-light": ["reproduce", "fig4", "--slow-light", *GRID],
     "fit-peg": ["fit-peg", "fit_peg.csv"],
-    "g2": ["--seed", "3", "g2", "clicks.csv", "--resamples", "100"],
+    "g2": ["--seed", "3", "g2", "clicks.csv", "--window", "0,300",
+           "--noise-window", "500,1100", "--resamples", "100"],
     "usage-error": ["reproduce", "fig3", "--zeta", "0.1"],
     "data-error": ["reproduce", "fig3", "--n-max", "2"],
     "numerical-error": ["--config", "underflow.cfg", "reproduce", "figS5"],
+    "fig3-default": ["--seed", "606", "reproduce", "fig3"],
+    "fig4-default": ["--seed", "606", "reproduce", "fig4"],
+    "fig4-slow-light-default": ["--seed", "606", "reproduce", "fig4", "--slow-light"],
+    "fig3-31-points": ["--seed", "606", "reproduce", "fig3", "--trials", "20000",
+                       "--zeta-range", "0.004,0.4,31"],
+    "figS5-tiny-t_w": ["--config", "tiny_tw.cfg", "reproduce", "figS5"],
+    "blockade-rb0": ["blockade", "--rb", "0", "--trials", "1000", "--n-max", "6"],
 }
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
