@@ -2,30 +2,28 @@
 
     PYTHONPATH=src python tests/golden/update.py
 
-Runs every case of ``test_golden.CASES`` and rewrites ``console.json`` and
-one directory of output files per case.  The inputs under ``inputs/`` are
-not touched.  The golden files are test data: a change that regenerates
-them says which files changed and why.
+Runs every case of ``cases.CASES`` outside ``COMPARE_ONLY`` and rewrites
+``console.json`` and one directory of output files per case.  The inputs
+under ``inputs/`` are not touched.  The golden files are test data: a
+change that regenerates them says which files changed and why.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from test_golden import CASES, GOLDEN, run_case  # noqa: E402
+from cases import CASES, GOLDEN, STORED, run_case, stored_files
 
 
 def main() -> None:
     records = {}
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
-        for case, argv in CASES.items():
-            records[case], files = run_case(argv, Path(tmp) / case)
+        for case in STORED:
+            out = Path(tmp) / case
+            records[case], files = run_case(CASES[case], out), stored_files(out)
             saved = GOLDEN / case
             shutil.rmtree(saved, ignore_errors=True)
             if files:
