@@ -14,8 +14,9 @@ the efficiency formula.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -264,8 +265,7 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
         ) from exc
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     zeta: float
     param: float
     g2_in: float
@@ -280,8 +280,7 @@ class SweepResult:
     points: list[SweepPoint]
 
     def write_csv(self, path) -> None:
-        header = [f.name for f in fields(SweepPoint)]
-        write_table(path, header, (astuple(pt) for pt in self.points))
+        write_table(path, SweepPoint._fields, self.points)
 
 
 def sweep(cfg: PipelineConfig, zeta_grid, medium: TransferMatrix) -> SweepResult:
