@@ -16,10 +16,11 @@ from .errors import ValidationError
 
 @contextmanager
 def open_text(path):
-    """Open ``path`` for reading as UTF-8; a byte that does not decode is
+    """Open ``path`` for reading as UTF-8, skipping a leading byte-order
+    mark (Excel's "CSV UTF-8" writes one); a byte that does not decode is
     a ValidationError naming the file, wherever the reading hits it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ValidationError(

@@ -232,6 +232,16 @@ class TestReadCsv:
         with pytest.raises(ValidationError, match=f"{path}:{line}: {message}"):
             ClickStream.read_csv(path)
 
+    @pytest.mark.parametrize("body", ["0,D2,5\n1,D3,6\n", "0,D2,5\n# note\n1,D3,6\n"],
+                             ids=["bulk", "per-line"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, body):
+        # Excel's "CSV UTF-8" starts the file with one; both body parsers
+        # start after it
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (HEAD + body).encode())
+        assert_same_stream(ClickStream.read_csv(path),
+                           ClickStream.read_csv(write_stream(tmp_path, HEAD + body)))
+
     def test_empty_body_warns_nothing(self, tmp_path, capfd):
         path = write_stream(tmp_path, HEAD)
         with warnings.catch_warnings(record=True) as caught:

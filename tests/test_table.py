@@ -77,6 +77,13 @@ def test_rejects_with_path_and_line(tmp_path, body, message):
         read_table(path, ("a", "b"))
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with one
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+    np.testing.assert_array_equal(read_table(path, ("a", "b")), [[1.0, 2.0]])
+
+
 def test_non_utf8_is_validation_error_naming_the_file(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"a,b\n1,2\n3,\xff\n")
