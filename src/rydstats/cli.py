@@ -325,11 +325,22 @@ def _rate_model(cfg: RunConfig) -> RateModelParams:
                            p_eg=cfg.p_eg, p_nw=cfg.p_nw, p_nr=cfg.p_nr)
 
 
+def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """``points`` log-spaced values from ``lo`` to ``hi``.  Near the largest
+    double geomspace's powers overflow, with a warning, although it sets
+    both end points exactly."""
+    with np.errstate(over="ignore"):
+        grid = np.geomspace(lo, hi, points)
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError(f"log-spaced grid from {lo} to {hi} overflows")
+    return grid
+
+
 def _sweep_figure(args, cfg: RunConfig, out: Path, figure: str) -> None:
     lo, hi, points = cfg.zeta_min, cfg.zeta_max, cfg.zeta_points
     if not 0 < lo < hi:
         raise ValidationError(f"sweep grid needs 0 < min < max, got {lo}, {hi}")
-    grid = np.geomspace(lo, hi, points)
+    grid = _log_grid(lo, hi, points)
     configs = [_pipeline_config(cfg, kind, N_MAX_DEFAULTS[figure], args.slow_light)
                for kind in INPUT_KINDS]
     # The medium does not depend on the input kind.
@@ -349,9 +360,16 @@ def _figs3(args, cfg: RunConfig, out: Path) -> None:
     base = _rate_model(cfg)
     if not 0 < cfg.pw_min < cfg.pw_max:
         raise ValidationError("write-probability grid needs 0 < pw_min < pw_max")
+    grid = _log_grid(cfg.pw_min, cfg.pw_max, cfg.pw_points)
+    with np.errstate(over="ignore"):  # at a tiny t_w; caught below
+        ps = (grid - cfg.p_nw) / cfg.t_w
     rows = []
-    for p_w in np.geomspace(cfg.pw_min, cfg.pw_max, cfg.pw_points):
-        p = (p_w - cfg.p_nw) / cfg.t_w
+    for p_w, p in zip(grid, ps):
+        if not np.isfinite(p):
+            raise ValidationError(
+                f"p_w={p_w} implies an excitation probability (p_w - p_nw) / t_w "
+                f"beyond the largest double at t_w={cfg.t_w}"
+            )
         if not 0.0 <= p < 1.0:
             raise ValidationError(
                 f"p_w={p_w} implies excitation probability {p} outside [0, 1)"

@@ -80,7 +80,12 @@ class FockDistribution:
         if mean <= 0.0:
             raise ValidationError("g2 is undefined for a zero-mean (vacuum) state")
         fac2 = float(np.dot(k * (k - 1), self.probs))
-        return fac2 / mean**2
+        square = mean**2
+        if square == 0.0:
+            raise NumericalError(
+                f"g2 is undefined at mean photon number {mean:.3g}: its square underflows"
+            )
+        return fac2 / square
 
     def zeta(self) -> float:
         """Multiphoton strength: P(k >= 2) / P(k >= 1), in [0, 1]."""

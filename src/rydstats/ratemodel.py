@@ -15,13 +15,14 @@ efficiency and strongly suppresses the read noise.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._table import read_table
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .source import DEFAULT_T_W
 
 #: Read-noise probability after storage (temporal/frequency filtering).
@@ -80,11 +81,25 @@ def predict_probabilities(params: RateModelParams) -> DetectionProbabilities:
 
 
 def predict_cross_correlation(params: RateModelParams) -> float:
-    """Write/read cross-correlation, p_wr / (p_w p_r)."""
+    """Write/read cross-correlation, p_wr / (p_w p_r).
+
+    Raises
+    ------
+    NumericalError
+        If the ratio is not finite: p_w p_r underflows, or is so small
+        that the ratio overflows.
+    """
     probs = predict_probabilities(params)
     if probs.p_r <= 0.0:
         raise ValidationError("cross-correlation undefined: zero singles probability")
-    return probs.p_wr / (probs.p_w * probs.p_r)
+    denominator = float(probs.p_w * probs.p_r)
+    ratio = float(probs.p_wr) / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(ratio):
+        raise NumericalError(
+            f"cross-correlation p_wr / (p_w p_r) overflows at p_w={probs.p_w:.3g}, "
+            f"p_r={probs.p_r:.3g}"
+        )
+    return ratio
 
 
 class EfficiencyTable:
@@ -167,7 +182,8 @@ def fit_p_eg(
         raise ValidationError(f"need at least 3 data rows to fit, got {p_w.size}")
     if not (np.isfinite(p_w).all() and np.isfinite(p_r_given_w).all()):
         raise ValidationError("fit data must be finite")
-    p = (p_w - base.p_nw) / base.t_w
+    with np.errstate(over="ignore"):  # at a tiny t_w; inf fails the range check
+        p = (p_w - base.p_nw) / base.t_w
     if np.any(p < 0) or np.any(p >= 1):
         raise ValidationError("a measured p_w implies excitation probability outside [0, 1)")
     c0 = base.eta_a * base.t_r + base.p_nr

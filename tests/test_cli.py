@@ -4,10 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rydstats
 from rydstats import (
@@ -23,9 +26,12 @@ from rydstats import (
     fock_state,
     synthesize,
 )
+from rydstats._table import read_table
 from rydstats.cli import _blockade_config, _pipeline_config, _rate_model, main
-from rydstats.config import RunConfig, parse_config_file
+from rydstats.config import _KEYS, RunConfig, _float_list, parse_config_file
 from rydstats.errors import NumericalError, ValidationError
+
+from golden.cases import run_case
 
 
 def run(args):
@@ -91,6 +97,12 @@ class TestConfigFile:
         with pytest.raises(ValidationError, match=f"{path}: not UTF-8 text"):
             parse_config_file(path)
         assert run(["--config", path, "--out", tmp_path, "reproduce", "figS5"]) == 2
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed = 7\n")
+        assert parse_config_file(path).seed == 7
 
     def test_negative_seed_in_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -572,3 +584,51 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mystery = 1\n")
         assert run(["--config", cfg, "--out", tmp_path, "reproduce", "figS5"]) == 2
+
+
+#: The float keys of the configuration file: the physics and grid values.
+FLOAT_KEYS = [name for name, key in _KEYS.items() if key.parse in (float, _float_list)]
+#: Edges of the double range and of the unit interval; None keeps the default.
+EDGES = [5e-324, 1e-300, 1 - 2**-53, 1.0, 0.0, sys.float_info.max, None]
+FIG3 = ["reproduce", "fig3", "--n-max", "30", "--trials", "1000", "--zeta-range", "0.01,0.1,3"]
+FIGS3 = ["reproduce", "figS3"]
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+class TestConfigEdges:
+    """The exit-code contract for config values at the edges of their ranges."""
+
+    @settings(max_examples=100, derandomize=True, deadline=2000)
+    @given(
+        argv=st.sampled_from([FIGS3, FIG3, ["reproduce", "figS5", "--n-max", "30", "--zeta", "0.01"],
+                              ["fit-peg", "fit_peg.csv"]]),
+        values=st.dictionaries(st.sampled_from(FLOAT_KEYS), st.sampled_from(EDGES),
+                               min_size=1, max_size=2),
+    )
+    # mean**2 underflows in g2 although the mean is positive
+    @example(argv=FIG3, values={"eta_eit": 5e-324})
+    @example(argv=FIG3, values={"eta_compression": 1e-300})
+    @example(argv=FIG3, values={"eta_compression_lo": 1e-300})
+    # p_w p_r underflows; p overflows; geomspace overflows
+    @example(argv=FIGS3, values={"p_nw": 5e-324, "pw_min": 1e-300})
+    @example(argv=FIGS3, values={"t_w": 5e-324})
+    @example(argv=FIGS3, values={"pw_max": sys.float_info.max})
+    def test_exit_code_and_outputs(self, argv, values):
+        lines = []
+        for name, value in values.items():
+            value = _KEYS[name].default if value is None else value
+            text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+            lines.append(f"{name} = {text}\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "edge.cfg", Path(tmp) / "out"
+            config.write_text("".join(lines))
+            record = run_case(["--config", str(config), *argv], out)
+            assert record["exit"] in (0, 1, 2, 3), record
+            assert not re.search(r"\b(nan|inf)\b", record["stderr"], re.IGNORECASE), record
+            for path in out.glob("*.csv"):
+                read_table(path, path.read_text().split("\n", 1)[0].split(","))
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_no_constant)

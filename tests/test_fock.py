@@ -148,6 +148,11 @@ class TestStatistics:
         with pytest.raises(ValidationError):
             fock_state(0, 5).g2()
 
+    def test_g2_of_an_underflowing_mean_is_numerical_error(self):
+        # the mean is positive but its square is 0
+        with pytest.raises(NumericalError, match="mean photon number 1e-200"):
+            FockDistribution(np.array([1.0, 1e-200])).g2()
+
     def test_zeta_single_photon(self):
         assert fock_state(1, 10).zeta() == 0.0
 

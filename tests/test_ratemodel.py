@@ -3,6 +3,7 @@ import pytest
 
 from rydstats import (
     EfficiencyTable,
+    NumericalError,
     RateModelParams,
     ValidationError,
     fit_p_eg,
@@ -91,6 +92,12 @@ class TestCrossCorrelation:
             plain = RateModelParams(p=p, **PAPER)
             stored = with_storage(plain, table)
             assert predict_cross_correlation(stored) > predict_cross_correlation(plain)
+
+    def test_underflowing_singles_product_is_numerical_error(self):
+        # p_w and p_r are positive but their product is 0
+        params = RateModelParams(p=4.8e-300, t_w=0.21, p_nw=5e-324, p_nr=0.0)
+        with pytest.raises(NumericalError, match="overflows"):
+            predict_cross_correlation(params)
 
     def test_invariant_under_read_loss_scaling_without_noise(self):
         base = RateModelParams(p=0.07, t_w=0.21, t_r=0.09, eta_a=0.32,
