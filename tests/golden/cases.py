@@ -1,16 +1,15 @@
 """Every checked case of the rydstats CLI, and the one way to run one.
 
 ``tests/test_golden.py`` checks each case outside ``COMPARE_ONLY``
-against the outputs stored under ``tests/golden``, which ``update.py``
-regenerates.  ``tools/compare_cli.py`` runs every case on two source trees
-through this script:
+against the outputs stored here, which ``update.py`` regenerates.
+``tools/compare_cli.py`` runs every case on a source tree through
 
     PYTHONPATH=TREE/src python tests/golden/cases.py OUT
 
-runs each case with ``--out OUT/<case>`` and prints the console records
-as JSON.  Every case runs with ``inputs/`` as its working directory.  The
-module uses the standard library only; ``rydstats.cli`` is imported when
-a case runs, from whichever tree is on the path.
+which runs each case with ``--out OUT/<case>`` and prints the console
+records as JSON.  Every case runs with ``inputs/`` as its working
+directory.  Standard library only: ``rydstats.cli`` is imported when a
+case runs, from whichever tree is on the path.
 
 The click file ``inputs/clicks.csv`` was synthesized once and is checked
 in, since ``synthesize`` draws from numpy's ``Generator``:

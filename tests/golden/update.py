@@ -23,7 +23,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         for case in STORED:
             out = Path(tmp) / case
-            records[case], files = run_case(CASES[case], out), stored_files(out)
+            records[case] = run_case(CASES[case], out)
+            files = stored_files(out)
             saved = GOLDEN / case
             shutil.rmtree(saved, ignore_errors=True)
             if files:

@@ -592,6 +592,8 @@ FLOAT_KEYS = [name for name, key in _KEYS.items() if key.parse in (float, _float
 EDGES = [5e-324, 1e-300, 1 - 2**-53, 1.0, 0.0, sys.float_info.max, None]
 FIG3 = ["reproduce", "fig3", "--n-max", "30", "--trials", "1000", "--zeta-range", "0.01,0.1,3"]
 FIGS3 = ["reproduce", "figS3"]
+EDGE_COMMANDS = [FIGS3, FIG3, ["reproduce", "figS5", "--n-max", "30", "--zeta", "0.01"],
+                 ["fit-peg", "fit_peg.csv"]]
 
 
 def _no_constant(name):
@@ -603,8 +605,7 @@ class TestConfigEdges:
 
     @settings(max_examples=100, derandomize=True, deadline=2000)
     @given(
-        argv=st.sampled_from([FIGS3, FIG3, ["reproduce", "figS5", "--n-max", "30", "--zeta", "0.01"],
-                              ["fit-peg", "fit_peg.csv"]]),
+        argv=st.sampled_from(EDGE_COMMANDS),
         values=st.dictionaries(st.sampled_from(FLOAT_KEYS), st.sampled_from(EDGES),
                                min_size=1, max_size=2),
     )

@@ -45,7 +45,8 @@ def test_every_case_has_a_record(console_records):
 @pytest.mark.parametrize("case", STORED)
 def test_matches_golden(case, tmp_path, console_records):
     out = tmp_path / "out"
-    console, files = run_case(CASES[case], out), stored_files(out)
+    console = run_case(CASES[case], out)
+    files = stored_files(out)
     want = console_records[case]
     assert console["exit"] == want["exit"]
     for stream in ("stdout", "stderr"):
