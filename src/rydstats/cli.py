@@ -294,10 +294,13 @@ def cmd_g2(args, cfg: RunConfig, out: Path) -> None:
         signal_2=args.window_2,
         noise=(cfg.noise_start_ns, cfg.noise_end_ns),
     )
-    # No name holds the stream: its arrays are freed before the bootstrap.
-    data = count_trials(ClickStream.read_csv(args.clicks), windows,
-                        cfg.detectors_1, cfg.detectors_2)
-    report = analysis_report(data, resamples=cfg.resamples, seed=cfg.seed)
+    stream = ClickStream.read_csv(args.clicks)  # its errors name the file
+    try:
+        data = count_trials(stream, windows, cfg.detectors_1, cfg.detectors_2)
+        del stream  # the stream's arrays are freed before the bootstrap
+        report = analysis_report(data, resamples=cfg.resamples, seed=cfg.seed)
+    except (ValidationError, NumericalError) as exc:
+        raise type(exc)(f"{args.clicks}: {exc}") from None
     report["source_file"] = str(args.clicks)
     report["detectors_1"] = list(cfg.detectors_1)
     report["detectors_2"] = list(cfg.detectors_2)

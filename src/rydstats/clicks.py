@@ -24,9 +24,7 @@ background applies), then rescaled to the signal-window duration.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -45,8 +43,20 @@ MIN_RESAMPLES = 100
 _TRIALS_RE = re.compile(r"#\s*trials\s*=\s*(\d+)\s*$")
 _HEADER = "trial_id,detector,time_ns"
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# "U3", not "U2": a two-character field would cut "D22" to a valid "D2"
-_BODY_DTYPE = [("trial_id", np.int64), ("detector", "U3"), ("time_ns", np.int64)]
+# The byte-level body parser: blocks of at most _BLOCK bytes, each cut at
+# a line end and copied into a buffer behind _PAD spare bytes and ahead of
+# 8 more, so that every 8-byte window that ends in a field or starts at a
+# separator lies inside the buffer.  Fields longer than _MAX_DIGITS, which
+# may pass the int64 bound, go through the per-line grammar and its check.
+_BLOCK = 1 << 18
+_PAD = 8
+_MAX_DIGITS = 18
+_ZERO, _NINE, _NEWLINE = np.uint8(ord("0")), np.uint8(ord("9")), np.uint8(ord("\n"))
+#: ",D?," read as a little-endian word, the detector digit masked out.
+_COMMA_D_COMMA = np.uint64(int.from_bytes(b",D\0,", "little"))
+#: Low nibbles of the last min(w, 8) bytes of a little-endian 8-byte word.
+_DIGIT_MASKS = np.array([(0x0F0F0F0F0F0F0F0F << 8 * max(8 - w, 0)) & (2**64 - 1)
+                         for w in range(_MAX_DIGITS + 1)], dtype=np.uint64)
 
 
 def _check_window(name: str, window: tuple[int, int]) -> tuple[int, int]:
@@ -206,10 +216,13 @@ class ClickStream:
         """Read a click CSV (format in the module docstring).
 
         The preamble up to the column header goes through the per-line
-        grammar; the body is parsed in one C-level pass.  A body that pass
-        does not take as plain records (comments, whitespace-only lines,
-        ``1_0``-style numbers, bad records) is re-read line by line, which
-        gives the same arrays, or the same error at the same line.
+        grammar.  A body of plain records, ``digits,D[123],digits`` with at
+        most 18 digits per number and LF or CRLF line ends (with or without
+        a final one, after a byte-order mark or none), is parsed from its
+        bytes in numpy.  Every other body (comments, blank lines, spaces,
+        ``+5`` or ``1_0``, a lone CR, wider numbers, non-ASCII bytes, bad
+        records) is read line by line from its start, which gives the same
+        arrays, or the same error at the same line.
         """
         lines = _ClickLines(path)
         with open_text(path) as fh:
@@ -218,7 +231,13 @@ class ClickStream:
                 if lines.header_seen:
                     break
             body_start = fh.tell()
-            columns = _bulk_body(fh) if lines.header_seen and not _has_nul(path) else None
+            columns = None
+            if lines.header_seen:
+                fh.seek(body_start)  # empties the text buffer
+                # A position that is not the byte offset carries decoder
+                # state (a pending lone \r): that body goes line by line.
+                if fh.buffer.tell() == body_start:
+                    columns = _plain_body(fh.buffer.read())
             if columns is None:
                 fh.seek(body_start)
                 for raw in fh:
@@ -258,6 +277,8 @@ class _ClickLines:
                 self.n_trials = int(m.group(1))
                 if self.n_trials > _INT64_MAX:
                     raise self._error(f"trial count above {_INT64_MAX}")
+                if self.n_trials == 0:
+                    raise self._error("trial count must be at least 1")
             return
         if not self.header_seen:
             if line != _HEADER:
@@ -303,34 +324,90 @@ class _ClickLines:
         return ClickStream(self.n_trials, trial_ids, detector_codes, times_ns)
 
 
-def _has_nul(path) -> bool:
-    """Whether the file holds a NUL byte: numpy's fixed-width strings drop
-    trailing NULs, so ``D2\\0`` would read as ``D2``."""
-    with open(path, "rb") as fh:
-        return any(b"\0" in chunk for chunk in iter(partial(fh.read, 1 << 20), b""))
+def _plain_body(data: bytes):
+    """Parse a click-file body of plain records, ``digits,D[123],digits``
+    per line with LF or CRLF line ends, in numpy, one block at a time.
 
-
-def _bulk_body(fh):
-    """Parse the rest of ``fh`` as plain records in one pass.
-
-    Returns the (trial ids, detector codes, times) arrays, or None when the
-    body holds anything else; any numpy warning (e.g. an empty body) also
-    gives None, so none reaches the user.
+    Returns the (trial ids, detector codes, times) arrays, or None when any
+    byte of the body is not of that form or a field has more than 18
+    digits; the caller then reads the body through ``_ClickLines``.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=_BODY_DTYPE)
-    except (ValueError, Warning):
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")  # a lone \r is below '0': None
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    body = np.frombuffer(data, np.uint8)
+    # counted a block at a time, with no body-sized temporary
+    n = sum(np.count_nonzero(body[i:i + _BLOCK] == _NEWLINE) for i in range(0, body.size, _BLOCK))
+    columns = (np.empty(n, np.int64), np.empty(n, np.int8), np.empty(n, np.int64))
+    buf = np.zeros(_PAD + _BLOCK + 8, np.uint8)
+    # words[i] is the little-endian 8-byte window that starts at buf[i]
+    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+    start = row = 0
+    while start < body.size:
+        end = data.rfind(b"\n", start, start + _BLOCK) + 1
+        if end <= start:  # no line end in a whole block: no plain record
+            return None
+        buf[_PAD:_PAD + end - start] = body[start:end]
+        parsed = _plain_block(buf[_PAD:_PAD + end - start], words)
+        if parsed is None:
+            return None
+        k = parsed[0].size
+        for column, values in zip(columns, parsed):
+            column[row:row + k] = values
+        start, row = end, row + k
+    return columns
+
+
+def _plain_block(block, words):
+    """Parse ``block``, whole lines at ``_PAD`` in the buffer that ``words``
+    views: the three columns, or None unless every line is a plain record."""
+    sep = np.flatnonzero(block < _ZERO)
+    k = sep.size // 3
+    if sep.size != 3 * k or np.count_nonzero(block > _NINE) != k:
         return None
-    codes = np.full(rows.size, -1, dtype=np.int8)
-    for code, name in enumerate(DETECTORS):
-        codes[rows["detector"] == name] = code
-    ids = np.ascontiguousarray(rows["trial_id"])
-    times = np.ascontiguousarray(rows["time_ns"])
-    if (codes < 0).any() or (ids < 0).any() or (times < 0).any():
+    comma, newline = sep[0::3], sep[2::3]
+    # The 4 bytes from each line's first separator must read ",D1," to
+    # ",D3,"; its third separator must be a line end.  Then no byte but
+    # the D lies above '9', and none but the separators below '0'.
+    head = words[comma + _PAD] & np.uint64(0xFFFFFFFF)
+    code = ((head >> np.uint64(16)) & np.uint64(0xFF)) - np.uint64(ord("1"))
+    if not ((head & np.uint64(0xFF00FFFF) == _COMMA_D_COMMA).all() and code.max() < len(DETECTORS)
+            and (block[newline] == _NEWLINE).all()):
         return None
-    return ids, codes, times
+    line_start = np.empty(k, np.int64)
+    line_start[0] = 0
+    line_start[1:] = newline[:-1] + 1
+    id_width = comma - line_start
+    time_width = newline - comma - 4
+    if (min(id_width.min(), time_width.min()) < 1
+            or max(id_width.max(), time_width.max()) > _MAX_DIGITS):
+        return None
+    return (_decimal(words, comma + _PAD, id_width), code.astype(np.int8),
+            _decimal(words, newline + _PAD, time_width))
+
+
+def _decimal(words, ends, widths):
+    """The values of the decimal fields of ``widths`` (1-18) ASCII digits
+    that end before buffer offsets ``ends``: the last 8 digits, then on the
+    rows that have them the 8 before those, and the 2 before those."""
+    value = _eight_digits(words[ends - 8], widths)
+    for shift in (8, 16):
+        rows = np.flatnonzero(widths > shift)
+        if not rows.size:
+            break
+        part = _eight_digits(words[ends[rows] - 8 - shift], widths[rows] - shift)
+        value[rows] += part * np.uint64(10**shift)
+    return value.view(np.int64)
+
+
+def _eight_digits(window, widths):
+    """SWAR: the value of the last ``widths`` digits (at most 8) of each
+    little-endian 8-byte ``window``, the bytes before them read as 0."""
+    x = window & _DIGIT_MASKS[widths]
+    x = (x * np.uint64(10) + (x >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    x = (x * np.uint64(100) + (x >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    return (x * np.uint64(10000) + (x >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
 
 
 def count_trials(
@@ -351,21 +428,27 @@ def count_trials(
             if name not in _DETECTOR_CODE:
                 raise ValidationError(f"unknown detector {name!r}; expected one of {DETECTORS}")
     n = stream.n_trials
-    if n < 1:
+    if n < 1:  # the reader rejects such a file, naming the file
         raise ValidationError("click stream reports zero trials")
     det = stream.detector_codes
     t = stream.times_ns
     ids = stream.trial_ids
-    # The reader rejects a file with such ids, naming the file; a stream
-    # built in code reaches here unchecked.
+    # The reader rejects a file with such ids or codes, naming the file; a
+    # stream built in code reaches here unchecked.
     if ids.size and not 0 <= ids.min() <= ids.max() < n:
         bad = ids.min() if ids.min() < 0 else ids.max()
         raise ValidationError(f"trial id {bad} outside 0..{n - 1}")
 
+    if det.size and not 0 <= det.min() <= det.max() < len(DETECTORS):
+        bad = det.min() if det.min() < 0 else det.max()
+        raise ValidationError(f"detector code {bad} outside 0..{len(DETECTORS) - 1}")
+
     sig = []
     noise = []
     for names, window in ((detectors_1, windows.signal_1), (detectors_2, windows.signal_2)):
-        role = np.isin(det, [_DETECTOR_CODE[x] for x in names])
+        in_role = np.zeros(len(DETECTORS), dtype=bool)
+        in_role[[_DETECTOR_CODE[x] for x in names]] = True
+        role = in_role[det]
         in_sig = role & (t >= window[0]) & (t < window[1])
         in_noise = role & (t >= windows.noise[0]) & (t < windows.noise[1])
         try:

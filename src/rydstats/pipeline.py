@@ -81,11 +81,14 @@ class PipelineConfig:
         with np.errstate(all="ignore"):
             values = [f(x) for x in np.linspace(_P_FLOOR, hi, 50)]
         if not np.all(np.isfinite(values)):
-            # At a t_w near the smallest double the herald weights are
-            # subnormal, the curve's terms underflow, and it is 0/0.
+            # At a t_w or t_losses near the smallest double the herald
+            # weights or the survival chances are subnormal, the curve's
+            # terms underflow, and it is 0/0.  Only those two feed the curve.
+            fed_by = (f" at t_w={self.t_w}, t_losses={self.t_losses}"
+                      if self.input_kind == "dlcz" else "")
             raise NumericalError(
                 f"multiphoton strength curve of the {self.input_kind} source is not "
-                f"finite at t_w={self.t_w}; its terms underflow"
+                f"finite{fed_by}; its terms underflow"
             )
         if np.any(np.diff(values) < -1e-12):
             raise ValidationError(
@@ -252,8 +255,8 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
         If ``zeta`` is not attainable at this truncation (larger n_max
         extends the reachable range).
     NumericalError
-        If the zeta curve is not finite (a write transmission so small
-        that the curve's terms underflow).
+        If the zeta curve is not finite (a write or loss transmission so
+        small that the curve's terms underflow).
     """
     f, hi = cfg._zeta_inverse
     try:

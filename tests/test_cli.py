@@ -31,7 +31,7 @@ from rydstats.cli import _blockade_config, _pipeline_config, _rate_model, main
 from rydstats.config import _KEYS, RunConfig, _float_list, parse_config_file
 from rydstats.errors import NumericalError, ValidationError
 
-from golden.cases import run_case
+from golden.cases import INPUTS, run_case
 
 
 def run(args):
@@ -633,3 +633,81 @@ class TestConfigEdges:
                 read_table(path, path.read_text().split("\n", 1)[0].split(","))
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=_no_constant)
+
+
+#: The golden click file, split into its preamble and its 2225 records.
+CLICK_LINES = (INPUTS / "clicks.csv").read_text().splitlines()
+#: Field values a record may take: odd spellings, bad numbers and bytes
+#: (``\udcff`` is written as the byte 0xff), and ids near the trial count.
+ODD_FIELDS = ["", " 5", "+5", "1_0", "-3", "007", "1999", "2000", "99999999999999999999",
+              "123456789012345678", "nan", "inf", "1e2", "290.5", "é", "\0", "\udcff",
+              "D9", "D2", "d2"]
+ODD_LINES = ["", "  ", "# note", "# trials=0", "# trials=2000"]
+TRIAL_LINES = ["# trials=2000", "# trials=0", "# trials=1", "#trials = 2000",
+               "# trials=99999999999999999999"]
+
+
+def _mutate(record: str, mutation) -> list[str]:
+    """The lines that replace ``record`` under one drawn mutation."""
+    kind, arg = mutation
+    fields = record.split(",")
+    if kind == "field":
+        index, value = arg
+        fields[index] = value
+    elif kind == "drop-field":
+        del fields[arg]
+    elif kind == "extra-field":
+        fields.append(arg)
+    elif kind == "line":
+        return [arg]
+    elif kind == "delete":
+        return []
+    elif kind == "duplicate":
+        return [record, record]
+    return [",".join(fields)]
+
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("field"), st.tuples(st.integers(0, 2), st.sampled_from(ODD_FIELDS))),
+    st.tuples(st.just("drop-field"), st.integers(0, 2)),
+    st.tuples(st.just("extra-field"), st.sampled_from(["7", ""])),
+    st.tuples(st.just("line"), st.sampled_from(ODD_LINES)),
+    st.tuples(st.sampled_from(["delete", "duplicate"]), st.none()),
+)
+
+
+class TestClickFileMutations:
+    """The exit-code contract for click files: records of the golden click
+    file mutated (all, none or only the first kept), run through ``g2``."""
+
+    @settings(max_examples=60, derandomize=True, deadline=2000)
+    @given(
+        trials_line=st.sampled_from(TRIAL_LINES),
+        mutations=st.dictionaries(st.integers(0, len(CLICK_LINES) - 3), MUTATIONS,
+                                  min_size=0, max_size=3),
+        kept=st.sampled_from([None, 0, 1]),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        final_newline=st.booleans(),
+        bom=st.booleans(),
+    )
+    # no records: no signal clicks, or no trials
+    @example(trials_line="# trials=2000", mutations={}, kept=0, newline="\n",
+             final_newline=True, bom=False)
+    @example(trials_line="# trials=0", mutations={}, kept=0, newline="\n",
+             final_newline=True, bom=False)
+    def test_exit_code_and_message(self, trials_line, mutations, newline, final_newline, bom,
+                                   kept):
+        records = CLICK_LINES[2:][:kept]
+        lines = [trials_line, CLICK_LINES[1]]
+        for index, record in enumerate(records):
+            lines += _mutate(record, mutations[index]) if index in mutations else [record]
+        text = newline.join(lines) + (newline if final_newline else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "clicks.csv", Path(tmp) / "out"
+            path.write_bytes((b"\xef\xbb\xbf" if bom else b"")
+                             + text.encode("utf-8", "surrogateescape"))
+            record = run_case(["g2", str(path), "--resamples", "100"], out)
+        assert record["exit"] in (0, 2), record
+        assert "Traceback" not in record["stderr"], record
+        if record["exit"] == 2:
+            assert str(path) in record["stderr"], record

@@ -23,7 +23,8 @@ from rydstats import (
     g2_raw,
     synthesize,
 )
-from rydstats.clicks import DETECTORS, _ClickLines
+from rydstats._table import open_text
+from rydstats.clicks import _BLOCK, DETECTORS, _ClickLines
 from rydstats.source import SourceModel
 
 WINDOWS = WindowSpec(signal_1=(0, 300), noise=(500, 1100))
@@ -130,6 +131,16 @@ class TestIngest:
         with pytest.raises(ValidationError, match=f"{path}:2: trial count above"):
             count_trials(ClickStream.read_csv(path), WINDOWS)
 
+    def test_zero_trials_reports_line(self, tmp_path):
+        path = write_stream(tmp_path, "# trials=0\ntrial_id,detector,time_ns\n")
+        with pytest.raises(ValidationError, match=f"{path}:1: trial count must be at least 1"):
+            ClickStream.read_csv(path)
+
+    def test_stream_built_in_code_rejects_zero_trials(self):
+        stream = ClickStream(0, np.zeros(0, np.int64), np.zeros(0, np.int8), np.zeros(0, np.int64))
+        with pytest.raises(ValidationError, match="click stream reports zero trials"):
+            count_trials(stream, WINDOWS)
+
     def test_unallocatable_trial_count_is_validation_error(self):
         # 2**62 bools cannot be allocated; numpy refuses before touching memory
         stream = ClickStream(2**62, np.zeros(0, np.int64), np.zeros(0, np.int8),
@@ -146,6 +157,35 @@ class TestIngest:
         stream = ClickStream(3, np.array([0, trial_id], np.int64), np.array([1, 2], np.int8),
                              np.array([100, time_ns], np.int64))
         with pytest.raises(ValidationError, match=f"trial id {trial_id} outside 0..2"):
+            count_trials(stream, WINDOWS)
+
+    @pytest.mark.parametrize("roles", [(("D2",), ("D3",)), (("D1", "D3"), ("D2",)),
+                                       (("D1", "D2", "D3"), ("D2",))])
+    def test_patterns_match_per_trial_reference(self, roles):
+        rng = np.random.default_rng(8)
+        size = 400
+        stream = ClickStream(50, rng.integers(50, size=size),
+                             rng.integers(3, size=size).astype(np.int8),
+                             rng.integers(1100, size=size))
+        data = count_trials(stream, WINDOWS, *roles)
+        columns = []
+        for trial in range(stream.n_trials):
+            mine = stream.trial_ids == trial
+            codes, times = stream.detector_codes[mine].tolist(), stream.times_ns[mine].tolist()
+            role = [[DETECTORS[c] in names for c in codes] for names in roles]
+            signal = [any(r and lo <= t < hi for r, t in zip(role[j], times))
+                      for j, (lo, hi) in enumerate((WINDOWS.signal_1, WINDOWS.signal_2))]
+            noise = [sum(r and 500 <= t < 1100 for r, t in zip(role[j], times)) for j in range(2)]
+            columns.append([*signal, *noise])
+        patterns, weights = np.unique(np.array(columns).T, axis=1, return_counts=True)
+        np.testing.assert_array_equal(data.patterns, patterns)
+        np.testing.assert_array_equal(data.weights, weights)
+
+    @pytest.mark.parametrize("code", [-1, 3])
+    def test_stream_built_in_code_rejects_unknown_detector_code(self, code):
+        stream = ClickStream(3, np.array([0, 1], np.int64), np.array([1, code], np.int8),
+                             np.array([100, 200], np.int64))
+        with pytest.raises(ValidationError, match=f"detector code {code} outside 0..2"):
             count_trials(stream, WINDOWS)
 
     def test_non_utf8_file_is_validation_error(self, tmp_path):
@@ -170,10 +210,22 @@ class TestIngest:
 def read_per_line(path):
     """Reference reader: every line through the per-line grammar."""
     lines = _ClickLines(path)
-    with open(path) as fh:
+    with open_text(path) as fh:
         for raw in fh:
             lines.feed(raw)
     return lines.stream(*lines.columns())
+
+
+def assert_reads_as_per_line(path):
+    """``read_csv`` gives the reference reader's stream, or its error."""
+    try:
+        expected = read_per_line(path)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            ClickStream.read_csv(path)
+        assert str(info.value) == str(exc), path.read_bytes()
+    else:
+        assert_same_stream(ClickStream.read_csv(path), expected)
 
 
 def assert_same_stream(a, b):
@@ -251,41 +303,81 @@ class TestReadCsv:
         assert not caught
         assert capfd.readouterr().err == ""
 
+    @staticmethod
+    def plain_body(rows, seed=3):
+        """``rows`` plain records with trial ids below 20, for HEAD."""
+        rng = np.random.default_rng(seed)
+        columns = (rng.integers(high, size=rows).tolist() for high in (20, 3, 10**6))
+        return "".join(f"{i},D{c + 1},{t}\n" for i, c, t in zip(*columns))
+
     def test_plain_body_skips_per_line_grammar(self, tmp_path, monkeypatch):
         stream = synthesize(coherent(0.4, 15), 2000, WINDOWS, noise_rates_hz=(1e4, 1e4), seed=3)
-        path = tmp_path / "plain.csv"
-        stream.write_csv(path)
+        stream.write_csv(tmp_path / "written.csv")
+        text = (tmp_path / "written.csv").read_text()
+        body = self.plain_body(40_000)
+        assert len(body) > _BLOCK
+        variants = {
+            "written": text.encode(),
+            "crlf": text.replace("\n", "\r\n").encode(),
+            "bom": b"\xef\xbb\xbf" + text.encode(),
+            "no-final-newline": text[:-1].encode(),
+            "multi-block": (HEAD + body).encode(),
+        }
         fed = []
         original = _ClickLines.feed
         monkeypatch.setattr(_ClickLines, "feed", lambda self, raw: fed.append(raw) or original(self, raw))
-        assert_same_stream(ClickStream.read_csv(path), stream)
-        assert len(fed) == 2  # the preamble only
+        for name, data in variants.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(data)
+            expected = stream if name != "multi-block" else read_per_line(path)
+            fed.clear()
+            assert_same_stream(ClickStream.read_csv(path), expected)
+            assert len(fed) == 2, name  # the preamble only
 
     def test_random_odd_files_match_per_line(self, tmp_path):
         rng = random.Random(5)
-        fields = ["0", "3", "+2", " 4", "1_0", "-1", "", "x", "99999999999999999999", "D2", "D22"]
-        odd = ["", "  ", "# note", "# trials=4", "0,D2", "1,D3,4,5", "2,d1,3", "\t"]
-        for i in range(300):
+        # 8, 9, 16, 17, 18 and 19 digits: one, two and three 8-digit
+        # windows, then the per-line grammar and its int64 check
+        wide = ["12345678", "123456789", "9876543210123456", "12345678901234567",
+                "999999999999999999", "9223372036854775807", "9223372036854775808",
+                "0000000000000000001", "000000000000000019", "00000007", "007"]
+        fields = ["0", "3", "+2", " 4", "1_0", "-1", "", "x", "99999999999999999999", "D2", "D22",
+                  *wide]
+        odd = ["", "  ", "# note", "# trials=4", "0,D2", "1,D3,4,5", "2,d1,3", "\t", "0,D2\r,5"]
+        for i in range(400):
             body = []
             for _ in range(rng.randrange(6)):
                 r = rng.random()
-                if r < 0.6:
+                if r < 0.5:
                     body.append(f"{rng.randrange(9)},{rng.choice(('D1', 'D2', 'D3'))},{rng.randrange(900)}")
-                elif r < 0.8:
+                elif r < 0.65:
+                    # a plain record with leading zeros or a wide time
+                    trial = rng.choice(("0", "00", "000000000000000003"))
+                    body.append(f"{trial},D1,{rng.choice(wide)}")
+                elif r < 0.85:
                     body.append(",".join((rng.choice(fields), rng.choice(('D1', 'D2', 'D9', '')),
                                           rng.choice(fields))))
                 else:
                     body.append(rng.choice(odd))
-            newline = rng.choice(("\n", "\r\n"))
-            path = write_stream(tmp_path, (HEAD + "\n".join(body)).replace("\n", newline))
-            try:
-                expected = read_per_line(path)
-            except ValidationError as exc:
-                with pytest.raises(ValidationError) as info:
-                    ClickStream.read_csv(path)
-                assert str(info.value) == str(exc), path.read_text()
-            else:
-                assert_same_stream(ClickStream.read_csv(path), expected)
+            newline = rng.choice(("\n", "\r\n", "\r"))
+            data = (HEAD + "\n".join(body)).replace("\n", newline).encode()
+            if rng.random() < 0.05:
+                at = rng.randrange(len(HEAD), len(data) + 1)
+                data = data[:at] + b"\xff" + data[at:]
+            path = tmp_path / "odd.csv"
+            path.write_bytes(data)
+            assert_reads_as_per_line(path)
+        # one bad record late in the last block of a body of two blocks
+        plain = self.plain_body(40_000).splitlines()
+        for record in ("5,D9,7", "5,D2,7,", "5,D2", "5,D2,-7", "5,D2,7 7", "5,D\udcff,7"):
+            lines = list(plain)
+            at = rng.randrange(len(lines) - 100, len(lines))
+            lines[at] = record
+            path.write_bytes((HEAD + "\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+            assert_reads_as_per_line(path)
+            message = "not UTF-8 text (byte 0xff)" if "\udcff" in record else f"{path}:{at + 3}: "
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                ClickStream.read_csv(path)
 
 
 class TestEstimators:

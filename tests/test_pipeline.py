@@ -299,6 +299,12 @@ class TestZetaInversion:
                 zeta_to_param(PipelineConfig(t_w=5e-324), 0.01)
         assert "nan" not in str(info.value)
 
+    def test_tiny_loss_transmission_names_it(self):
+        # the message names both transmissions that feed the curve, not the
+        # default t_w alone
+        with pytest.raises(NumericalError, match="at t_w=0.21, t_losses=5e-324; its terms"):
+            zeta_to_param(PipelineConfig(t_losses=5e-324), 0.01)
+
     def test_tiny_write_transmission_is_its_small_t_w_limit(self):
         # the heralded state tends to n (1 - p)^2 p^(n - 1) as t_w -> 0, so
         # t_w = 1e-300 (where 1 - t_w rounds to 1) inverts like t_w = 1e-12
