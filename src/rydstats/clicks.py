@@ -57,6 +57,14 @@ _COMMA_D_COMMA = np.uint64(int.from_bytes(b",D\0,", "little"))
 #: Low nibbles of the last min(w, 8) bytes of a little-endian 8-byte word.
 _DIGIT_MASKS = np.array([(0x0F0F0F0F0F0F0F0F << 8 * max(8 - w, 0)) & (2**64 - 1)
                          for w in range(_MAX_DIGITS + 1)], dtype=np.uint64)
+# The writer formats blocks of _WRITE_ROWS records in numpy, each value as
+# 8-digit words of ASCII, and keeps the bytes from its first digit on.
+_WRITE_ROWS = 1 << 16
+#: 10**1 .. 10**18: a value's digit count is 1 + the number of these it reaches.
+_POW10 = np.array([10**k for k in range(1, 19)], dtype=np.uint64)
+#: 0x01 in each of the last w bytes of a little-endian 8-byte word (w = 0..8).
+_KEEP_BYTES = np.array([int.from_bytes(bytes(8 - w) + bytes([1]) * w, "little")
+                        for w in range(9)], dtype=np.uint64)
 
 
 def _check_window(name: str, window: tuple[int, int]) -> tuple[int, int]:
@@ -198,18 +206,24 @@ class ClickStream:
         return self.trial_ids.size
 
     def write_csv(self, path) -> None:
-        names = np.array(DETECTORS)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# trials={self.n_trials}\n")
-            fh.write(_HEADER + "\n")
-            det = names[self.detector_codes]
-            lines = [
-                f"{t},{d},{ts}"
-                for t, d, ts in zip(self.trial_ids.tolist(), det.tolist(),
-                                    self.times_ns.tolist())
-            ]
-            if lines:
-                fh.write("\n".join(lines) + "\n")
+        """Write the stream as a click CSV (format in the module docstring)
+        that ``read_csv`` reads back to the same arrays.
+
+        A stream that such a file cannot hold is a ``ValidationError``,
+        raised before the file is opened: a trial count that is not an
+        integer in ``1..2**63-1``, a trial id outside ``0..n_trials-1``, a
+        detector code outside ``0..2`` or a negative time.  The records are formatted in numpy, ``_WRITE_ROWS`` at a
+        time, each block with one ``write()``.
+        """
+        _check_stream(self)
+        if self.times_ns.size and self.times_ns.min() < 0:
+            raise ValidationError(f"negative time {self.times_ns.min()} ns")
+        with open(path, "wb") as fh:
+            fh.write(f"# trials={self.n_trials}\n{_HEADER}\n".encode())
+            for start in range(0, self.n_records, _WRITE_ROWS):
+                rows = slice(start, start + _WRITE_ROWS)
+                fh.write(_format_block(self.trial_ids[rows], self.detector_codes[rows],
+                                       self.times_ns[rows]))
 
     @staticmethod
     def read_csv(path) -> "ClickStream":
@@ -410,6 +424,72 @@ def _eight_digits(window, widths):
     return (x * np.uint64(10000) + (x >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
 
 
+def _format_block(ids, codes, times) -> np.ndarray:
+    """The records ``id,D<code + 1>,time`` of one block as ASCII bytes,
+    each line ending in LF (ids, codes and times already checked)."""
+    id_digits, id_keep = _ascii_field(np.asarray(ids, np.int64).view(np.uint64))
+    time_digits, time_keep = _ascii_field(np.asarray(times, np.int64).view(np.uint64))
+    a, b = id_digits.shape[1], time_digits.shape[1]
+    line = np.empty((ids.size, a + 4 + b + 1), np.uint8)
+    keep = np.ones(line.shape, bool)
+    line[:, :a], keep[:, :a] = id_digits, id_keep
+    line[:, a:a + 4] = np.frombuffer(b",D?,", np.uint8)
+    line[:, a + 2] = codes + ord("1")
+    line[:, a + 4:-1], keep[:, a + 4:-1] = time_digits, time_keep
+    line[:, -1] = _NEWLINE
+    return line[keep]
+
+
+def _ascii_field(values):
+    """The decimal digits of ``values`` (uint64, below 10**19) in as many
+    8-byte words per value as the widest needs, leading zeros included:
+    the (n, 8k) digit bytes, and the (n, 8k) mask of the bytes from each
+    value's first digit on."""
+    widths = np.searchsorted(_POW10, values, side="right") + 1
+    k = -(-int(widths.max()) // 8)
+    words = np.empty((values.size, k), np.uint64)
+    keep = np.empty((values.size, k), np.uint64)
+    for j in reversed(range(k)):  # the last 8 digits first
+        if j:
+            low = values % np.uint64(10**8)
+            values = values // np.uint64(10**8)
+        else:
+            low = values
+        words[:, j] = _eight_ascii(low)
+        keep[:, j] = _KEEP_BYTES[np.clip(widths - 8 * (k - 1 - j), 0, 8)]
+    return words.view(np.uint8), keep.view(bool)
+
+
+def _eight_ascii(values):
+    """SWAR, the inverse of ``_eight_digits``: each value below 10**8 as 8
+    ASCII digits (leading zeros included) in a little-endian word.  Each
+    step splits every lane in two by a multiply-shift division: 4 digits
+    per 32-bit lane, 2 per 16-bit lane, then 1 per byte."""
+    high = (values * np.uint64(3518437209)) >> np.uint64(45)  # // 10**4
+    x = high | (values - high * np.uint64(10**4)) << np.uint64(32)
+    high = ((x * np.uint64(5243)) >> np.uint64(19)) & np.uint64(0x0000007F0000007F)  # // 100
+    x = high | (x - high * np.uint64(100)) << np.uint64(16)
+    high = ((x * np.uint64(103)) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)  # // 10
+    return high | (x - high * np.uint64(10)) << np.uint64(8) | np.uint64(0x3030303030303030)
+
+
+def _check_stream(stream: ClickStream) -> None:
+    """Reject a trial count that is not an integer in 1..2**63-1, a trial
+    id outside 0..n_trials-1 and a detector code outside 0..2: the reader
+    rejects a file with them, naming the file, and a stream built in code
+    reaches ``count_trials`` and ``write_csv`` unchecked."""
+    n = stream.n_trials
+    if not isinstance(n, (int, np.integer)) or n > _INT64_MAX:
+        raise ValidationError(f"trial count {n!r} is not an integer in 1..{_INT64_MAX}")
+    if n < 1:
+        raise ValidationError("click stream reports zero trials")
+    for name, values, high in (("trial id", stream.trial_ids, n),
+                               ("detector code", stream.detector_codes, len(DETECTORS))):
+        if values.size and not 0 <= values.min() <= values.max() < high:
+            bad = values.min() if values.min() < 0 else values.max()
+            raise ValidationError(f"{name} {bad} outside 0..{high - 1}")
+
+
 def count_trials(
     stream: ClickStream,
     windows: WindowSpec,
@@ -427,21 +507,11 @@ def count_trials(
         for name in names:
             if name not in _DETECTOR_CODE:
                 raise ValidationError(f"unknown detector {name!r}; expected one of {DETECTORS}")
+    _check_stream(stream)
     n = stream.n_trials
-    if n < 1:  # the reader rejects such a file, naming the file
-        raise ValidationError("click stream reports zero trials")
     det = stream.detector_codes
     t = stream.times_ns
     ids = stream.trial_ids
-    # The reader rejects a file with such ids or codes, naming the file; a
-    # stream built in code reaches here unchecked.
-    if ids.size and not 0 <= ids.min() <= ids.max() < n:
-        bad = ids.min() if ids.min() < 0 else ids.max()
-        raise ValidationError(f"trial id {bad} outside 0..{n - 1}")
-
-    if det.size and not 0 <= det.min() <= det.max() < len(DETECTORS):
-        bad = det.min() if det.min() < 0 else det.max()
-        raise ValidationError(f"detector code {bad} outside 0..{len(DETECTORS) - 1}")
 
     sig = []
     noise = []
@@ -503,11 +573,19 @@ def synthesize(
     Uncorrelated background is added as Poisson clicks in both the signal
     and noise windows at the given per-detector rates (counts per second,
     at most 1e9: one click per nanosecond).  Deterministic per seed.
+    The records are sorted on one int64 key, which bounds
+    3 * n_trials * (the latest window end) by 2**63.
     """
     _check_count("n_trials", n_trials, 1)
     _check_count("seed", seed, 0)
     if not all(0.0 <= rate <= 1e9 for rate in noise_rates_hz):
         raise ValidationError(f"noise rates must lie in [0, 1e9] Hz, got {noise_rates_hz}")
+    t_end = max(windows.signal_1[1], windows.signal_2[1], windows.noise[1])
+    if 3 * int(n_trials) * t_end > 2**63:
+        raise ValidationError(
+            f"n_trials={n_trials} with a window end of {t_end} ns overflows the int64 "
+            "sort key: 3 * n_trials * window end must be at most 2**63"
+        )
     rng = np.random.default_rng(seed)
 
     ks = rng.choice(dist.probs.size, size=n_trials, p=dist.probs)
@@ -532,7 +610,8 @@ def synthesize(
                 emit(rng.poisson(lam, size=n_trials), name, window)
 
     ids, codes, times = (np.concatenate(column) for column in zip(*parts))
-    order = np.lexsort((codes, times, ids))
+    # times < t_end and codes < 3, so this key sorts like (id, time, code)
+    order = np.argsort((ids * t_end + times) * 3 + codes, kind="stable")
     return ClickStream(n_trials, ids[order], codes[order], times[order])
 
 

@@ -1,6 +1,8 @@
 import random
 import re
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,11 +25,13 @@ from rydstats import (
     g2_raw,
     synthesize,
 )
+from rydstats import clicks
 from rydstats._table import open_text
-from rydstats.clicks import _BLOCK, DETECTORS, _ClickLines
+from rydstats.clicks import _BLOCK, _INT64_MAX, _WRITE_ROWS, DETECTORS, _ClickLines
 from rydstats.source import SourceModel
 
 WINDOWS = WindowSpec(signal_1=(0, 300), noise=(500, 1100))
+GOLDEN_CLICKS = Path(__file__).parent / "golden" / "inputs" / "clicks.csv"
 
 
 def write_stream(tmp_path, text, name="clicks.csv"):
@@ -380,6 +384,105 @@ class TestReadCsv:
                 ClickStream.read_csv(path)
 
 
+def write_per_record(stream, path):
+    """Reference writer: one f-string per record."""
+    names = np.array(DETECTORS)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# trials={stream.n_trials}\n")
+        fh.write("trial_id,detector,time_ns\n")
+        det = names[stream.detector_codes]
+        lines = [
+            f"{t},{d},{ts}"
+            for t, d, ts in zip(stream.trial_ids.tolist(), det.tolist(),
+                                stream.times_ns.tolist())
+        ]
+        if lines:
+            fh.write("\n".join(lines) + "\n")
+
+
+#: 0, 1, 10**k - 1 and 10**k for every digit count, and the int64 maximum.
+EDGES = sorted({0, 1, _INT64_MAX} | {10**k + d for k in range(1, 19) for d in (-1, 0)})
+
+
+def numbers(high):
+    """Integers in 0..high: the edges, or one of each digit count."""
+    by_width = st.integers(1, len(str(high))).flatmap(
+        lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d - 1, high)))
+    return st.one_of(st.sampled_from([v for v in EDGES if v <= high]), by_width)
+
+
+@st.composite
+def click_streams(draw):
+    n_trials = 1 + draw(numbers(_INT64_MAX - 1))
+    records = draw(st.lists(st.tuples(numbers(n_trials - 1), st.integers(0, 2),
+                                      numbers(_INT64_MAX)), max_size=12))
+    ids, codes, times = zip(*records) if records else ((), (), ())
+    return ClickStream(n_trials, np.array(ids, np.int64), np.array(codes, np.int8),
+                       np.array(times, np.int64))
+
+
+class TestWriteCsv:
+    """The numpy writer must write the reference writer's bytes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stream=click_streams(), rows=st.integers(1, 4))
+    def test_matches_per_record_reference(self, tmp_path_factory, stream, rows):
+        tmp = tmp_path_factory.getbasetemp()
+        with mock.patch.object(clicks, "_WRITE_ROWS", rows):
+            stream.write_csv(tmp / "new.csv")
+        write_per_record(stream, tmp / "reference.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+        assert_same_stream(ClickStream.read_csv(tmp / "new.csv"), stream)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_edges(self, tmp_path, extra):
+        rng = np.random.default_rng(extra + 5)
+        size = _WRITE_ROWS + extra
+        # every digit count in every block, the widest value last
+        times = rng.integers(10 ** rng.integers(19, size=size), dtype=np.int64)
+        times[-1] = _INT64_MAX
+        stream = ClickStream(10**12, np.sort(rng.integers(10**12, size=size)),
+                             rng.integers(3, size=size).astype(np.int8), times)
+        stream.write_csv(tmp_path / "new.csv")
+        write_per_record(stream, tmp_path / "reference.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert_same_stream(ClickStream.read_csv(tmp_path / "new.csv"), stream)
+
+    def test_rewrites_golden_file(self, tmp_path):
+        ClickStream.read_csv(GOLDEN_CLICKS).write_csv(tmp_path / "clicks.csv")
+        assert (tmp_path / "clicks.csv").read_bytes() == GOLDEN_CLICKS.read_bytes()
+
+    @pytest.mark.parametrize("n_trials, ids, codes, times, message", [
+        (0, [], [], [], "click stream reports zero trials"),
+        (2**63, [], [], [], f"trial count {2**63} is not an integer in 1..{_INT64_MAX}"),
+        (5.0, [0], [1], [5], f"trial count 5.0 is not an integer in 1..{_INT64_MAX}"),
+        (3, [0, 3], [1, 2], [5, 6], "trial id 3 outside 0..2"),
+        (3, [-1, 0], [1, 2], [5, 6], "trial id -1 outside 0..2"),
+        (3, [0, 1], [1, 3], [5, 6], "detector code 3 outside 0..2"),
+        (3, [0, 1], [-1, 2], [5, 6], "detector code -1 outside 0..2"),
+        (3, [0, 1], [1, 2], [5, -6], "negative time -6 ns"),
+    ], ids=["zero-trials", "trials-past-int64", "float-trials", "id-past-end", "negative-id",
+            "code-3", "code-minus-1", "negative-time"])
+    def test_rejects_what_the_reader_rejects(self, tmp_path, n_trials, ids, codes, times,
+                                             message):
+        stream = ClickStream(n_trials, np.array(ids, np.int64), np.array(codes, np.int8),
+                             np.array(times, np.int64))
+        path = tmp_path / "clicks.csv"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            stream.write_csv(path)
+        assert not path.exists()
+        if "time" not in message:  # the check that count_trials shares
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                count_trials(stream, WINDOWS)
+
+    def test_accepts_any_integer_dtype(self, tmp_path):
+        stream = ClickStream(7, np.array([0, 6], np.int32), np.array([0, 2]),
+                             np.array([9, 10], np.uint16))
+        stream.write_csv(tmp_path / "clicks.csv")
+        assert (tmp_path / "clicks.csv").read_text() == (
+            "# trials=7\ntrial_id,detector,time_ns\n0,D1,9\n6,D3,10\n")
+
+
 class TestEstimators:
     def test_raw_formula(self):
         c = TrialCounts(n_trials=1000, n1=0.1, n2=0.2, n12=30, nn1=0, nn2=0)
@@ -479,6 +582,40 @@ class TestSynthesize:
     def test_rejects_input_naming_it(self, n_trials, rates, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             synthesize(coherent(0.3, 15), n_trials, WINDOWS, noise_rates_hz=rates, seed=1)
+
+    @pytest.mark.parametrize("dist, windows, rates", [
+        (fock_state(0, 5), WINDOWS, (0.0, 0.0)),
+        (fock_state(0, 5), WINDOWS, (2e5, 5e4)),
+        (coherent(0.4, 15), WINDOWS, (1e4, 2e4)),
+        (coherent(0.8, 15), WindowSpec((40, 90), (0, 2000), (3000, 3100)), (3e5, 0.0)),
+        (coherent(0.8, 15), WindowSpec((900, 1000), (400, 450), (0, 100)), (0.0, 1e6)),
+    ], ids=["vacuum", "noise-only", "default", "long-signal-2", "noise-first"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_order_matches_lexsort(self, dist, windows, rates, seed):
+        """The sorted sequence of a multiset of records is unique, so a
+        stream that ``np.lexsort`` leaves as it is holds the records in
+        lexsort's order."""
+        stream = synthesize(dist, 3000, windows, noise_rates_hz=rates, seed=seed)
+        ids, codes, times = stream.trial_ids, stream.detector_codes, stream.times_ns
+        order = np.lexsort((codes, times, ids))
+        for column in (ids, codes, times):
+            np.testing.assert_array_equal(column[order], column)
+        assert (ids.dtype, codes.dtype, times.dtype) == (np.int64, np.int8, np.int64)
+
+    @pytest.mark.parametrize("dist", [fock_state(0, 5), coherent(3.0, 30)])
+    def test_sort_key_bound(self, dist):
+        # 3 * n_trials * t_end <= 2**63 holds for t_end = 2**63 // 3 and
+        # fails one nanosecond later
+        limit = 2**63 // 3
+        stream = synthesize(dist, 1, WindowSpec(noise=(500, limit)), seed=4)
+        assert stream.n_trials == 1
+        windows = WindowSpec(signal_1=(limit - 10, limit), signal_2=(0, limit + 1),
+                             noise=(limit + 1, limit + 2))
+        message = f"n_trials=1 with a window end of {limit + 2} ns overflows"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            synthesize(dist, 1, windows, seed=4)
+        stream = synthesize(dist, 1, WindowSpec((limit - 10, limit), noise=(0, 100)), seed=4)
+        assert (stream.times_ns >= limit - 10).all()
 
     def test_file_round_trip_exact(self, tmp_path):
         stream = synthesize(
