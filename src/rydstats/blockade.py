@@ -311,10 +311,6 @@ def _simulate_chunk(n_max: int, size: int, seed: int, chunk: int,
     """Survivor histogram of one chunk of trials, n_max arrivals each:
     entry (k, n) counts the trials with k survivors after n arrivals."""
     hist = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
-    if r_b <= 0.0:
-        # Nothing ever blocks; every polariton survives.
-        np.fill_diagonal(hist, size)
-        return hist
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
     surviving = np.full((size, _max_survivors(n_max, cloud_length, r_b)), np.inf)
     # One distance buffer for all arrivals: a fresh (size, width) temporary
@@ -339,7 +335,6 @@ def _histograms(cfg: BlockadeConfig, threads: int) -> np.ndarray:
     ``cfg.n_max`` arrivals, summed over the chunks (on a pool when
     ``threads`` > 1).  Integer sums are exact: the thread count cannot
     change the result."""
-    _check_count("threads", threads, 1)
     tasks = [
         (cfg.n_max, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
         for c, size in enumerate(_chunk_sizes(cfg.trials_per_fock))
@@ -360,6 +355,9 @@ def blockade_matrix(cfg: BlockadeConfig, threads: int = 1) -> TransferMatrix:
     out exact.  With r_b = 0 this is the identity; with r_b >= cloud length
     it reproduces the perfect filter.
     """
+    _check_count("threads", threads, 1)
+    if cfg.blockade_radius == 0.0:  # nothing ever blocks
+        return TransferMatrix(np.eye(cfg.n_max + 1))
     return TransferMatrix(_histograms(cfg, threads) / cfg.trials_per_fock)
 
 

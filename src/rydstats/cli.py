@@ -44,6 +44,7 @@ from .pipeline import (
 from .ratemodel import (
     EfficiencyTable,
     RateModelParams,
+    _excitation_probability,
     fit_p_eg,
     predict_cross_correlation,
     predict_probabilities,
@@ -328,10 +329,13 @@ def _rate_model(cfg: RunConfig) -> RateModelParams:
                            p_eg=cfg.p_eg, p_nw=cfg.p_nw, p_nr=cfg.p_nr)
 
 
-def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    """``points`` log-spaced values from ``lo`` to ``hi``.  Near the largest
-    double geomspace's powers overflow, with a warning, although it sets
-    both end points exactly."""
+def _log_grid(cfg: RunConfig, name: str) -> np.ndarray:
+    """The log-spaced grid of the keys ``<name>_min``, ``<name>_max`` and
+    ``<name>_points``.  Near the largest double geomspace's powers
+    overflow, with a warning, although it sets both end points exactly."""
+    lo, hi, points = (getattr(cfg, f"{name}_{end}") for end in ("min", "max", "points"))
+    if not 0 < lo < hi:
+        raise ValidationError(f"{name} grid needs 0 < {name}_min < {name}_max, got {lo}, {hi}")
     with np.errstate(over="ignore"):
         grid = np.geomspace(lo, hi, points)
     if not np.all(np.isfinite(grid)):
@@ -340,10 +344,7 @@ def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 
 def _sweep_figure(args, cfg: RunConfig, out: Path, figure: str) -> None:
-    lo, hi, points = cfg.zeta_min, cfg.zeta_max, cfg.zeta_points
-    if not 0 < lo < hi:
-        raise ValidationError(f"sweep grid needs 0 < min < max, got {lo}, {hi}")
-    grid = _log_grid(lo, hi, points)
+    grid = _log_grid(cfg, "zeta")
     configs = [_pipeline_config(cfg, kind, N_MAX_DEFAULTS[figure], args.slow_light)
                for kind in INPUT_KINDS]
     # The medium does not depend on the input kind.
@@ -361,22 +362,9 @@ def _figs3(args, cfg: RunConfig, out: Path) -> None:
     else:
         table = EfficiencyTable.constant(_DEFAULT_EFFICIENCY)
     base = _rate_model(cfg)
-    if not 0 < cfg.pw_min < cfg.pw_max:
-        raise ValidationError("write-probability grid needs 0 < pw_min < pw_max")
-    grid = _log_grid(cfg.pw_min, cfg.pw_max, cfg.pw_points)
-    with np.errstate(over="ignore"):  # at a tiny t_w; caught below
-        ps = (grid - cfg.p_nw) / cfg.t_w
+    grid = _log_grid(cfg, "pw")
     rows = []
-    for p_w, p in zip(grid, ps):
-        if not np.isfinite(p):
-            raise ValidationError(
-                f"p_w={p_w} implies an excitation probability (p_w - p_nw) / t_w "
-                f"beyond the largest double at t_w={cfg.t_w}"
-            )
-        if not 0.0 <= p < 1.0:
-            raise ValidationError(
-                f"p_w={p_w} implies excitation probability {p} outside [0, 1)"
-            )
+    for p_w, p in zip(grid, _excitation_probability(grid, base)):
         plain = replace(base, p=p)
         stored = with_storage(plain, table, stored_p_nr=cfg.stored_p_nr)
         rows.append((
@@ -424,10 +412,8 @@ def cmd_fit_peg(args, cfg: RunConfig, out: Path) -> None:
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     fitted = replace(base, p_eg=p_eg)
-    predicted = [
-        predict_probabilities(replace(fitted, p=(pw - base.p_nw) / base.t_w)).p_r_given_w
-        for pw in data[:, 0]
-    ]
+    predicted = [predict_probabilities(replace(fitted, p=p)).p_r_given_w
+                 for p in _excitation_probability(data[:, 0], base)]
     payload = {
         "p_eg": p_eg,
         "residual_norm": residual,

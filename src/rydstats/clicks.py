@@ -54,17 +54,16 @@ _MAX_DIGITS = 18
 _ZERO, _NINE, _NEWLINE = np.uint8(ord("0")), np.uint8(ord("9")), np.uint8(ord("\n"))
 #: ",D?," read as a little-endian word, the detector digit masked out.
 _COMMA_D_COMMA = np.uint64(int.from_bytes(b",D\0,", "little"))
+#: 0x01 in each of the last w bytes of a little-endian 8-byte word (w = 0..8).
+_KEEP_BYTES = np.array([int.from_bytes(bytes(8 - w) + bytes([1]) * w, "little")
+                        for w in range(9)], dtype=np.uint64)
 #: Low nibbles of the last min(w, 8) bytes of a little-endian 8-byte word.
-_DIGIT_MASKS = np.array([(0x0F0F0F0F0F0F0F0F << 8 * max(8 - w, 0)) & (2**64 - 1)
-                         for w in range(_MAX_DIGITS + 1)], dtype=np.uint64)
+_DIGIT_MASKS = _KEEP_BYTES[np.minimum(np.arange(_MAX_DIGITS + 1), 8)] * np.uint64(0x0F)
 # The writer formats blocks of _WRITE_ROWS records in numpy, each value as
 # 8-digit words of ASCII, and keeps the bytes from its first digit on.
 _WRITE_ROWS = 1 << 16
 #: 10**1 .. 10**18: a value's digit count is 1 + the number of these it reaches.
 _POW10 = np.array([10**k for k in range(1, 19)], dtype=np.uint64)
-#: 0x01 in each of the last w bytes of a little-endian 8-byte word (w = 0..8).
-_KEEP_BYTES = np.array([int.from_bytes(bytes(8 - w) + bytes([1]) * w, "little")
-                        for w in range(9)], dtype=np.uint64)
 
 
 def _check_window(name: str, window: tuple[int, int]) -> tuple[int, int]:

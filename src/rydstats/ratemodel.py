@@ -23,7 +23,7 @@ import numpy as np
 
 from ._table import read_table
 from .errors import NumericalError, ValidationError
-from .source import DEFAULT_T_W
+from .source import DEFAULT_T_W, _check_t_w
 
 #: Read-noise probability after storage (temporal/frequency filtering).
 STORED_P_NR = 1.3e-4
@@ -48,8 +48,22 @@ class RateModelParams:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
         if self.p >= 1.0:
             raise ValidationError("excitation probability must be < 1")
-        if not 0.0 < self.t_w <= 1.0:
-            raise ValidationError(f"write transmission must be in (0, 1], got {self.t_w}")
+        _check_t_w(self.t_w)
+
+
+def _excitation_probability(p_w, params: RateModelParams) -> np.ndarray:
+    """p = (p_w - p_nw) / t_w for each detected write probability, the
+    inverse of p_w = p t_w + p_nw; a ValidationError names the first p_w
+    whose p is outside [0, 1)."""
+    p_w = np.asarray(p_w, dtype=float)
+    with np.errstate(over="ignore"):  # at a tiny t_w; inf fails the range check
+        p = (p_w - params.p_nw) / params.t_w
+    valid = (p >= 0.0) & (p < 1.0)
+    if not valid.all():
+        raise ValidationError(
+            f"p_w={p_w[~valid][0]} implies an excitation probability (p_w - p_nw) / t_w "
+            f"outside [0, 1) at p_nw={params.p_nw}, t_w={params.t_w}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -182,10 +196,7 @@ def fit_p_eg(
         raise ValidationError(f"need at least 3 data rows to fit, got {p_w.size}")
     if not (np.isfinite(p_w).all() and np.isfinite(p_r_given_w).all()):
         raise ValidationError("fit data must be finite")
-    with np.errstate(over="ignore"):  # at a tiny t_w; inf fails the range check
-        p = (p_w - base.p_nw) / base.t_w
-    if np.any(p < 0) or np.any(p >= 1):
-        raise ValidationError("a measured p_w implies excitation probability outside [0, 1)")
+    p = _excitation_probability(p_w, base)
     c0 = base.eta_a * base.t_r + base.p_nr
     a = p * (1.0 - base.eta_a) * base.t_r
     scale = float(np.dot(a, a))

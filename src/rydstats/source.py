@@ -24,6 +24,11 @@ DEFAULT_T_W = 0.21
 _P_FLOOR = 1e-12
 
 
+def _check_t_w(t_w: float) -> None:
+    if not 0.0 < t_w <= 1.0:
+        raise ValidationError(f"write transmission must be in (0, 1], got {t_w}")
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """Source parameters: excitation probability and write-path transmission.
@@ -39,8 +44,7 @@ class SourceModel:
     def __post_init__(self):
         if not 0.0 <= self.p < 1.0:
             raise ValidationError(f"excitation probability must be in [0, 1), got {self.p}")
-        if not 0.0 < self.t_w <= 1.0:
-            raise ValidationError(f"write transmission must be in (0, 1], got {self.t_w}")
+        _check_t_w(self.t_w)
 
 
 def _herald_weights(t_w: float, n_max: int) -> np.ndarray:
@@ -120,8 +124,7 @@ def infer_p_from_g2(
     NumericalError
         If the residual after bisection exceeds 1e-10.
     """
-    if not 0.0 < t_w <= 1.0:
-        raise ValidationError(f"write transmission must be in (0, 1], got {t_w}")
+    _check_t_w(t_w)
     _check_count("n_max", n_max, 1)
     p_hi = read_state_p_upper_bound(t_w, n_max)
     try:

@@ -258,6 +258,12 @@ class TestBlockadeMatrix:
         m = blockade_matrix(small_cfg(blockade_radius=0.0))
         np.testing.assert_array_equal(m.matrix, np.eye(9))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n_max", [1, 6, 100])
+    def test_zero_radius_is_eye_at_any_size(self, n_max, threads):
+        m = blockade_matrix(small_cfg(blockade_radius=0.0, n_max=n_max), threads=threads)
+        np.testing.assert_array_equal(m.matrix, np.eye(n_max + 1))
+
     def test_full_blockade_is_perfect_filter(self):
         m = blockade_matrix(small_cfg(blockade_radius=15.0))
         np.testing.assert_array_equal(m.matrix, perfect_filter_matrix(8).matrix)

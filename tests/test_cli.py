@@ -423,6 +423,46 @@ class TestFitPegCommand:
         assert run(["--out", tmp_path, "fit-peg", data]) == 2
 
 
+def _p_w_message(p_w, p_nw=1e-4, t_w=0.21):
+    return (f"error: p_w={p_w} implies an excitation probability (p_w - p_nw) / t_w "
+            f"outside [0, 1) at p_nw={p_nw}, t_w={t_w}\n")
+
+
+class TestExcitationProbability:
+    """figS3 and fit-peg invert p_w = p t_w + p_nw in one place, with one
+    message that names the first p_w whose p is outside [0, 1)."""
+
+    def test_figS3_names_the_first_p_w(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("p_nw = 0.5\n")
+        assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path, "reproduce",
+                    "figS3"]) == 2
+        assert capsys.readouterr().err == _p_w_message(0.0002, p_nw=0.5)
+
+    def test_fit_peg_names_the_first_p_w(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("p_w,p_r_given_w\n0.01,0.03\n0.5,0.04\n0.9,0.05\n")
+        assert run(["--out", tmp_path, "fit-peg", data]) == 2
+        assert capsys.readouterr().err == _p_w_message(0.5)
+        assert not (tmp_path / "p_eg_fit.json").exists()
+
+    def test_overflow_to_inf_is_not_printed(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("t_w = 5e-324\n")
+        assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path, "reproduce",
+                    "figS3"]) == 2
+        assert capsys.readouterr().err == _p_w_message(0.0002, t_w=5e-324)
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["reproduce", "fig3", "--zeta-range", "0.4,0.004,3"], "",
+         "zeta grid needs 0 < zeta_min < zeta_max, got 0.4, 0.004"),
+        (["reproduce", "figS3"], "pw_min = 0.05\n",
+         "pw grid needs 0 < pw_min < pw_max, got 0.05, 0.05"),
+    ], ids=["zeta", "pw"])
+    def test_grid_message_names_its_keys(self, tmp_path, capsys, argv, config, message):
+        (tmp_path / "run.cfg").write_text(config)
+        assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run(["frobnicate"]) == 1
