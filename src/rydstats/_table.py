@@ -1,12 +1,11 @@
 """Numeric CSV tables: a header line, then comma-separated numbers, integers
 as ``str`` and every other number as ``repr(float(v))``, which reads back
 bit for bit.  The one writer and the one strict reader of such files, and
-the UTF-8 opener that every text reader of the package uses.
+the UTF-8 opener and line check that every text reader of the package uses.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -14,18 +13,24 @@ import numpy as np
 from .errors import ValidationError
 
 
-@contextmanager
 def open_text(path):
     """Open ``path`` for reading as UTF-8, skipping a leading byte-order
-    mark (Excel's "CSV UTF-8" writes one); a byte that does not decode is
-    a ValidationError naming the file, wherever the reading hits it."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
-        ) from None
+    mark (Excel's "CSV UTF-8" writes one).  A byte that does not decode
+    comes through as a lone surrogate, for ``check_line`` to reject at its
+    line once the lines before it have been read."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+
+
+def check_line(path, lineno: int, line: str) -> str:
+    """``line``, line ``lineno`` of a file from ``open_text``; a byte in it
+    that is not UTF-8 is a ValidationError naming ``path:lineno``."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:  # only escaped bytes, U+DC80..U+DCFF
+            byte = ord(line[exc.start]) - 0xDC00
+            raise ValidationError(f"{path}:{lineno}: not UTF-8 text (byte 0x{byte:02x})") from None
+    return line
 
 
 def _field(value) -> str:
@@ -49,13 +54,13 @@ def read_table(path, header: Sequence[str]) -> np.ndarray:
     header = list(header)
     rows = []
     with open_text(path) as fh:
-        got = [name.strip() for name in fh.readline().split(",")]
+        got = [name.strip() for name in check_line(path, 1, fh.readline()).split(",")]
         if got != header:
             raise ValidationError(
                 f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}"
             )
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+            line = check_line(path, lineno, line).strip()
             if not line:
                 continue
             parts = line.split(",")

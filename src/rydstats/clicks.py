@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._table import open_text
+from ._table import check_line, open_text
 from .errors import NumericalError, ValidationError, _check_count
 from .fock import FockDistribution
 
@@ -278,7 +278,7 @@ class _ClickLines:
 
     def feed(self, raw: str) -> None:
         self.lineno += 1
-        line = raw.strip()
+        line = check_line(self.path, self.lineno, raw).strip()
         if not line:
             return
         self.any_line = True
@@ -636,7 +636,11 @@ def bootstrap_error(
     pvals = data.weights / data.weights.sum()
     pvals = pvals / pvals.sum()
     rng = np.random.default_rng(seed)
-    sums = _sums(data, rng.multinomial(n, pvals, size=resamples).astype(float))
+    try:
+        draws = rng.multinomial(n, pvals, size=resamples)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ValidationError(f"cannot draw {resamples} bootstrap resamples ({exc})") from None
+    sums = _sums(data, draws.astype(float))
     n1, n2, _, nn1, nn2 = sums
 
     valid = (n1 > 0) & (n2 > 0) & (n1 > nn1) & (n2 > nn2)

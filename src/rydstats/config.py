@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ._table import open_text
+from ._table import check_line, open_text
 from .blockade import BlockadeConfig
 from .clicks import DETECTORS, MIN_RESAMPLES, RESAMPLES, ROLE_DETECTORS, WindowSpec
 from .errors import ValidationError
@@ -153,7 +153,7 @@ def parse_config_file(path) -> RunConfig:
     cfg = RunConfig()
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = check_line(path, lineno, raw).split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -94,9 +94,15 @@ class TestConfigFile:
     def test_non_utf8_file_is_validation_error(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"seed = 1\n# caf\xe9\n")
-        with pytest.raises(ValidationError, match=f"{path}: not UTF-8 text"):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:2: not UTF-8 text (byte 0xe9)")):
             parse_config_file(path)
         assert run(["--config", path, "--out", tmp_path, "reproduce", "figS5"]) == 2
+
+    def test_non_utf8_byte_waits_for_earlier_lines(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"mystery = 1\nseed = 3\n# \xff\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:1: unknown key 'mystery'")):
+            parse_config_file(path)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with one
@@ -248,6 +254,15 @@ class TestG2Command:
         code = run(["--out", tmp_path, "g2", path,
                     "--window", "0,600", "--noise-window", "500,1100"])
         assert code == 2
+
+    @pytest.mark.parametrize("resamples", [2**63 - 1, 10**20], ids=["int64-max", "beyond-int64"])
+    def test_huge_resample_count_is_data_error(self, tmp_path, resamples, capsys):
+        # numpy refuses both counts before it allocates anything
+        clicks = INPUTS / "clicks.csv"
+        assert run(["--out", tmp_path, "g2", clicks, "--resamples", resamples]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {clicks}: cannot draw {resamples} bootstrap resamples (")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("trials", ["99999999999999999999", "4611686018427387904"],
                              ids=["beyond-int64", "unallocatable"])
@@ -432,11 +447,16 @@ class TestExcitationProbability:
     """figS3 and fit-peg invert p_w = p t_w + p_nw in one place, with one
     message that names the first p_w whose p is outside [0, 1)."""
 
-    def test_figS3_names_the_first_p_w(self, tmp_path, capsys):
-        (tmp_path / "run.cfg").write_text("p_nw = 0.5\n")
+    @pytest.mark.parametrize("config, expected", [
+        ("p_nw = 0.5\n", _p_w_message(0.0002, p_nw=0.5)),
+        # p overflows to inf, which the message does not print
+        ("t_w = 5e-324\n", _p_w_message(0.0002, t_w=5e-324)),
+    ], ids=["negative-p", "p-overflows"])
+    def test_figS3_names_the_first_p_w(self, tmp_path, capsys, config, expected):
+        (tmp_path / "run.cfg").write_text(config)
         assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path, "reproduce",
                     "figS3"]) == 2
-        assert capsys.readouterr().err == _p_w_message(0.0002, p_nw=0.5)
+        assert capsys.readouterr().err == expected
 
     def test_fit_peg_names_the_first_p_w(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -444,12 +464,6 @@ class TestExcitationProbability:
         assert run(["--out", tmp_path, "fit-peg", data]) == 2
         assert capsys.readouterr().err == _p_w_message(0.5)
         assert not (tmp_path / "p_eg_fit.json").exists()
-
-    def test_overflow_to_inf_is_not_printed(self, tmp_path, capsys):
-        (tmp_path / "run.cfg").write_text("t_w = 5e-324\n")
-        assert run(["--config", tmp_path / "run.cfg", "--out", tmp_path, "reproduce",
-                    "figS3"]) == 2
-        assert capsys.readouterr().err == _p_w_message(0.0002, t_w=5e-324)
 
     @pytest.mark.parametrize("argv, config, message", [
         (["reproduce", "fig3", "--zeta-range", "0.4,0.004,3"], "",
@@ -501,9 +515,12 @@ class TestExitCodes:
             ["--seed", -1, "g2", "clicks.csv"],
             ["--threads", 0, "blockade", "--trials", 100, "--n-max", 2],
             ["--threads", -3, "blockade", "--trials", 100, "--n-max", 2],
+            ["--threads", 0, "g2", "clicks.csv"],
+            ["--threads", -3, "g2", "clicks.csv"],
             ["blockade", "--rb", "nan", "--trials", 100, "--n-max", 2],
         ],
-        ids=["seed-blockade", "seed-g2", "threads-0", "threads-negative", "rb-nan"],
+        ids=["seed-blockade", "seed-g2", "threads-0", "threads-negative", "threads-0-g2",
+             "threads-negative-g2", "rb-nan"],
     )
     def test_flag_out_of_range_is_data_error(self, tmp_path, argv, capsys):
         (tmp_path / "clicks.csv").write_text("# trials=20\ntrial_id,detector,time_ns\n")
@@ -636,8 +653,37 @@ EDGE_COMMANDS = [FIGS3, FIG3, ["reproduce", "figS5", "--n-max", "30", "--zeta", 
                  ["fit-peg", "fit_peg.csv"]]
 
 
+#: The integer and list keys that g2 reads, as config-file text at the
+#: edges of their ranges.  No resample count between 1000 and 2**62: numpy
+#: would allocate its draws before anything could fail.
+G2_EDGES = {
+    **{name: ["0", "1", "300", "500", "1100", str(2**63 - 1), str(2**63)]
+       for name in ("signal_start_ns", "signal_end_ns", "noise_start_ns", "noise_end_ns")},
+    **{name: ["D1", "D2", "D3", "D2,D3", "D1,D2,D3", "D3,D2,D3"]
+       for name in ("detectors_1", "detectors_2")},
+    "resamples": ["99", "100", "1000", str(2**62), str(2**63 - 1), str(10**20)],
+}
+G2 = ["g2", "clicks.csv"]
+
+
 def _no_constant(name):
     raise ValueError(f"JSON holds {name}")
+
+
+def _run_edge_case(argv, lines):
+    """Run ``argv`` on a config file of ``lines``; check the exit code,
+    stderr and every output file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "edge.cfg", Path(tmp) / "out"
+        config.write_text("".join(f"{line}\n" for line in lines))
+        record = run_case(["--config", str(config), *argv], out)
+        assert record["exit"] in (0, 1, 2, 3), record
+        assert "Traceback" not in record["stderr"], record
+        assert not re.search(r"\b(nan|inf)\b", record["stderr"], re.IGNORECASE), record
+        for path in out.glob("*.csv"):
+            read_table(path, path.read_text().split("\n", 1)[0].split(","))
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 class TestConfigEdges:
@@ -662,17 +708,21 @@ class TestConfigEdges:
         for name, value in values.items():
             value = _KEYS[name].default if value is None else value
             text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
-            lines.append(f"{name} = {text}\n")
-        with tempfile.TemporaryDirectory() as tmp:
-            config, out = Path(tmp) / "edge.cfg", Path(tmp) / "out"
-            config.write_text("".join(lines))
-            record = run_case(["--config", str(config), *argv], out)
-            assert record["exit"] in (0, 1, 2, 3), record
-            assert not re.search(r"\b(nan|inf)\b", record["stderr"], re.IGNORECASE), record
-            for path in out.glob("*.csv"):
-                read_table(path, path.read_text().split("\n", 1)[0].split(","))
-            for path in out.glob("*.json"):
-                json.loads(path.read_text(), parse_constant=_no_constant)
+            lines.append(f"{name} = {text}")
+        _run_edge_case(argv, lines)
+
+    @settings(max_examples=60, derandomize=True, deadline=2000)
+    @given(values=st.lists(
+        st.sampled_from(sorted(G2_EDGES)).flatmap(
+            lambda name: st.tuples(st.just(name), st.sampled_from(G2_EDGES[name]))),
+        min_size=1, max_size=3).map(dict))
+    # resample counts that numpy refuses before it allocates
+    @example(values={"resamples": str(2**63 - 1)})
+    @example(values={"resamples": str(10**20)})
+    # window ends past the int64 times
+    @example(values={"noise_start_ns": str(2**63 - 1), "noise_end_ns": str(2**63)})
+    def test_g2_exit_code_and_outputs(self, values):
+        _run_edge_case(G2, [f"{name} = {text}" for name, text in values.items()])
 
 
 #: The golden click file, split into its preamble and its 2225 records.

@@ -195,7 +195,19 @@ class TestIngest:
     def test_non_utf8_file_is_validation_error(self, tmp_path):
         path = tmp_path / "clicks.csv"
         path.write_bytes(b"# trials=5\ntrial_id,detector,time_ns\n0,D2,1\n1,D\xff,2\n")
-        with pytest.raises(ValidationError, match=f"{path}: not UTF-8 text"):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:4: not UTF-8 text (byte 0xff)")):
+            ClickStream.read_csv(path)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"# trials=5\ntrial_id,detector,time_ns\n0,D2,1\n1,D9,5\n\xff\n",
+         ":4: malformed record"),
+        (b"# trials=5\xff\ntrial_id,detector,time_ns\n0,D2,1\n", ":1: not UTF-8 text (byte 0xff)"),
+        (b"# trials=5\ntrial_id,detector,time_ns\n0,D2,1\n# \xc3\n", ":4: not UTF-8 text (byte 0xc3)"),
+    ], ids=["earlier-record", "preamble", "truncated-sequence"])
+    def test_non_utf8_byte_is_reported_in_line_order(self, tmp_path, data, message):
+        path = tmp_path / "clicks.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{path}{message}")):
             ClickStream.read_csv(path)
 
     def test_detector_mapping(self, tmp_path):
@@ -379,7 +391,7 @@ class TestReadCsv:
             lines[at] = record
             path.write_bytes((HEAD + "\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
             assert_reads_as_per_line(path)
-            message = "not UTF-8 text (byte 0xff)" if "\udcff" in record else f"{path}:{at + 3}: "
+            message = f"{path}:{at + 3}: " + ("not UTF-8 text (byte 0xff)" if "\udcff" in record else "")
             with pytest.raises(ValidationError, match=re.escape(message)):
                 ClickStream.read_csv(path)
 

@@ -87,5 +87,16 @@ def test_byte_order_mark_is_skipped(tmp_path):
 def test_non_utf8_is_validation_error_naming_the_file(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"a,b\n1,2\n3,\xff\n")
-    with pytest.raises(ValidationError, match=re.escape(f"{path}: not UTF-8 text (byte 0xff)")):
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:3: not UTF-8 text (byte 0xff)")):
         read_table(path, ("a", "b"))
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"p_w,eta\n0.01,x\n0.02,\xff\n", ":2: malformed row"),
+    (b"p_w,\xe9ta\n0.01,0.2\n", ":1: not UTF-8 text (byte 0xe9)"),
+], ids=["earlier-row", "header"])
+def test_non_utf8_byte_is_reported_in_line_order(tmp_path, body, message):
+    path = tmp_path / "eff.csv"
+    path.write_bytes(body)
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}{message}")):
+        read_table(path, ("p_w", "eta"))
