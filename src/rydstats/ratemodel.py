@@ -52,8 +52,8 @@ class RateModelParams:
 
 
 def _excitation_probability(p_w, params: RateModelParams) -> np.ndarray:
-    """p = (p_w - p_nw) / t_w for each detected write probability, the
-    inverse of p_w = p t_w + p_nw; a ValidationError names the first p_w
+    """The excitation probability p of each detected write probability
+    p_w, by p_w = p t_w + p_nw; a ValidationError names the first p_w
     whose p is outside [0, 1)."""
     p_w = np.asarray(p_w, dtype=float)
     with np.errstate(over="ignore"):  # at a tiny t_w; inf fails the range check
@@ -61,8 +61,8 @@ def _excitation_probability(p_w, params: RateModelParams) -> np.ndarray:
     valid = (p >= 0.0) & (p < 1.0)
     if not valid.all():
         raise ValidationError(
-            f"p_w={p_w[~valid][0]} implies an excitation probability (p_w - p_nw) / t_w "
-            f"outside [0, 1) at p_nw={params.p_nw}, t_w={params.t_w}")
+            f"p_w={p_w[~valid][0]} implies an excitation probability outside [0, 1) "
+            f"by p_w = p t_w + p_nw at p_nw={params.p_nw}, t_w={params.t_w}")
     return p
 
 

@@ -439,8 +439,8 @@ class TestFitPegCommand:
 
 
 def _p_w_message(p_w, p_nw=1e-4, t_w=0.21):
-    return (f"error: p_w={p_w} implies an excitation probability (p_w - p_nw) / t_w "
-            f"outside [0, 1) at p_nw={p_nw}, t_w={t_w}\n")
+    return (f"error: p_w={p_w} implies an excitation probability outside [0, 1) "
+            f"by p_w = p t_w + p_nw at p_nw={p_nw}, t_w={t_w}\n")
 
 
 class TestExcitationProbability:
