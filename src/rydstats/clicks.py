@@ -193,12 +193,32 @@ def _g2_corrected(n_trials, n1, n2, n12, nn1, nn2):
 @dataclass(frozen=True, eq=False)
 class ClickStream:
     """A batch of clicks as parallel arrays (empty trials carry no rows,
-    hence the explicit ``n_trials``)."""
+    hence the explicit ``n_trials``).
+
+    It holds exactly what a click file can hold: building one with a trial
+    count that is not an integer in ``1..2**63-1``, a trial id outside
+    ``0..n_trials-1``, a detector code outside ``0..2`` or a negative time
+    is a ``ValidationError``.
+    """
 
     n_trials: int
     trial_ids: np.ndarray
     detector_codes: np.ndarray
     times_ns: np.ndarray
+
+    def __post_init__(self):
+        n = self.n_trials
+        if not isinstance(n, (int, np.integer)) or n > _INT64_MAX:
+            raise ValidationError(f"trial count {n!r} is not an integer in 1..{_INT64_MAX}")
+        if n < 1:
+            raise ValidationError("click stream reports zero trials")
+        for name, values, high in (("trial id", self.trial_ids, n),
+                                   ("detector code", self.detector_codes, len(DETECTORS))):
+            if values.size and not 0 <= values.min() <= values.max() < high:
+                bad = values.min() if values.min() < 0 else values.max()
+                raise ValidationError(f"{name} {bad} outside 0..{high - 1}")
+        if self.times_ns.size and self.times_ns.min() < 0:
+            raise ValidationError(f"negative time {self.times_ns.min()} ns")
 
     @property
     def n_records(self) -> int:
@@ -206,17 +226,10 @@ class ClickStream:
 
     def write_csv(self, path) -> None:
         """Write the stream as a click CSV (format in the module docstring)
-        that ``read_csv`` reads back to the same arrays.
-
-        A stream that such a file cannot hold is a ``ValidationError``,
-        raised before the file is opened: a trial count that is not an
-        integer in ``1..2**63-1``, a trial id outside ``0..n_trials-1``, a
-        detector code outside ``0..2`` or a negative time.  The records are formatted in numpy, ``_WRITE_ROWS`` at a
-        time, each block with one ``write()``.
+        that ``read_csv`` reads back to the same arrays.  The records are
+        formatted in numpy, ``_WRITE_ROWS`` at a time, each block with one
+        ``write()``.
         """
-        _check_stream(self)
-        if self.times_ns.size and self.times_ns.min() < 0:
-            raise ValidationError(f"negative time {self.times_ns.min()} ns")
         with open(path, "wb") as fh:
             fh.write(f"# trials={self.n_trials}\n{_HEADER}\n".encode())
             for start in range(0, self.n_records, _WRITE_ROWS):
@@ -330,11 +343,10 @@ class _ClickLines:
             raise ValidationError(f"{self.path}: missing mandatory '# trials=N' comment")
         if not self.header_seen:
             raise ValidationError(f"{self.path}: missing column header '{_HEADER}'")
-        if trial_ids.size and trial_ids.max() >= self.n_trials:
-            raise ValidationError(
-                f"{self.path}: trial id {trial_ids.max()} outside 0..{self.n_trials - 1}"
-            )
-        return ClickStream(self.n_trials, trial_ids, detector_codes, times_ns)
+        try:
+            return ClickStream(self.n_trials, trial_ids, detector_codes, times_ns)
+        except ValidationError as exc:
+            raise ValidationError(f"{self.path}: {exc}") from None
 
 
 def _plain_body(data: bytes):
@@ -425,7 +437,7 @@ def _eight_digits(window, widths):
 
 def _format_block(ids, codes, times) -> np.ndarray:
     """The records ``id,D<code + 1>,time`` of one block as ASCII bytes,
-    each line ending in LF (ids, codes and times already checked)."""
+    each line ending in LF (the stream checked ids, codes and times)."""
     id_digits, id_keep = _ascii_field(np.asarray(ids, np.int64).view(np.uint64))
     time_digits, time_keep = _ascii_field(np.asarray(times, np.int64).view(np.uint64))
     a, b = id_digits.shape[1], time_digits.shape[1]
@@ -472,23 +484,6 @@ def _eight_ascii(values):
     return high | (x - high * np.uint64(10)) << np.uint64(8) | np.uint64(0x3030303030303030)
 
 
-def _check_stream(stream: ClickStream) -> None:
-    """Reject a trial count that is not an integer in 1..2**63-1, a trial
-    id outside 0..n_trials-1 and a detector code outside 0..2: the reader
-    rejects a file with them, naming the file, and a stream built in code
-    reaches ``count_trials`` and ``write_csv`` unchecked."""
-    n = stream.n_trials
-    if not isinstance(n, (int, np.integer)) or n > _INT64_MAX:
-        raise ValidationError(f"trial count {n!r} is not an integer in 1..{_INT64_MAX}")
-    if n < 1:
-        raise ValidationError("click stream reports zero trials")
-    for name, values, high in (("trial id", stream.trial_ids, n),
-                               ("detector code", stream.detector_codes, len(DETECTORS))):
-        if values.size and not 0 <= values.min() <= values.max() < high:
-            bad = values.min() if values.min() < 0 else values.max()
-            raise ValidationError(f"{name} {bad} outside 0..{high - 1}")
-
-
 def count_trials(
     stream: ClickStream,
     windows: WindowSpec,
@@ -500,13 +495,13 @@ def count_trials(
 
     ``detectors_1``/``detectors_2`` map physical detectors onto the two
     analysis roles (e.g. the two arms of a beam-splitter measurement, or
-    the write and read detectors for a cross-correlation).
+    the write and read detectors for a cross-correlation).  The stream
+    checked itself when it was built.
     """
     for names in (detectors_1, detectors_2):
         for name in names:
             if name not in _DETECTOR_CODE:
                 raise ValidationError(f"unknown detector {name!r}; expected one of {DETECTORS}")
-    _check_stream(stream)
     n = stream.n_trials
     det = stream.detector_codes
     t = stream.times_ns

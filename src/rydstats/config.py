@@ -95,7 +95,7 @@ _KEYS: dict[str, _Key] = {
     "eta_r": _Key(float, PipelineConfig.eta_r, _open_unit, "retrieval efficiency"),
     # source / rate model
     "t_w": _Key(float, RateModelParams.t_w, _open_unit, "write-path transmission incl. detection"),
-    "t_r": _Key(float, RateModelParams.t_r, _open_unit, "read-path transmission incl. detection"),
+    "t_r": _Key(float, RateModelParams.t_r, _unit_interval, "read-path transmission incl. detection"),
     "eta_a": _Key(float, RateModelParams.eta_a, _unit_interval, "intrinsic read-out efficiency"),
     "p_eg": _Key(float, RateModelParams.p_eg, _unit_interval, "branching ratio of the stray decay"),
     "p_nw": _Key(float, RateModelParams.p_nw, _unit_interval, "write dark-count probability"),

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._table import read_table
 from .errors import NumericalError, ValidationError
-from .source import DEFAULT_T_W, _check_t_w
+from .source import DEFAULT_T_W, _check_p, _check_t_w
 
 #: Read-noise probability after storage (temporal/frequency filtering).
 STORED_P_NR = 1.3e-4
@@ -42,12 +42,11 @@ class RateModelParams:
     p_nr: float = 1.5e-3
 
     def __post_init__(self):
-        for name in ("p", "t_r", "eta_a", "p_eg", "p_nw", "p_nr"):
+        _check_p(self.p)
+        for name in ("t_r", "eta_a", "p_eg", "p_nw", "p_nr"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-        if self.p >= 1.0:
-            raise ValidationError("excitation probability must be < 1")
         _check_t_w(self.t_w)
 
 

@@ -24,6 +24,11 @@ DEFAULT_T_W = 0.21
 _P_FLOOR = 1e-12
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 <= p < 1.0:
+        raise ValidationError(f"excitation probability must be in [0, 1), got {p}")
+
+
 def _check_t_w(t_w: float) -> None:
     if not 0.0 < t_w <= 1.0:
         raise ValidationError(f"write transmission must be in (0, 1], got {t_w}")
@@ -42,8 +47,7 @@ class SourceModel:
     t_w: float = DEFAULT_T_W
 
     def __post_init__(self):
-        if not 0.0 <= self.p < 1.0:
-            raise ValidationError(f"excitation probability must be in [0, 1), got {self.p}")
+        _check_p(self.p)
         _check_t_w(self.t_w)
 
 

@@ -63,15 +63,22 @@ CASES = {
                     "--n-max", "12"],
     "blockade-slow-light": ["--seed", "7", "blockade", "--slow-light", "--trials", "25000",
                             "--n-max", "12"],
+    "fig3-long-1t": ["--config", "long.cfg", "--seed", "3", "--threads", "1", "reproduce", "fig3",
+                     "--trials", "25000", *_GRID],
+    "fig3-long-2t": ["--config", "long.cfg", "--seed", "3", "--threads", "2", "reproduce", "fig3",
+                     "--trials", "25000", *_GRID],
     "help": ["--help"],
     "reproduce-help": ["reproduce", "--help"],
 }
 
 #: Cases whose outputs are compared between trees but never stored.  The
-#: blockade Monte Carlo draws from numpy's ``Generator``, whose streams
-#: numpy does not promise to keep across versions (NEP 19), and argparse's
-#: help text changes between Python versions.
-COMPARE_ONLY = {"blockade-1t", "blockade-2t", "blockade-slow-light", "help", "reproduce-help"}
+#: blockade Monte Carlo, also fig3's medium for the 5 r_b cloud of
+#: ``long.cfg`` (past what the exact medium covers), draws from numpy's
+#: ``Generator``, whose streams numpy does not promise to keep across
+#: versions (NEP 19), and argparse's help text changes between Python
+#: versions.
+COMPARE_ONLY = {"blockade-1t", "blockade-2t", "blockade-slow-light", "fig3-long-1t",
+                "fig3-long-2t", "help", "reproduce-help"}
 
 STORED = [case for case in CASES if case not in COMPARE_ONLY]
 

@@ -31,7 +31,7 @@ from rydstats.cli import _blockade_config, _pipeline_config, _rate_model, main
 from rydstats.config import _KEYS, RunConfig, _float_list, parse_config_file
 from rydstats.errors import NumericalError, ValidationError
 
-from golden.cases import INPUTS, run_case
+from golden.cases import CASES, INPUTS, run_case
 
 
 def run(args):
@@ -165,6 +165,47 @@ class TestDefaultsAgreeWithLibrary:
             assert cfg.resamples == inspect.signature(fn).parameters["resamples"].default
 
 
+#: The float keys that set one library field, each with how it builds
+#: that field's owner at value v.  t_w has two owners, which must agree.
+_FIELD_OWNERS = {
+    "cloud_length": lambda v: BlockadeConfig(cloud_length=v),
+    "blockade_radius": lambda v: BlockadeConfig(blockade_radius=v),
+    **{name: lambda v, name=name: PipelineConfig(**{name: v})
+       for name in ("t_losses", "eta_compression", "eta_eit", "eta_r")},
+    # each end of the band, the other end at the same value
+    "eta_compression_lo": lambda v: PipelineConfig(compression_band=(v, v)),
+    "eta_compression_hi": lambda v: PipelineConfig(compression_band=(v, v)),
+    "t_w": lambda v: (PipelineConfig(t_w=v), RateModelParams(p=0.0, t_w=v)),
+    **{name: lambda v, name=name: RateModelParams(p=0.0, **{name: v})
+       for name in ("t_r", "eta_a", "p_eg", "p_nw", "p_nr")},
+}
+#: The float keys that set no library field.
+_UNOWNED = {"medium_scale", "stored_p_nr", "zeta_min", "zeta_max", "pw_min", "pw_max"}
+_EDGES = [-1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 1 + 1e-7, 2.5, 1e300, float("inf"),
+          -float("inf"), float("nan")]
+
+
+class TestRangesAgreeWithLibrary:
+    # A value that the config accepts, the library accepts, and the reverse.
+    def test_every_float_key_is_listed(self):
+        floats = {name for name, spec in _KEYS.items() if spec.parse is float}
+        assert floats == _FIELD_OWNERS.keys() | _UNOWNED
+        assert len(_FIELD_OWNERS) == 14
+
+    @pytest.mark.parametrize("name", sorted(_FIELD_OWNERS))
+    def test_same_values_accepted(self, name):
+        def accepts(build, v):
+            try:
+                build(v)
+            except ValidationError:
+                return False
+            return True
+
+        by_config = [v for v in _EDGES if accepts(lambda x: RunConfig().set(name, x), v)]
+        by_library = [v for v in _EDGES if accepts(_FIELD_OWNERS[name], v)]
+        assert by_config == by_library
+
+
 class TestBlockadeCommand:
     def test_zero_radius_identity(self, tmp_path):
         code = run(["--out", tmp_path, "blockade", "--rb", 0.0,
@@ -286,6 +327,22 @@ class TestG2Command:
         assert json.loads(reports[0])["detectors_1"] == ["D2", "D3"]
         assert reports[0] == reports[1]
 
+    def test_second_signal_window(self, tmp_path, capsys):
+        path = self.make_stream(tmp_path, coherent(0.3, 15), noise=(3e4, 3e4), n=5000)
+        reports = {}
+        for name, window in (("same", []), ("narrow", ["--window-2", "0,100"])):
+            out = tmp_path / name
+            assert run(["--out", out, "g2", path, "--resamples", 100, *window]) == 0
+            reports[name] = json.loads((out / "g2_report.json").read_text())
+        same, narrow = reports["same"], reports["narrow"]
+        assert same["windows"]["signal_2"] == [0, 300]
+        assert narrow["windows"]["signal_2"] == [0, 100]
+        assert narrow["n1"] == same["n1"] and narrow["n2"] < same["n2"]
+        capsys.readouterr()
+        assert run(["--out", tmp_path / "overlap", "g2", path, "--window-2", "400,700"]) == 2
+        assert capsys.readouterr().err == (
+            "error: noise window (500, 1100) overlaps signal_2 window (400, 700)\n")
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("# trials=5\ntrial_id,detector,time_ns\n0,D2,oops\n")
@@ -394,6 +451,19 @@ class TestReproduceCommands:
         for kind in ("dlcz", "wcs"):
             name = f"{figure}_{kind}.csv"
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_monte_carlo_medium_ignores_thread_count(self, tmp_path):
+        # a 5 r_b cloud is past the exact medium: fig3 samples it, in 3
+        # chunks, on one thread or on a pool of two; the seed moves it
+        runs = {name: CASES[name] for name in ("fig3-long-1t", "fig3-long-2t")}
+        runs["seed-4"] = list(CASES["fig3-long-1t"])
+        runs["seed-4"][runs["seed-4"].index("--seed") + 1] = "4"
+        outputs = {}
+        for name, argv in runs.items():
+            assert run_case(argv, tmp_path / name)["exit"] == 0
+            outputs[name] = [(tmp_path / name / f"fig3_{kind}.csv").read_bytes()
+                             for kind in ("dlcz", "wcs")]
+        assert outputs["fig3-long-1t"] == outputs["fig3-long-2t"] != outputs["seed-4"]
 
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert run(["--out", tmp_path, "reproduce", "fig9"]) == 1

@@ -123,6 +123,12 @@ class TestIngest:
         with pytest.raises(ValidationError, match="trial id"):
             count_trials(ClickStream.read_csv(path), WINDOWS)
 
+    def test_trial_id_out_of_range_names_the_file(self, tmp_path):
+        path = write_stream(tmp_path, "# trials=2\ntrial_id,detector,time_ns\n0,D2,1\n5,D2,10\n")
+        message = f"{path}: trial id 5 outside 0..1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ClickStream.read_csv(path)
+
     @pytest.mark.parametrize("row", ["99999999999999999999,D2,10", "0,D2,99999999999999999999"],
                              ids=["trial_id", "time_ns"])
     def test_beyond_int64_reports_line(self, tmp_path, row):
@@ -140,27 +146,11 @@ class TestIngest:
         with pytest.raises(ValidationError, match=f"{path}:1: trial count must be at least 1"):
             ClickStream.read_csv(path)
 
-    def test_stream_built_in_code_rejects_zero_trials(self):
-        stream = ClickStream(0, np.zeros(0, np.int64), np.zeros(0, np.int8), np.zeros(0, np.int64))
-        with pytest.raises(ValidationError, match="click stream reports zero trials"):
-            count_trials(stream, WINDOWS)
-
     def test_unallocatable_trial_count_is_validation_error(self):
         # 2**62 bools cannot be allocated; numpy refuses before touching memory
         stream = ClickStream(2**62, np.zeros(0, np.int64), np.zeros(0, np.int8),
                              np.zeros(0, np.int64))
         with pytest.raises(ValidationError, match="per-trial arrays for 4611686018427387904"):
-            count_trials(stream, WINDOWS)
-
-    @pytest.mark.parametrize("trial_id, time_ns", [
-        (5, 100),   # signal window: an index past the per-trial flags
-        (7, 600),   # noise window: would lengthen the noise counts
-        (-1, 100),  # negative: would read as an allocation failure
-    ])
-    def test_stream_built_in_code_rejects_trial_id_outside_range(self, trial_id, time_ns):
-        stream = ClickStream(3, np.array([0, trial_id], np.int64), np.array([1, 2], np.int8),
-                             np.array([100, time_ns], np.int64))
-        with pytest.raises(ValidationError, match=f"trial id {trial_id} outside 0..2"):
             count_trials(stream, WINDOWS)
 
     @pytest.mark.parametrize("roles", [(("D2",), ("D3",)), (("D1", "D3"), ("D2",)),
@@ -184,13 +174,6 @@ class TestIngest:
         patterns, weights = np.unique(np.array(columns).T, axis=1, return_counts=True)
         np.testing.assert_array_equal(data.patterns, patterns)
         np.testing.assert_array_equal(data.weights, weights)
-
-    @pytest.mark.parametrize("code", [-1, 3])
-    def test_stream_built_in_code_rejects_unknown_detector_code(self, code):
-        stream = ClickStream(3, np.array([0, 1], np.int64), np.array([1, code], np.int8),
-                             np.array([100, 200], np.int64))
-        with pytest.raises(ValidationError, match=f"detector code {code} outside 0..2"):
-            count_trials(stream, WINDOWS)
 
     def test_non_utf8_file_is_validation_error(self, tmp_path):
         path = tmp_path / "clicks.csv"
@@ -469,23 +452,21 @@ class TestWriteCsv:
         (2**63, [], [], [], f"trial count {2**63} is not an integer in 1..{_INT64_MAX}"),
         (5.0, [0], [1], [5], f"trial count 5.0 is not an integer in 1..{_INT64_MAX}"),
         (3, [0, 3], [1, 2], [5, 6], "trial id 3 outside 0..2"),
+        (3, [0, 5], [1, 2], [100, 100], "trial id 5 outside 0..2"),
+        (3, [0, 7], [1, 2], [100, 600], "trial id 7 outside 0..2"),
         (3, [-1, 0], [1, 2], [5, 6], "trial id -1 outside 0..2"),
         (3, [0, 1], [1, 3], [5, 6], "detector code 3 outside 0..2"),
         (3, [0, 1], [-1, 2], [5, 6], "detector code -1 outside 0..2"),
         (3, [0, 1], [1, 2], [5, -6], "negative time -6 ns"),
-    ], ids=["zero-trials", "trials-past-int64", "float-trials", "id-past-end", "negative-id",
-            "code-3", "code-minus-1", "negative-time"])
-    def test_rejects_what_the_reader_rejects(self, tmp_path, n_trials, ids, codes, times,
-                                             message):
-        stream = ClickStream(n_trials, np.array(ids, np.int64), np.array(codes, np.int8),
-                             np.array(times, np.int64))
-        path = tmp_path / "clicks.csv"
+    ], ids=["zero-trials", "trials-past-int64", "float-trials", "id-past-end",
+            "id-in-signal-window", "id-in-noise-window", "negative-id", "code-3",
+            "code-minus-1", "negative-time"])
+    def test_rejects_what_the_reader_rejects(self, n_trials, ids, codes, times, message):
+        # the constructor holds the rules, so neither write_csv nor
+        # count_trials ever sees such a stream
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            stream.write_csv(path)
-        assert not path.exists()
-        if "time" not in message:  # the check that count_trials shares
-            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                count_trials(stream, WINDOWS)
+            ClickStream(n_trials, np.array(ids, np.int64), np.array(codes, np.int8),
+                        np.array(times, np.int64))
 
     def test_accepts_any_integer_dtype(self, tmp_path):
         stream = ClickStream(7, np.array([0, 6], np.int32), np.array([0, 2]),
