@@ -146,12 +146,26 @@ class TestIngest:
         with pytest.raises(ValidationError, match=f"{path}:1: trial count must be at least 1"):
             ClickStream.read_csv(path)
 
+    def test_stream_built_in_code_rejects_zero_trials(self):
+        with pytest.raises(ValidationError, match="click stream reports zero trials"):
+            ClickStream(0, np.zeros(0, np.int64), np.zeros(0, np.int8), np.zeros(0, np.int64))
+
     def test_unallocatable_trial_count_is_validation_error(self):
         # 2**62 bools cannot be allocated; numpy refuses before touching memory
         stream = ClickStream(2**62, np.zeros(0, np.int64), np.zeros(0, np.int8),
                              np.zeros(0, np.int64))
         with pytest.raises(ValidationError, match="per-trial arrays for 4611686018427387904"):
             count_trials(stream, WINDOWS)
+
+    @pytest.mark.parametrize("trial_id, time_ns", [
+        (5, 100),   # signal window: an index past the per-trial flags
+        (7, 600),   # noise window: would lengthen the noise counts
+        (-1, 100),  # negative: would read as an allocation failure
+    ])
+    def test_stream_built_in_code_rejects_trial_id_outside_range(self, trial_id, time_ns):
+        with pytest.raises(ValidationError, match=f"trial id {trial_id} outside 0..2"):
+            ClickStream(3, np.array([0, trial_id], np.int64), np.array([1, 2], np.int8),
+                        np.array([100, time_ns], np.int64))
 
     @pytest.mark.parametrize("roles", [(("D2",), ("D3",)), (("D1", "D3"), ("D2",)),
                                        (("D1", "D2", "D3"), ("D2",))])
@@ -174,6 +188,12 @@ class TestIngest:
         patterns, weights = np.unique(np.array(columns).T, axis=1, return_counts=True)
         np.testing.assert_array_equal(data.patterns, patterns)
         np.testing.assert_array_equal(data.weights, weights)
+
+    @pytest.mark.parametrize("code", [-1, 3])
+    def test_stream_built_in_code_rejects_unknown_detector_code(self, code):
+        with pytest.raises(ValidationError, match=f"detector code {code} outside 0..2"):
+            ClickStream(3, np.array([0, 1], np.int64), np.array([1, code], np.int8),
+                        np.array([100, 200], np.int64))
 
     def test_non_utf8_file_is_validation_error(self, tmp_path):
         path = tmp_path / "clicks.csv"
@@ -452,15 +472,12 @@ class TestWriteCsv:
         (2**63, [], [], [], f"trial count {2**63} is not an integer in 1..{_INT64_MAX}"),
         (5.0, [0], [1], [5], f"trial count 5.0 is not an integer in 1..{_INT64_MAX}"),
         (3, [0, 3], [1, 2], [5, 6], "trial id 3 outside 0..2"),
-        (3, [0, 5], [1, 2], [100, 100], "trial id 5 outside 0..2"),
-        (3, [0, 7], [1, 2], [100, 600], "trial id 7 outside 0..2"),
         (3, [-1, 0], [1, 2], [5, 6], "trial id -1 outside 0..2"),
         (3, [0, 1], [1, 3], [5, 6], "detector code 3 outside 0..2"),
         (3, [0, 1], [-1, 2], [5, 6], "detector code -1 outside 0..2"),
         (3, [0, 1], [1, 2], [5, -6], "negative time -6 ns"),
-    ], ids=["zero-trials", "trials-past-int64", "float-trials", "id-past-end",
-            "id-in-signal-window", "id-in-noise-window", "negative-id", "code-3",
-            "code-minus-1", "negative-time"])
+    ], ids=["zero-trials", "trials-past-int64", "float-trials", "id-past-end", "negative-id",
+            "code-3", "code-minus-1", "negative-time"])
     def test_rejects_what_the_reader_rejects(self, n_trials, ids, codes, times, message):
         # the constructor holds the rules, so neither write_csv nor
         # count_trials ever sees such a stream
