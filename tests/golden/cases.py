@@ -50,6 +50,8 @@ CASES = {
     "usage-error": ["reproduce", "fig3", "--zeta", "0.1"],
     "data-error": ["reproduce", "fig3", "--n-max", "2"],
     "numerical-error": ["--config", "underflow.cfg", "reproduce", "figS5"],
+    "config-range-error": ["--config", "range.cfg", "reproduce", "figS3"],
+    "flag-range-error": ["g2", "clicks.csv", "--resamples", "99"],
     "fig3-default": ["--seed", "606", "reproduce", "fig3"],
     "fig4-default": ["--seed", "606", "reproduce", "fig4"],
     "fig4-slow-light-default": ["--seed", "606", "reproduce", "fig4", "--slow-light"],
