@@ -363,20 +363,22 @@ def _figs3(args, cfg: RunConfig, out: Path) -> None:
         table = EfficiencyTable.constant(_DEFAULT_EFFICIENCY)
     base = _rate_model(cfg)
     grid = _log_grid(cfg, "pw")
+    columns = ("p_w", "p", "g2wr_no_storage", "g2wr_storage", "g2wr_no_storage_noise_free",
+               "g2wr_storage_noise_free")
     rows = []
     for p_w, p in zip(grid, _excitation_probability(grid, base)):
         plain = replace(base, p=p)
         stored = with_storage(plain, table, stored_p_nr=cfg.stored_p_nr)
-        rows.append((
-            p_w, p,
-            predict_cross_correlation(plain),
-            predict_cross_correlation(stored),
-            predict_cross_correlation(replace(plain, p_nr=0.0)),
-            predict_cross_correlation(replace(stored, p_nr=0.0)),
-        ))
+        models = (plain, stored, replace(plain, p_nr=0.0), replace(stored, p_nr=0.0))
+        row = [p_w, p]
+        for column, params in zip(columns[2:], models):
+            try:  # a CSV cannot hold the undefined value
+                row.append(predict_cross_correlation(params))
+            except ValidationError as exc:
+                raise ValidationError(f"{column} at p_w={p_w}: {exc}") from None
+        rows.append(row)
     path = out / "figS3_cross_correlation.csv"
-    write_table(path, ("p_w", "p", "g2wr_no_storage", "g2wr_storage",
-                       "g2wr_no_storage_noise_free", "g2wr_storage_noise_free"), rows)
+    write_table(path, columns, rows)
     _say(path)
 
 

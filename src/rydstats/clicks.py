@@ -75,6 +75,12 @@ def _check_window(name: str, window: tuple[int, int]) -> tuple[int, int]:
     return int(start), int(end)
 
 
+def _check_detectors(names: tuple[str, ...]) -> None:
+    for name in names:
+        if name not in _DETECTOR_CODE:
+            raise ValidationError(f"unknown detector {name!r}; expected one of {DETECTORS}")
+
+
 def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
@@ -498,10 +504,7 @@ def count_trials(
     the write and read detectors for a cross-correlation).  The stream
     checked itself when it was built.
     """
-    for names in (detectors_1, detectors_2):
-        for name in names:
-            if name not in _DETECTOR_CODE:
-                raise ValidationError(f"unknown detector {name!r}; expected one of {DETECTORS}")
+    _check_detectors((*detectors_1, *detectors_2))
     n = stream.n_trials
     det = stream.detector_codes
     t = stream.times_ns

@@ -5,7 +5,8 @@ the offending line number, because a typo in a physics parameter would
 otherwise silently change every result.  Command-line flags override file
 values; keys not set anywhere fall back to the defaults below (a few are
 command-specific and resolved by the CLI).  A key that sets a library
-field takes that field's default, so the two cannot drift apart.
+value takes its default and its range from the library code that reads
+it; only the keys that the CLI alone reads have a range of their own.
 """
 
 from __future__ import annotations
@@ -16,30 +17,23 @@ from typing import Any, Callable
 
 from ._table import check_line, open_text
 from .blockade import BlockadeConfig
-from .clicks import DETECTORS, MIN_RESAMPLES, RESAMPLES, ROLE_DETECTORS, WindowSpec
-from .errors import ValidationError
+from .clicks import (MIN_RESAMPLES, RESAMPLES, ROLE_DETECTORS, WindowSpec, _check_detectors,
+                     _check_window)
+from .errors import ValidationError, _check_count
 from .pipeline import PipelineConfig
 from .ratemodel import STORED_P_NR, RateModelParams
 
 
-def _positive_int(value: int) -> bool:
-    return value >= 1
+def _rule(holds: Callable[[Any], bool]) -> Callable[[Any], None]:
+    """A range of a key that only the CLI reads, raising like the library."""
+    def check(value) -> None:
+        if not holds(value):
+            raise ValidationError(value)
+    return check
 
 
-def _non_negative(value: float) -> bool:
-    return value >= 0.0  # False for NaN
-
-
-def _positive_finite(value: float) -> bool:
-    return 0.0 < value < math.inf  # False for NaN
-
-
-def _unit_interval(value: float) -> bool:
-    return 0.0 <= value <= 1.0
-
-
-def _open_unit(value: float) -> bool:
-    return 0.0 < value <= 1.0
+_positive_int = _rule(lambda v: v >= 1)
+_positive_finite = _rule(lambda v: 0.0 < v < math.inf)  # NaN fails
 
 
 def _detector_list(text: str) -> tuple[str, ...]:
@@ -47,10 +41,6 @@ def _detector_list(text: str) -> tuple[str, ...]:
     if not names:
         raise ValueError("empty detector list")
     return names
-
-
-def _known_detectors(names: tuple[str, ...]) -> bool:
-    return set(names) <= set(DETECTORS)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -64,63 +54,78 @@ def _float_list(text: str) -> tuple[float, ...]:
 class _Key:
     parse: Callable[[str], Any]
     default: Any
-    check: Callable[[Any], bool] = lambda _: True
+    # Raises a ValidationError where the value is out of range: for a key
+    # that sets a library value, the library's own check of that value.
+    check: Callable[[Any], object] = lambda _: None
     help: str = ""
+
+
+def _field(parse, owner, name: str, help: str, **given) -> _Key:
+    """The key of ``owner``'s field ``name``: its default, and the values
+    that ``owner`` accepts there with ``given`` in its other fields."""
+    return _Key(parse, getattr(owner, name), lambda v: owner(**given, **{name: v}), help)
 
 
 _KEYS: dict[str, _Key] = {
     # run control
-    "seed": _Key(int, BlockadeConfig.rng_seed, _non_negative, "RNG seed for every stochastic step"),
-    "threads": _Key(int, 1, _positive_int, "worker threads for the Monte Carlo"),
-    "n_max": _Key(int, None, _positive_int,
+    "seed": _field(int, BlockadeConfig, "rng_seed", "RNG seed for every stochastic step"),
+    "threads": _Key(int, 1, lambda v: _check_count("threads", v, 1),
+                    "worker threads for the Monte Carlo"),
+    "n_max": _Key(int, None, lambda v: BlockadeConfig(n_max=v),
                   "Fock truncation; unset -> per-command default"),
     # blockade geometry and sampling
-    "trials": _Key(int, BlockadeConfig.trials_per_fock, _positive_int,
-                   "Monte Carlo trials per Fock state"),
-    "cloud_length": _Key(float, BlockadeConfig.cloud_length, _positive_finite,
-                         "cloud length (um, FWHM)"),
-    "blockade_radius": _Key(float, BlockadeConfig.blockade_radius,
-                            lambda v: 0.0 <= v < math.inf, "blockade radius (um)"),
-    "medium_scale": _Key(float, 2.5, lambda v: 1.0 <= v < math.inf,
+    "trials": _field(int, BlockadeConfig, "trials_per_fock", "Monte Carlo trials per Fock state"),
+    "cloud_length": _field(float, BlockadeConfig, "cloud_length", "cloud length (um, FWHM)"),
+    "blockade_radius": _field(float, BlockadeConfig, "blockade_radius", "blockade radius (um)"),
+    "medium_scale": _Key(float, 2.5, _rule(lambda v: 1.0 <= v < math.inf),
                          "medium stretch for the slow-light variant"),
-    # pipeline stages
-    "t_losses": _Key(float, PipelineConfig.t_losses, _open_unit, "transmission between the setups"),
-    "eta_compression": _Key(float, PipelineConfig.eta_compression, _open_unit,
-                            "stored fraction of the pulse"),
-    "eta_compression_lo": _Key(float, PipelineConfig.compression_band[0], _open_unit,
+    # pipeline stages; each end of the band is checked as a band of one value
+    "t_losses": _field(float, PipelineConfig, "t_losses", "transmission between the setups"),
+    "eta_compression": _field(float, PipelineConfig, "eta_compression",
+                              "stored fraction of the pulse"),
+    "eta_compression_lo": _Key(float, PipelineConfig.compression_band[0],
+                               lambda v: PipelineConfig(compression_band=(v, v)),
                                "uncertainty band, low edge"),
-    "eta_compression_hi": _Key(float, PipelineConfig.compression_band[1], _open_unit,
+    "eta_compression_hi": _Key(float, PipelineConfig.compression_band[1],
+                               lambda v: PipelineConfig(compression_band=(v, v)),
                                "uncertainty band, high edge"),
-    "eta_eit": _Key(float, PipelineConfig.eta_eit, _open_unit, "propagation transparency"),
-    "eta_r": _Key(float, PipelineConfig.eta_r, _open_unit, "retrieval efficiency"),
-    # source / rate model
-    "t_w": _Key(float, RateModelParams.t_w, _open_unit, "write-path transmission incl. detection"),
-    "t_r": _Key(float, RateModelParams.t_r, _unit_interval, "read-path transmission incl. detection"),
-    "eta_a": _Key(float, RateModelParams.eta_a, _unit_interval, "intrinsic read-out efficiency"),
-    "p_eg": _Key(float, RateModelParams.p_eg, _unit_interval, "branching ratio of the stray decay"),
-    "p_nw": _Key(float, RateModelParams.p_nw, _unit_interval, "write dark-count probability"),
-    "p_nr": _Key(float, RateModelParams.p_nr, _unit_interval, "read noise probability"),
-    "stored_p_nr": _Key(float, STORED_P_NR, _unit_interval, "read noise after storage"),
+    "eta_eit": _field(float, PipelineConfig, "eta_eit", "propagation transparency"),
+    "eta_r": _field(float, PipelineConfig, "eta_r", "retrieval efficiency"),
+    # source / rate model; with_storage puts stored_p_nr into p_nr
+    "t_w": _field(float, RateModelParams, "t_w", "write-path transmission incl. detection", p=0.0),
+    "t_r": _field(float, RateModelParams, "t_r", "read-path transmission incl. detection", p=0.0),
+    "eta_a": _field(float, RateModelParams, "eta_a", "intrinsic read-out efficiency", p=0.0),
+    "p_eg": _field(float, RateModelParams, "p_eg", "branching ratio of the stray decay", p=0.0),
+    "p_nw": _field(float, RateModelParams, "p_nw", "write dark-count probability", p=0.0),
+    "p_nr": _field(float, RateModelParams, "p_nr", "read noise probability", p=0.0),
+    "stored_p_nr": _Key(float, STORED_P_NR, lambda v: RateModelParams(p=0.0, p_nr=v),
+                        "read noise after storage"),
     # sweep grids
     "zeta_min": _Key(float, 0.004, _positive_finite, "sweep grid start"),
     "zeta_max": _Key(float, 0.4, _positive_finite, "sweep grid end"),
     "zeta_points": _Key(int, 21, _positive_int, "sweep grid size (log-spaced)"),
-    "zeta_values": _Key(_float_list, (0.01, 0.05, 0.5), lambda v: all(map(_positive_finite, v)),
+    "zeta_values": _Key(_float_list, (0.01, 0.05, 0.5),
+                        _rule(lambda v: all(0.0 < x < math.inf for x in v)),
                         "comma list for the distribution-comparison table"),
     "pw_min": _Key(float, 2e-4, _positive_finite, "write-probability grid start"),
     "pw_max": _Key(float, 0.05, _positive_finite, "write-probability grid end"),
     "pw_points": _Key(int, 25, _positive_int, "write-probability grid size"),
     "efficiency_table": _Key(str, None, help="CSV path with measured p_w,eta"),
-    # click analysis
-    "signal_start_ns": _Key(int, WindowSpec.signal_1[0], _non_negative, "signal window start (ns)"),
-    "signal_end_ns": _Key(int, WindowSpec.signal_1[1], _positive_int, "signal window end (ns)"),
-    "noise_start_ns": _Key(int, WindowSpec.noise[0], _non_negative, "noise window start (ns)"),
-    "noise_end_ns": _Key(int, WindowSpec.noise[1], _positive_int, "noise window end (ns)"),
-    "detectors_1": _Key(_detector_list, ROLE_DETECTORS[0], _known_detectors,
+    # click analysis; a window start or end as that of a window 1 ns long
+    "signal_start_ns": _Key(int, WindowSpec.signal_1[0], lambda v: _check_window("", (v, v + 1)),
+                            "signal window start (ns)"),
+    "signal_end_ns": _Key(int, WindowSpec.signal_1[1], lambda v: _check_window("", (v - 1, v)),
+                          "signal window end (ns)"),
+    "noise_start_ns": _Key(int, WindowSpec.noise[0], lambda v: _check_window("", (v, v + 1)),
+                           "noise window start (ns)"),
+    "noise_end_ns": _Key(int, WindowSpec.noise[1], lambda v: _check_window("", (v - 1, v)),
+                         "noise window end (ns)"),
+    "detectors_1": _Key(_detector_list, ROLE_DETECTORS[0], _check_detectors,
                         "detectors for role 1"),
-    "detectors_2": _Key(_detector_list, ROLE_DETECTORS[1], _known_detectors,
+    "detectors_2": _Key(_detector_list, ROLE_DETECTORS[1], _check_detectors,
                         "detectors for role 2"),
-    "resamples": _Key(int, RESAMPLES, lambda v: v >= MIN_RESAMPLES, "bootstrap resamples"),
+    "resamples": _Key(int, RESAMPLES, lambda v: _check_count("resamples", v, MIN_RESAMPLES),
+                      "bootstrap resamples"),
 }
 
 
@@ -143,8 +148,10 @@ class RunConfig:
         """Set a parsed value after its range check (flags and file alike)."""
         if name not in _KEYS:
             raise ValidationError(f"unknown configuration key {name!r}")
-        if not _KEYS[name].check(value):
-            raise ValidationError(f"value out of range for {name}: {value!r}")
+        try:
+            _KEYS[name].check(value)
+        except ValidationError:
+            raise ValidationError(f"value out of range for {name}: {value!r}") from None
         self.values[name] = value
 
 

@@ -29,6 +29,7 @@ from .source import (
     _P_FLOOR,
     DEFAULT_T_W,
     SourceModel,
+    _check_t_w,
     _herald_weights,
     conditional_read_state,
     read_state_p_upper_bound,
@@ -65,10 +66,11 @@ class PipelineConfig:
             raise ValidationError(
                 f"input kind must be one of {INPUT_KINDS}, got {self.input_kind!r}"
             )
-        for name in ("t_losses", "eta_compression", "eta_eit", "eta_r", "t_w"):
+        for name in ("t_losses", "eta_compression", "eta_eit", "eta_r"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValidationError(f"{name} must lie in (0, 1], got {value}")
+        _check_t_w(self.t_w)
         lo, hi = self.compression_band
         if not (0.0 < lo <= hi <= 1.0):
             raise ValidationError(f"compression band must satisfy 0 < lo <= hi <= 1, got {self.compression_band}")

@@ -104,7 +104,10 @@ def predict_cross_correlation(params: RateModelParams) -> float:
     """
     probs = predict_probabilities(params)
     if probs.p_r <= 0.0:
-        raise ValidationError("cross-correlation undefined: zero singles probability")
+        q = params
+        raise ValidationError(
+            "cross-correlation undefined: p_r = p t_r (eta_a + (1 - eta_a) p_eg) + p_nr is 0 "
+            f"at p={q.p}, t_r={q.t_r}, eta_a={q.eta_a}, p_eg={q.p_eg}, p_nr={q.p_nr}")
     denominator = float(probs.p_w * probs.p_r)
     ratio = float(probs.p_wr) / denominator if denominator > 0.0 else math.inf
     if not math.isfinite(ratio):

@@ -15,15 +15,19 @@ from hypothesis import strategies as st
 import rydstats
 from rydstats import (
     BlockadeConfig,
+    ClickStream,
     PipelineConfig,
     RateModelParams,
+    TrialData,
     WindowSpec,
     analysis_report,
+    blockade_matrix,
     bootstrap_error,
     coherent,
     count_trials,
     exact_pair_survival,
     fock_state,
+    medium_matrix,
     synthesize,
 )
 from rydstats._table import read_table
@@ -178,11 +182,67 @@ _FIELD_OWNERS = {
     "t_w": lambda v: (PipelineConfig(t_w=v), RateModelParams(p=0.0, t_w=v)),
     **{name: lambda v, name=name: RateModelParams(p=0.0, **{name: v})
        for name in ("t_r", "eta_a", "p_eg", "p_nw", "p_nr")},
+    # with_storage puts it into p_nr
+    "stored_p_nr": lambda v: RateModelParams(p=0.0, p_nr=v),
 }
 #: The float keys that set no library field.
-_UNOWNED = {"medium_scale", "stored_p_nr", "zeta_min", "zeta_max", "pw_min", "pw_max"}
+_UNOWNED = {"medium_scale", "zeta_min", "zeta_max", "pw_min", "pw_max"}
 _EDGES = [-1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 1 + 1e-7, 2.5, 1e300, float("inf"),
           -float("inf"), float("nan")]
+
+#: Past every count below: the other end of a window, or a window that
+#: cannot overlap the one a key sets.
+_FAR = 2**80
+#: One trial with one click, on D1 at 0 ns.
+_ONE_CLICK = ClickStream(1, np.zeros(1, np.int64), np.zeros(1, np.int8), np.zeros(1, np.int64))
+
+
+def _bootstrap_with_resamples(v):
+    # 5 trials are too few to bootstrap, an error that comes only after
+    # the resample count has passed, so no resample is drawn
+    five = TrialData(5, np.zeros((4, 1), np.int64), np.array([5]), WindowSpec())
+    try:
+        bootstrap_error(five, resamples=v)
+    except ValidationError as exc:
+        if "need at least 10 trials" not in str(exc):
+            raise
+
+
+#: The integer keys that set a library value, each with the library code
+#: that reads it at value v.  threads has two readers, which must agree;
+#: neither starts a thread here, as both media are exact.
+_COUNT_OWNERS = {
+    "seed": lambda v: BlockadeConfig(rng_seed=v),
+    "trials": lambda v: BlockadeConfig(trials_per_fock=v),
+    "n_max": lambda v: BlockadeConfig(n_max=v),
+    "threads": lambda v: (blockade_matrix(BlockadeConfig(blockade_radius=0.0, n_max=1), v),
+                          medium_matrix(PipelineConfig(blockade=BlockadeConfig(n_max=1)), v)),
+    "resamples": _bootstrap_with_resamples,
+    "signal_start_ns": lambda v: WindowSpec(signal_1=(v, _FAR), noise=(_FAR, _FAR + 1)),
+    "signal_end_ns": lambda v: WindowSpec(signal_1=(0, v), noise=(_FAR, _FAR + 1)),
+    "noise_start_ns": lambda v: WindowSpec(signal_1=(_FAR, _FAR + 1), noise=(v, _FAR)),
+    "noise_end_ns": lambda v: WindowSpec(signal_1=(_FAR, _FAR + 1), noise=(0, v)),
+}
+#: The integer keys that set no library value.
+_UNOWNED_COUNTS = {"zeta_points", "pw_points"}
+_COUNTS = [-2**63, -1, 0, 1, 2, 99, 100, 101, 2**63 - 1, 2**63, 2**70]
+_DETECTOR_OWNERS = {
+    "detectors_1": lambda v: count_trials(_ONE_CLICK, WindowSpec(), detectors_1=v),
+    "detectors_2": lambda v: count_trials(_ONE_CLICK, WindowSpec(), detectors_2=v),
+}
+_DETECTOR_LISTS = [("D1",), ("D4",), ("D2", "D9")]
+
+
+def _accepted(build, values) -> list:
+    """The values for which ``build`` raises no ValidationError."""
+    accepted = []
+    for v in values:
+        try:
+            build(v)
+        except ValidationError:
+            continue
+        accepted.append(v)
+    return accepted
 
 
 class TestRangesAgreeWithLibrary:
@@ -190,20 +250,29 @@ class TestRangesAgreeWithLibrary:
     def test_every_float_key_is_listed(self):
         floats = {name for name, spec in _KEYS.items() if spec.parse is float}
         assert floats == _FIELD_OWNERS.keys() | _UNOWNED
-        assert len(_FIELD_OWNERS) == 14
+        assert len(_FIELD_OWNERS) == 15
+
+    def test_every_integer_and_detector_key_is_listed(self):
+        ints = {name for name, spec in _KEYS.items() if spec.parse is int}
+        assert ints == _COUNT_OWNERS.keys() | _UNOWNED_COUNTS
+        assert len(_COUNT_OWNERS) == 9
+        assert {name for name in _KEYS if name.startswith("detectors")} == _DETECTOR_OWNERS.keys()
 
     @pytest.mark.parametrize("name", sorted(_FIELD_OWNERS))
     def test_same_values_accepted(self, name):
-        def accepts(build, v):
-            try:
-                build(v)
-            except ValidationError:
-                return False
-            return True
+        by_config = _accepted(lambda x: RunConfig().set(name, x), _EDGES)
+        assert by_config == _accepted(_FIELD_OWNERS[name], _EDGES)
 
-        by_config = [v for v in _EDGES if accepts(lambda x: RunConfig().set(name, x), v)]
-        by_library = [v for v in _EDGES if accepts(_FIELD_OWNERS[name], v)]
-        assert by_config == by_library
+    @pytest.mark.parametrize("name", sorted(_COUNT_OWNERS))
+    def test_same_counts_accepted(self, name):
+        by_config = _accepted(lambda x: RunConfig().set(name, x), _COUNTS)
+        assert by_config == _accepted(_COUNT_OWNERS[name], _COUNTS)
+        assert by_config  # not an agreement to refuse every value
+
+    @pytest.mark.parametrize("name", sorted(_DETECTOR_OWNERS))
+    def test_same_detector_lists_accepted(self, name):
+        by_config = _accepted(lambda x: RunConfig().set(name, x), _DETECTOR_LISTS)
+        assert by_config == _accepted(_DETECTOR_OWNERS[name], _DETECTOR_LISTS) == [("D1",)]
 
 
 class TestBlockadeCommand:
@@ -383,6 +452,24 @@ class TestReproduceCommands:
         np.testing.assert_allclose(no_storage_free, storage_free, rtol=0.01)
         # with noise, storage must improve the correlation
         assert np.all(body[:, 3] > body[:, 2])
+
+    @pytest.mark.parametrize("config, cause", [
+        ("t_r = 0\n", "t_r=0.0, eta_a=0.32, p_eg=0.2, p_nr=0.0"),
+        ("eta_a = 0\np_eg = 0\n", "t_r=0.09, eta_a=0.0, p_eg=0.0, p_nr=0.0"),
+    ], ids=["t_r", "eta_a-p_eg"])
+    def test_figS3_zero_read_probability_names_column_and_cause(self, tmp_path, capsys,
+                                                                config, cause):
+        # the noise-free columns set p_nr = 0, so there
+        # p_r = p t_r (eta_a + (1 - eta_a) p_eg) + p_nr is 0; a CSV cannot
+        # hold the undefined g2, so the run stops
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        out = tmp_path / "out"
+        assert run(["--config", path, "--out", out, "reproduce", "figS3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: g2wr_no_storage_noise_free at p_w=0.0002: ")
+        assert err.endswith(f", {cause}\n")
+        assert not (out / "figS3_cross_correlation.csv").exists()
 
     def test_figS5_nan_zeta_is_data_error(self, tmp_path, capsys):
         assert run(["--out", tmp_path, "reproduce", "figS5", "--zeta", "0.01,nan"]) == 2
