@@ -164,24 +164,18 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, length, axis=1) @ y[:, ::-1]
 
 
-def _leaf_series(g: np.ndarray, n: int, s: float) -> np.ndarray:
-    """Series of segments of at most 2 radii: :func:`_leaf_probs` times
-    (s g)^m / m!."""
-    return _leaf_probs(g, n) * _exp_series(s * g, n)[:, :, None]
-
-
 def _series(g: np.ndarray, n: int, s: float, nodes: int, leaf_max: float) -> np.ndarray:
-    """Series of every segment in ``g``: closed forms up to ``leaf_max``
-    radii, the recursion beyond."""
+    """Series of every segment in ``g``: up to ``leaf_max`` radii the
+    closed form of :func:`_leaf_probs` times (s g)^m / m!, the recursion
+    beyond."""
     leaf = g <= leaf_max
+    shallow = _leaf_probs(g[leaf], n) * _exp_series(s * g[leaf], n)[:, :, None]
     if leaf.all():
-        return _leaf_series(g, n, s)
+        return shallow
     deep = _recurse(g[~leaf], n, s, nodes, leaf_max)
     out = np.zeros((g.size, n + 1, deep.shape[2]))
     out[~leaf] = deep
-    if leaf.any():
-        shallow = _leaf_series(g[leaf], n, s)
-        out[leaf, :, : shallow.shape[2]] = shallow
+    out[leaf, :, : shallow.shape[2]] = shallow
     return out
 
 
@@ -245,9 +239,9 @@ def _quadrature_nodes(n_max: int) -> int:
 
 def _survivors(radii: float, n_max: int, nodes: int | None = None,
                leaf_max: float = 2.0) -> np.ndarray:
-    """P(k | n) on a cloud of ``radii`` blockade radii: rows k = 0..K,
-    columns n = 0..n_max.  ``nodes`` (per piece) and ``leaf_max`` (the
-    longest segment taken from a closed form) exist for the tests."""
+    """The transfer matrix P(k | n) of a cloud of ``radii`` blockade radii,
+    k, n = 0..n_max.  ``nodes`` (per piece) and ``leaf_max`` (the longest
+    segment taken from a closed form) exist for the tests."""
     if radii <= leaf_max:
         table = _leaf_probs(np.array([radii]), n_max)[0]
     else:
@@ -262,9 +256,10 @@ def _survivors(radii: float, n_max: int, nodes: int | None = None,
         n = np.arange(n_max + 1)
         unscale = np.cumprod(np.concatenate([[1.0], n[1:] / (s * radii)]))  # m! / (s L)^m
         table = series * unscale[:, None]
-    probs = np.zeros((table.shape[1] + 1, n_max + 1))
+    rows = min(table.shape[1], n_max)  # the rest are zero: k <= n
+    probs = np.zeros((n_max + 1, n_max + 1))
     probs[0, 0] = 1.0
-    probs[1:] = table.T
+    probs[1 : rows + 1] = table[:, :rows].T
     return probs
 
 
@@ -285,11 +280,7 @@ def exact_matrix(cloud_length: float, r_b: float, n_max: int) -> TransferMatrix:
         raise ValidationError(
             f"the exact matrix covers clouds up to {EXACT_MAX_RADII:g} blockade radii, "
             f"got {cloud_length / r_b:g}")
-    probs = _survivors(cloud_length / r_b, n_max)
-    m = np.zeros((n_max + 1, n_max + 1))
-    rows = min(len(probs), n_max + 1)  # rows beyond n_max are zero: k <= n
-    m[:rows] = probs[:rows]
-    return TransferMatrix(m)
+    return TransferMatrix(_survivors(cloud_length / r_b, n_max))
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -374,6 +365,14 @@ def simulate_fock(cfg: BlockadeConfig, n: int) -> np.ndarray:
     return blockade_matrix(replace(cfg, n_max=max(n, 1))).matrix[: n + 1, n]
 
 
+def _stretched(cfg: BlockadeConfig, medium_scale: float) -> BlockadeConfig:
+    """``cfg`` with its cloud stretched by ``medium_scale`` (finite, >= 1):
+    the effective slow-light medium."""
+    if not 1.0 <= medium_scale < math.inf:
+        raise ValidationError(f"medium scale must be finite and >= 1, got {medium_scale}")
+    return replace(cfg, cloud_length=cfg.cloud_length * medium_scale)
+
+
 def slow_light_matrix(cfg: BlockadeConfig, medium_scale: float,
                       threads: int = 1) -> TransferMatrix:
     """Blockade matrix of the effective slow-light (no storage) medium.
@@ -382,7 +381,4 @@ def slow_light_matrix(cfg: BlockadeConfig, medium_scale: float,
     model stretches the medium by ``medium_scale`` (>= 1) so that less of
     the pulse is inside one blockade radius at a time.
     """
-    if not 1.0 <= medium_scale < math.inf:
-        raise ValidationError(f"medium scale must be finite and >= 1, got {medium_scale}")
-    scaled = replace(cfg, cloud_length=cfg.cloud_length * medium_scale)
-    return blockade_matrix(scaled, threads=threads)
+    return blockade_matrix(_stretched(cfg, medium_scale), threads=threads)

@@ -26,6 +26,7 @@ from .blockade import (
     CHUNK_TRIALS,
     EXACT_MAX_RADII,
     BlockadeConfig,
+    _stretched,
     blockade_matrix,
     exact_pair_survival,
 )
@@ -213,13 +214,14 @@ def _blockade_config(cfg: RunConfig, default_n_max: int,
     """The medium: the slow-light variant is the cloud stretched by
     ``medium_scale``."""
     n_max = cfg.n_max if cfg.n_max is not None else default_n_max
-    return BlockadeConfig(
-        cloud_length=cfg.cloud_length * cfg.medium_scale if slow_light else cfg.cloud_length,
+    bcfg = BlockadeConfig(
+        cloud_length=cfg.cloud_length,
         blockade_radius=cfg.blockade_radius,
         trials_per_fock=cfg.trials,
         rng_seed=cfg.seed,
         n_max=n_max,
     )
+    return _stretched(bcfg, cfg.medium_scale) if slow_light else bcfg
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -448,18 +450,13 @@ def main(argv=None) -> int:
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, cfg, out)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        # numpy refuses an allocation that the requested sizes imply
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+    except (ValidationError, OSError, MemoryError) as exc:
+        # A MemoryError is an allocation that the requested sizes imply:
+        # numpy's names its size, Python's own has no text.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

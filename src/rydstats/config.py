@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ._table import check_line, open_text
-from .blockade import BlockadeConfig
+from .blockade import BlockadeConfig, _stretched
 from .clicks import (MIN_RESAMPLES, RESAMPLES, ROLE_DETECTORS, WindowSpec, _check_detectors,
                      _check_window)
 from .errors import ValidationError, _check_count
@@ -77,7 +77,8 @@ _KEYS: dict[str, _Key] = {
     "trials": _field(int, BlockadeConfig, "trials_per_fock", "Monte Carlo trials per Fock state"),
     "cloud_length": _field(float, BlockadeConfig, "cloud_length", "cloud length (um, FWHM)"),
     "blockade_radius": _field(float, BlockadeConfig, "blockade_radius", "blockade radius (um)"),
-    "medium_scale": _Key(float, 2.5, _rule(lambda v: 1.0 <= v < math.inf),
+    # a scale that the stretch accepts keeps a 1 um cloud finite
+    "medium_scale": _Key(float, 2.5, lambda v: _stretched(BlockadeConfig(cloud_length=1.0), v),
                          "medium stretch for the slow-light variant"),
     # pipeline stages; each end of the band is checked as a band of one value
     "t_losses": _field(float, PipelineConfig, "t_losses", "transmission between the setups"),

@@ -28,6 +28,7 @@ from rydstats import (
     exact_pair_survival,
     fock_state,
     medium_matrix,
+    slow_light_matrix,
     synthesize,
 )
 from rydstats._table import read_table
@@ -184,9 +185,11 @@ _FIELD_OWNERS = {
        for name in ("t_r", "eta_a", "p_eg", "p_nw", "p_nr")},
     # with_storage puts it into p_nr
     "stored_p_nr": lambda v: RateModelParams(p=0.0, p_nr=v),
+    # the 15 um cloud stretched by every value below stays finite
+    "medium_scale": lambda v: slow_light_matrix(BlockadeConfig(trials_per_fock=1, n_max=1), v),
 }
 #: The float keys that set no library field.
-_UNOWNED = {"medium_scale", "zeta_min", "zeta_max", "pw_min", "pw_max"}
+_UNOWNED = {"zeta_min", "zeta_max", "pw_min", "pw_max"}
 _EDGES = [-1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 1 + 1e-7, 2.5, 1e300, float("inf"),
           -float("inf"), float("nan")]
 
@@ -250,7 +253,7 @@ class TestRangesAgreeWithLibrary:
     def test_every_float_key_is_listed(self):
         floats = {name for name, spec in _KEYS.items() if spec.parse is float}
         assert floats == _FIELD_OWNERS.keys() | _UNOWNED
-        assert len(_FIELD_OWNERS) == 15
+        assert len(_FIELD_OWNERS) == 16
 
     def test_every_integer_and_detector_key_is_listed(self):
         ints = {name for name, spec in _KEYS.items() if spec.parse is int}
