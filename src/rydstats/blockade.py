@@ -35,13 +35,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError, _check_count
+from .errors import _MAX_DOUBLES, ValidationError, _check_count
 from .fock import DEFAULT_N_MAX
 from .transfer import TransferMatrix
 
 #: Trials per RNG chunk; part of the reproducibility contract (changing it
 #: changes the sampled numbers, though not their distribution).
 CHUNK_TRIALS = 10_000
+
+#: Largest truncation whose (n_max + 1)^2 matrix of doubles numpy can index.
+_N_MAX_LIMIT = math.isqrt(_MAX_DOUBLES) - 1
 
 
 def _check_lengths(r_b: float, cloud_length: float) -> None:
@@ -76,6 +79,8 @@ class BlockadeConfig:
         _check_count("trials_per_fock", self.trials_per_fock, 1)
         _check_count("rng_seed", self.rng_seed, 0)
         _check_count("n_max", self.n_max, 1)
+        if self.n_max > _N_MAX_LIMIT:
+            raise ValidationError(f"n_max must be at most {_N_MAX_LIMIT}, got {self.n_max}")
 
 
 def exact_pair_survival(r_b: float, cloud_length: float) -> float:

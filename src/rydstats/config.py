@@ -19,7 +19,7 @@ from ._table import check_line, open_text
 from .blockade import BlockadeConfig, _stretched
 from .clicks import (MIN_RESAMPLES, RESAMPLES, ROLE_DETECTORS, WindowSpec, _check_detectors,
                      _check_window)
-from .errors import ValidationError, _check_count
+from .errors import _MAX_DOUBLES, ValidationError, _check_count
 from .pipeline import PipelineConfig
 from .ratemodel import STORED_P_NR, RateModelParams
 
@@ -32,7 +32,8 @@ def _rule(holds: Callable[[Any], bool]) -> Callable[[Any], None]:
     return check
 
 
-_positive_int = _rule(lambda v: v >= 1)
+# numpy sizes a grid from its point count rounded to a double
+_grid_points = _rule(lambda v: 1 <= v <= _MAX_DOUBLES and float(v) <= _MAX_DOUBLES)
 _positive_finite = _rule(lambda v: 0.0 < v < math.inf)  # NaN fails
 
 
@@ -104,13 +105,13 @@ _KEYS: dict[str, _Key] = {
     # sweep grids
     "zeta_min": _Key(float, 0.004, _positive_finite, "sweep grid start"),
     "zeta_max": _Key(float, 0.4, _positive_finite, "sweep grid end"),
-    "zeta_points": _Key(int, 21, _positive_int, "sweep grid size (log-spaced)"),
+    "zeta_points": _Key(int, 21, _grid_points, "sweep grid size (log-spaced)"),
     "zeta_values": _Key(_float_list, (0.01, 0.05, 0.5),
                         _rule(lambda v: all(0.0 < x < math.inf for x in v)),
                         "comma list for the distribution-comparison table"),
     "pw_min": _Key(float, 2e-4, _positive_finite, "write-probability grid start"),
     "pw_max": _Key(float, 0.05, _positive_finite, "write-probability grid end"),
-    "pw_points": _Key(int, 25, _positive_int, "write-probability grid size"),
+    "pw_points": _Key(int, 25, _grid_points, "write-probability grid size"),
     "efficiency_table": _Key(str, None, help="CSV path with measured p_w,eta"),
     # click analysis; a window start or end as that of a window 1 ns long
     "signal_start_ns": _Key(int, WindowSpec.signal_1[0], lambda v: _check_window("", (v, v + 1)),

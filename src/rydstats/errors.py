@@ -7,6 +7,11 @@ can rule out ahead of time.
 
 import numbers
 
+import numpy as np
+
+#: Most doubles that one numpy array can hold: its byte count must fit np.intp.
+_MAX_DOUBLES = np.iinfo(np.intp).max // 8
+
 
 class RydstatsError(Exception):
     """Base class for all errors raised by this package."""

@@ -31,6 +31,7 @@ from rydstats import (
     slow_light_matrix,
     synthesize,
 )
+from rydstats import cli
 from rydstats._table import read_table
 from rydstats.cli import _blockade_config, _pipeline_config, _rate_model, main
 from rydstats.config import _KEYS, RunConfig, _float_list, parse_config_file
@@ -228,7 +229,10 @@ _COUNT_OWNERS = {
 }
 #: The integer keys that set no library value.
 _UNOWNED_COUNTS = {"zeta_points", "pw_points"}
-_COUNTS = [-2**63, -1, 0, 1, 2, 99, 100, 101, 2**63 - 1, 2**63, 2**70]
+#: 1073741822 is the largest n_max whose (n_max + 1)^2 doubles numpy can
+#: index on 64 bits; every owner takes both without drawing or allocating.
+_COUNTS = [-2**63, -1, 0, 1, 2, 99, 100, 101, 1073741822, 1073741823, 2**63 - 1, 2**63,
+           2**70]
 _DETECTOR_OWNERS = {
     "detectors_1": lambda v: count_trials(_ONE_CLICK, WindowSpec(), detectors_1=v),
     "detectors_2": lambda v: count_trials(_ONE_CLICK, WindowSpec(), detectors_2=v),
@@ -729,6 +733,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, config, key, value",
+        [
+            (["reproduce", "fig3", "--n-max", 2**62], None, "n_max", 2**62),
+            (["reproduce", "figS5", "--n-max", 2**62], None, "n_max", 2**62),
+            (["blockade", "--n-max", 2**62, "--trials", 10], None, "n_max", 2**62),
+            (["reproduce", "fig3", "--zeta-range", f"0.004,0.4,{2**70}"], None,
+             "zeta_points", 2**70),
+            (["reproduce", "figS3"], f"pw_points = {2**70}\n", "pw_points", 2**70),
+            # within np.intp's range / 8, but 2**60 once rounded to a double
+            (["reproduce", "figS3"], f"pw_points = {2**60 - 1}\n", "pw_points", 2**60 - 1),
+        ],
+        ids=["fig3-n-max", "figS5-n-max", "blockade-n-max", "fig3-zeta-points",
+             "figS3-pw-points", "figS3-pw-points-rounded"],
+    )
+    def test_size_numpy_cannot_index_is_data_error(self, tmp_path, argv, config, key, value,
+                                                    capsys):
+        # refused by the range check, before numpy is asked for the array
+        head, where = ["--out", tmp_path], ""
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            head, where = ["--config", tmp_path / "run.cfg", *head], f"{tmp_path / 'run.cfg'}:1: "
+        assert run([*head, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {where}value out of range for {key}: {value}\n"
+        assert "Traceback" not in err
+
+    def test_bare_memory_error_is_out_of_memory(self, tmp_path, monkeypatch, capsys):
+        # Python's own refusal of an allocation carries no text
+        def refuse(*_):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._COMMANDS, "fit-peg", refuse)
+        assert run(["--out", tmp_path, "fit-peg", "data.csv"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize(
         "argv, config, message",

@@ -14,8 +14,10 @@ For each case the script compares the exit code, the names and bytes of
 the files written to ``--out``, and stdout and stderr with the output
 directory and the tree's path masked.  For a CSV file whose bytes differ
 it also prints the largest relative change of a field, each field read
-with ``float``.  It prints one line per case and exits 1 if any case
-differs, 0 if none does.  Standard library only.
+with ``float``.  A case whose exit is not an integer raised an uncaught
+exception, and is reported as such.  It prints one line per case and
+exits 1 if any case differs or raised, 0 if none does.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -106,9 +108,12 @@ def main(argv=None) -> int:
     status = 0
     for case in old:
         found = differences(old[case], new[case])
-        verdict = "differs: " + "; ".join(found) if found else "same"
+        raised = [f"{side} raised {record[case][0]}"
+                  for side, record in (("old", old), ("new", new))
+                  if not isinstance(record[case][0], int)]
+        verdict = "; ".join(raised + (["differs: " + "; ".join(found)] if found else [])) or "same"
         print(f"{case:<{width}}  exit {old[case][0]}  {verdict}")
-        status |= bool(found)
+        status |= bool(found or raised)
     return status
 
 
