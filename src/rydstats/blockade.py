@@ -308,39 +308,54 @@ def _simulate_chunk(n_max: int, size: int, seed: int, chunk: int,
     entry (k, n) counts the trials with k survivors after n arrivals."""
     hist = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-    surviving = np.full((size, _max_survivors(n_max, cloud_length, r_b)), np.inf)
-    # One distance buffer for all arrivals: a fresh (size, width) temporary
+    width = _max_survivors(n_max, cloud_length, r_b)
+    # Survivor slot j of every trial is row j, so each check runs along the
+    # contiguous trial axis; a trial's unused slots hold inf, which blocks
+    # nothing.  One distance buffer serves all arrivals: a fresh temporary
     # per arrival is big enough to go back to the OS each time and fault
     # its pages in again.
+    surviving = np.full((width, size), np.inf)
     gap = np.empty_like(surviving)
     count = np.zeros(size, dtype=np.int64)
+    top = 0  # the largest count so far: rows from here on are all inf
     hist[0, 0] = size
     for n in range(1, n_max + 1):
         x = rng.uniform(0.0, cloud_length, size)
-        np.abs(np.subtract(surviving, x[:, None], out=gap), out=gap)
-        blocked = np.any(gap <= r_b, axis=1)
-        idx = np.nonzero(~blocked)[0]
-        surviving[idx, count[idx]] = x[idx]
-        count[idx] += 1
-        hist[:, n] = np.bincount(count, minlength=n_max + 1)
+        near = gap[:top]
+        np.abs(np.subtract(surviving[:top], x, out=near), out=near)
+        blocked = np.any(near <= r_b, axis=0)
+        idx = np.flatnonzero(~blocked)
+        before = count[idx]
+        surviving[before, idx] = x[idx]
+        count[idx] = before + 1
+        # each survivor moves its trial from row `before` to `before + 1`
+        gained = np.bincount(before, minlength=width)
+        hist[:, n] = hist[:, n - 1]
+        hist[:width, n] -= gained
+        hist[1 : width + 1, n] += gained
+        if top < width and gained[top]:  # some trial now holds top + 1
+            top += 1
     return hist
 
 
 def _histograms(cfg: BlockadeConfig, threads: int) -> np.ndarray:
     """Survivor histogram of ``cfg.trials_per_fock`` trials of
     ``cfg.n_max`` arrivals, summed over the chunks (on a pool when
-    ``threads`` > 1).  Integer sums are exact: the thread count cannot
-    change the result."""
+    ``threads`` > 1) into one running total.  Integer sums are exact: the
+    thread count cannot change the result."""
     tasks = [
         (cfg.n_max, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
         for c, size in enumerate(_chunk_sizes(cfg.trials_per_fock))
     ]
+    total = np.zeros((cfg.n_max + 1, cfg.n_max + 1), dtype=np.int64)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            hists = list(pool.map(lambda t: _simulate_chunk(*t), tasks))
+            for hist in pool.map(lambda t: _simulate_chunk(*t), tasks):
+                total += hist
     else:
-        hists = [_simulate_chunk(*t) for t in tasks]
-    return np.sum(hists, axis=0)
+        for t in tasks:
+            total += _simulate_chunk(*t)
+    return total
 
 
 def blockade_matrix(cfg: BlockadeConfig, threads: int = 1) -> TransferMatrix:

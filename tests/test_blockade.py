@@ -22,6 +22,7 @@ from rydstats.blockade import (
     CHUNK_TRIALS,
     EXACT_MAX_RADII,
     _histograms,
+    _max_survivors,
     _quadrature_nodes,
     _simulate_chunk,
     _survivors,
@@ -196,6 +197,37 @@ def reference_fock(n, trials, seed, cloud_length, r_b):
     return counts
 
 
+def chunk_stream(n_max, size, seed, chunk, cloud_length):
+    """The arrivals of one chunk, in the order the contract fixes: one
+    uniform(0, L, size) vector per arrival from the chunk's own stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+    return [rng.uniform(0.0, cloud_length, size).tolist() for _ in range(n_max)]
+
+
+def literal_chunk(n_max, size, seed, chunk, cloud_length, r_b):
+    """Per-trial reading of :func:`_simulate_chunk`'s stream: trial i keeps
+    arrival x[i] unless abs(s - x[i]) <= r_b for one of its survivors s."""
+    arrivals = chunk_stream(n_max, size, seed, chunk, cloud_length)
+    hist = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
+    hist[0, 0] = size
+    for i in range(size):
+        survivors = []
+        for n, x in enumerate(arrivals, start=1):
+            if not any(abs(s - x[i]) <= r_b for s in survivors):
+                survivors.append(x[i])
+            hist[len(survivors), n] += 1
+    return hist
+
+
+def tied_radius(size, seed, chunk, cloud_length, width):
+    """A radius near cloud_length / (width - 0.5), so that the survivor
+    buffer is ``width`` wide, taken as the exact distance between some
+    trial's first two arrivals: that trial tells <= from <."""
+    first, second = np.array(chunk_stream(2, size, seed, chunk, cloud_length))
+    gaps = np.abs(first - second)
+    return float(gaps[np.argmin(np.abs(gaps - cloud_length / (width - 0.5)))])
+
+
 class TestPrefixSampler:
     @pytest.mark.parametrize("r_b", [10.5, 8.0])
     def test_columns_match_closed_form(self, r_b):
@@ -239,6 +271,23 @@ class TestPrefixSampler:
             z = (got - ref)[nonzero] / np.sqrt(var[nonzero])
             worst = max(worst, np.abs(z).max())
         assert worst < 4.5
+
+    @pytest.mark.parametrize("seed, chunk", [(99, 0), (12345, 3)])
+    @pytest.mark.parametrize("size, width, cloud_length, r_b", [
+        (997, 1, 0.5, 1.0),  # L < r_b: every arrival after the first is blocked
+        (997, 2, 1.0, 1.0),  # L = r_b: the buffer has room for two, one survives
+        *((997, w, 10.0, None) for w in range(2, 7)),  # r_b from a tie in the stream
+        (7, 6, 5.5, 1.0),  # few trials: one trial alone sets each new largest count
+    ])
+    def test_chunk_matches_literal_loop(self, seed, chunk, size, width, cloud_length, r_b):
+        n_max = 12
+        if r_b is None:
+            r_b = tied_radius(size, seed, chunk, cloud_length, width)
+        assert _max_survivors(n_max, cloud_length, r_b) == width
+        got = _simulate_chunk(n_max, size, seed, chunk, cloud_length, r_b)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, literal_chunk(n_max, size, seed, chunk, cloud_length, r_b))
 
     def test_chunk_sum_is_thread_independent(self):
         trials = 2 * CHUNK_TRIALS + 5_000
