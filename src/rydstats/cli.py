@@ -214,13 +214,7 @@ def _blockade_config(cfg: RunConfig, default_n_max: int,
     """The medium: the slow-light variant is the cloud stretched by
     ``medium_scale``."""
     n_max = cfg.n_max if cfg.n_max is not None else default_n_max
-    bcfg = BlockadeConfig(
-        cloud_length=cfg.cloud_length,
-        blockade_radius=cfg.blockade_radius,
-        trials_per_fock=cfg.trials,
-        rng_seed=cfg.seed,
-        n_max=n_max,
-    )
+    bcfg = cfg.build(BlockadeConfig, n_max=n_max)
     return _stretched(bcfg, cfg.medium_scale) if slow_light else bcfg
 
 
@@ -313,22 +307,15 @@ def cmd_g2(args, cfg: RunConfig, out: Path) -> None:
 
 
 def _pipeline_config(cfg: RunConfig, kind: str, n_max: int, slow_light: bool) -> PipelineConfig:
-    return PipelineConfig(
-        input_kind=kind,
-        t_w=cfg.t_w,
-        t_losses=cfg.t_losses,
-        eta_compression=cfg.eta_compression,
-        eta_eit=cfg.eta_eit,
-        eta_r=cfg.eta_r,
-        compression_band=(cfg.eta_compression_lo, cfg.eta_compression_hi),
-        blockade=_blockade_config(cfg, n_max, slow_light),
-    )
+    # the t_w key sets RateModelParams.t_w; the pipeline's is the same value
+    return cfg.build(PipelineConfig, input_kind=kind, t_w=cfg.t_w,
+                     compression_band=(cfg.eta_compression_lo, cfg.eta_compression_hi),
+                     blockade=_blockade_config(cfg, n_max, slow_light))
 
 
 def _rate_model(cfg: RunConfig) -> RateModelParams:
     """Rate-model parameters from the config, at p = 0."""
-    return RateModelParams(p=0.0, t_w=cfg.t_w, t_r=cfg.t_r, eta_a=cfg.eta_a,
-                           p_eg=cfg.p_eg, p_nw=cfg.p_nw, p_nr=cfg.p_nr)
+    return cfg.build(RateModelParams, p=0.0)
 
 
 def _log_grid(cfg: RunConfig, name: str) -> np.ndarray:

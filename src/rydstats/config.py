@@ -59,12 +59,16 @@ class _Key:
     # that sets a library value, the library's own check of that value.
     check: Callable[[Any], object] = lambda _: None
     help: str = ""
+    # The library class and the field of it that the key sets, if any.
+    owner: type | None = None
+    field_name: str = ""
 
 
 def _field(parse, owner, name: str, help: str, **given) -> _Key:
     """The key of ``owner``'s field ``name``: its default, and the values
     that ``owner`` accepts there with ``given`` in its other fields."""
-    return _Key(parse, getattr(owner, name), lambda v: owner(**given, **{name: v}), help)
+    return _Key(parse, getattr(owner, name), lambda v: owner(**given, **{name: v}), help,
+                owner, name)
 
 
 _KEYS: dict[str, _Key] = {
@@ -155,6 +159,12 @@ class RunConfig:
         except ValidationError:
             raise ValidationError(f"value out of range for {name}: {value!r}") from None
         self.values[name] = value
+
+    def build(self, owner: type, **fixed):
+        """``owner`` with each field that a key sets taken from this
+        config, and ``fixed`` for the fields that no key sets."""
+        return owner(**{spec.field_name: getattr(self, name)
+                        for name, spec in _KEYS.items() if spec.owner is owner}, **fixed)
 
 
 def parse_config_file(path) -> RunConfig:

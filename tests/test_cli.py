@@ -171,6 +171,25 @@ class TestDefaultsAgreeWithLibrary:
             assert cfg.resamples == inspect.signature(fn).parameters["resamples"].default
 
 
+class TestBuildFromKeys:
+    # RunConfig.build takes each field that a key sets from that key, and
+    # nothing else from the config.
+    def test_every_bound_key_sets_its_field(self):
+        bound = {name: spec for name, spec in _KEYS.items() if spec.owner is not None}
+        assert {spec.owner for spec in bound.values()} == {
+            BlockadeConfig, PipelineConfig, RateModelParams}
+        assert len(bound) == 14
+        for name, spec in bound.items():
+            fixed = {"p": 0.0} if spec.owner is RateModelParams else {}
+            value = type(spec.default)(spec.default / 2)
+            assert value != spec.default
+            cfg = RunConfig()
+            cfg.set(name, value)
+            built = cfg.build(spec.owner, **fixed)
+            assert getattr(built, spec.field_name) == value, name
+            assert built == spec.owner(**fixed, **{spec.field_name: value}), name
+
+
 #: The float keys that set one library field, each with how it builds
 #: that field's owner at value v.  t_w has two owners, which must agree.
 _FIELD_OWNERS = {
