@@ -210,9 +210,8 @@ def _recurse(gaps: np.ndarray, n: int, s: float, nodes: int, leaf_max: float) ->
         g = gaps[owner[part]]
         a = np.maximum(0.0, x[part] - 1.0)
         b = np.maximum(0.0, g - x[part] - 1.0)
+        # x <= g / 2 gives a <= b, so left is never wider than right
         left, right = (_series(gap, n, s, nodes, leaf_max) for gap in (a, b))
-        if left.shape[2] > right.shape[2]:
-            left, right = right, left
         ka, kb = left.shape[2], right.shape[2]
         # survivors of both gaps together: none, either gap's alone, or both
         both = np.zeros((a.size, n + 1, ka + kb + 1))
@@ -340,15 +339,15 @@ def _simulate_chunk(n_max: int, size: int, seed: int, chunk: int,
 
 def _histograms(cfg: BlockadeConfig, threads: int) -> np.ndarray:
     """Survivor histogram of ``cfg.trials_per_fock`` trials of
-    ``cfg.n_max`` arrivals, summed over the chunks (on a pool when
-    ``threads`` > 1) into one running total.  Integer sums are exact: the
-    thread count cannot change the result."""
+    ``cfg.n_max`` arrivals, summed over the chunks (on a pool when two
+    chunks can run at once) into one running total.  Integer sums are
+    exact: the thread count cannot change the result."""
     tasks = [
         (cfg.n_max, size, cfg.rng_seed, c, cfg.cloud_length, cfg.blockade_radius)
         for c, size in enumerate(_chunk_sizes(cfg.trials_per_fock))
     ]
     total = np.zeros((cfg.n_max + 1, cfg.n_max + 1), dtype=np.int64)
-    if threads > 1:
+    if min(threads, len(tasks)) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for hist in pool.map(lambda t: _simulate_chunk(*t), tasks):
                 total += hist

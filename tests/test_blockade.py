@@ -18,6 +18,7 @@ from rydstats import (
     simulate_fock,
     slow_light_matrix,
 )
+from rydstats import blockade
 from rydstats.blockade import (
     CHUNK_TRIALS,
     EXACT_MAX_RADII,
@@ -331,6 +332,17 @@ class TestBlockadeMatrix:
         a = blockade_matrix(cfg, threads=1)
         b = blockade_matrix(cfg, threads=3)
         np.testing.assert_array_equal(a.matrix, b.matrix)
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        # a second thread would have no chunk to run
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread pool was started")
+
+        cfg = small_cfg(trials_per_fock=CHUNK_TRIALS, n_max=6)
+        expected = blockade_matrix(cfg, threads=1)
+        monkeypatch.setattr(blockade, "ThreadPoolExecutor", NoPool)
+        np.testing.assert_array_equal(blockade_matrix(cfg, threads=2).matrix, expected.matrix)
 
 
 class TestSlowLight:

@@ -731,6 +731,38 @@ class TestExitCodes:
         assert expected in err
         assert "_list" not in err
 
+    @pytest.mark.parametrize(
+        "files, argv, message",
+        [
+            ({"hdr.csv": "# trials=5\ntrial,detector,time_ns\n"}, ["g2", "hdr.csv"],
+             "hdr.csv:2: expected header 'trial_id,detector,time_ns', "
+             "got 'trial,detector,time_ns'"),
+            ({"bare.csv": "# trials=5\n# no header\n"}, ["g2", "bare.csv"],
+             "bare.csv: missing column header 'trial_id,detector,time_ns'"),
+            ({"noeq.cfg": "seed 7\n"}, ["--config", "noeq.cfg", "reproduce", "figS3"],
+             "noeq.cfg:1: expected 'key = value'"),
+            ({"run.cfg": "zeta_values = ,\n"}, ["--config", "run.cfg", "reproduce", "figS5"],
+             "run.cfg:1: bad value for zeta_values: empty list"),
+            ({}, ["reproduce", "fig3", "--zeta-range", "0.1,0.2"],
+             "--zeta-range expects MIN,MAX,POINTS"),
+            # the one pair found where geomspace's powers overflow
+            ({"run.cfg": "zeta_min = 1.7976931348623155e308\n"
+                         "zeta_max = 1.7976931348623157e308\n"},
+             ["--config", "run.cfg", "reproduce", "fig3"],
+             "log-spaced grid from 1.7976931348623155e+308 to 1.7976931348623157e+308 "
+             "overflows"),
+        ],
+        ids=["click-header", "no-click-header", "config-no-equals", "empty-list",
+             "zeta-range-two-values", "grid-overflow"],
+    )
+    def test_data_error_names_its_cause(self, tmp_path, monkeypatch, capsys, files, argv,
+                                        message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run(["--out", "out", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("points", ["2.5", "0", "-1", "nan"])
     def test_zeta_range_points_must_be_positive_integer(self, tmp_path, points):
         code = run(["--out", tmp_path, "reproduce", "fig3", "--trials", 100,

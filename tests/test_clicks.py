@@ -13,6 +13,7 @@ from rydstats import (
     ClickStream,
     NumericalError,
     TrialCounts,
+    TrialData,
     ValidationError,
     WindowSpec,
     analysis_report,
@@ -312,6 +313,15 @@ class TestReadCsv:
         path.write_bytes(b"\xef\xbb\xbf" + (HEAD + body).encode())
         assert_same_stream(ClickStream.read_csv(path),
                            ClickStream.read_csv(write_stream(tmp_path, HEAD + body)))
+
+    def test_line_longer_than_a_block(self, tmp_path):
+        # no line end in the body's first block: the per-line grammar reads it
+        path = write_stream(tmp_path, HEAD + "# " + "x" * 300_000 + "\n0,D2,5\n")
+        assert path.stat().st_size - len(HEAD) > _BLOCK
+        assert_reads_as_per_line(path)
+        stream = ClickStream.read_csv(path)
+        assert (stream.trial_ids.tolist(), stream.detector_codes.tolist(),
+                stream.times_ns.tolist()) == ([0], [1], [5])
 
     def test_empty_body_warns_nothing(self, tmp_path, capfd):
         path = write_stream(tmp_path, HEAD)
@@ -747,6 +757,11 @@ class TestBootstrap:
         data = count_trials(stream, WINDOWS)
         with pytest.raises(ValidationError):
             bootstrap_error(data, resamples=150, seed=7)
+
+    def test_no_resample_with_clicks_is_degenerate(self):
+        silent = TrialData(10, np.zeros((4, 1)), np.array([10]), WindowSpec())
+        with pytest.raises(NumericalError, match="bootstrap degenerate"):
+            bootstrap_error(silent)
 
     @staticmethod
     def trial_columns(stream, windows):
