@@ -7,6 +7,9 @@ values; keys not set anywhere fall back to the defaults below (a few are
 command-specific and resolved by the CLI).  A key that sets a library
 value takes its default and its range from the library code that reads
 it; only the keys that the CLI alone reads have a range of their own.
+The key table also names the class and field that each such key sets,
+and the CLI builds ``BlockadeConfig``, ``PipelineConfig`` and
+``RateModelParams`` from it with :meth:`RunConfig.build`.
 """
 
 from __future__ import annotations
