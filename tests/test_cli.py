@@ -185,9 +185,8 @@ class TestBuildFromKeys:
             assert value != spec.default
             cfg = RunConfig()
             cfg.set(name, value)
-            built = cfg.build(spec.owner, **fixed)
-            assert getattr(built, spec.field_name) == value, name
-            assert built == spec.owner(**fixed, **{spec.field_name: value}), name
+            assert cfg.build(spec.owner, **fixed) == spec.owner(
+                **fixed, **{spec.field_name: value}), name
 
 
 #: The float keys that set one library field, each with how it builds
