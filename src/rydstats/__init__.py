@@ -12,8 +12,6 @@ from .blockade import (
     blockade_matrix,
     exact_matrix,
     exact_pair_survival,
-    simulate_fock,
-    slow_light_matrix,
 )
 from .clicks import (
     ClickStream,
@@ -101,8 +99,6 @@ __all__ = [
     "post_blockade_distribution",
     "predict_cross_correlation",
     "predict_probabilities",
-    "simulate_fock",
-    "slow_light_matrix",
     "source_distribution",
     "sweep",
     "synthesize",

@@ -371,6 +371,7 @@ def blockade_matrix(cfg: BlockadeConfig, threads: int = 1) -> TransferMatrix:
     return TransferMatrix(_histograms(cfg, threads) / cfg.trials_per_fock)
 
 
+# Not package API: kept only for the benchmark's probes, which call it by name.
 def simulate_fock(cfg: BlockadeConfig, n: int) -> np.ndarray:
     """Survivor-count distribution P(k | n), k = 0..n, for an n-photon input.
 
@@ -392,6 +393,7 @@ def _stretched(cfg: BlockadeConfig, medium_scale: float) -> BlockadeConfig:
     return replace(cfg, cloud_length=cfg.cloud_length * medium_scale)
 
 
+# Not package API: kept only for the benchmark's probes, which call it by name.
 def slow_light_matrix(cfg: BlockadeConfig, medium_scale: float,
                       threads: int = 1) -> TransferMatrix:
     """Blockade matrix of the effective slow-light (no storage) medium.

@@ -167,5 +167,6 @@ def coherent_mu_upper_bound(n_max: int) -> float:
     def fits(mu):
         return _poisson_terms(mu, n_max)[1] < TAIL_TOLERANCE
 
-    hi = float(n_max)
-    return hi if fits(hi) else bisect_bracket(fits, 0.0, hi)[0]
+    # Poisson(n_max) keeps more than a quarter of its mass beyond n_max,
+    # so mu = n_max never fits.
+    return bisect_bracket(fits, 0.0, float(n_max))[0]

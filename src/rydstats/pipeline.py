@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -98,10 +98,6 @@ class PipelineConfig:
                 "cannot invert it by bisection"
             )
         return f, hi
-
-    def __getstate__(self):
-        # pickle cannot store the cached curve, a closure; a copy rebuilds it
-        return {k: v for k, v in self.__dict__.items() if k != "_zeta_inverse"}
 
 
 def medium_matrix(cfg: PipelineConfig, threads: int = 1) -> TransferMatrix:
@@ -225,25 +221,27 @@ def _zeta_curve(cfg: PipelineConfig):
         u1 = loss[1:, 1:].sum(axis=0) * herald
         u2 = loss[2:, 1:].sum(axis=0) * herald
         exponents = np.arange(n_max, dtype=float)
-
-        def f(p):
-            powers = p ** exponents
-            return float(np.dot(u2, powers) / np.dot(u1, powers))
-
-        return f, read_state_p_upper_bound(cfg.t_w, n_max)
+        return partial(_dlcz_zeta, u1, u2, exponents), read_state_p_upper_bound(cfg.t_w, n_max)
 
     # c[k] = mu^k / k!, scaled by its largest term so that no mean
     # overflows; W1 is 1 from k = 1 on and W2 from k = 2 on.
     k = np.arange(1, n_max + 1, dtype=float)
     log_factorial = np.array([math.lgamma(j + 1.0) for j in k])
+    return partial(_wcs_zeta, k, log_factorial), coherent_mu_upper_bound(n_max)
 
-    def f(mu):
-        log_terms = k * math.log(mu) - log_factorial
-        terms = np.exp(log_terms - log_terms.max())
-        ge2 = terms[1:].sum()
-        return float(ge2 / (terms[0] + ge2))
 
-    return f, coherent_mu_upper_bound(n_max)
+# The two curves are module-level functions, bound to their tables with
+# partial, so that a config that caches one still pickles.
+def _dlcz_zeta(u1, u2, exponents, p):
+    powers = p ** exponents
+    return float(np.dot(u2, powers) / np.dot(u1, powers))
+
+
+def _wcs_zeta(k, log_factorial, mu):
+    log_terms = k * math.log(mu) - log_factorial
+    terms = np.exp(log_terms - log_terms.max())
+    ge2 = terms[1:].sum()
+    return float(ge2 / (terms[0] + ge2))
 
 
 def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:

@@ -105,10 +105,9 @@ def read_state_p_upper_bound(t_w: float, n_max: int) -> float:
     def fits(p):
         return 1.0 - _read_state_terms(p, t_w, n_max).sum() < target
 
-    hi = 1.0 - 1e-12
-    if fits(hi):
-        return hi
-    return bisect_bracket(fits, 0.0, hi)[0]
+    # p = 1 - 1e-12 never fits: each term is at most 2e-12 (n 2e-24 for
+    # t_w < 1e-12), so the largest n_max keeps under 0.3% of the mass.
+    return bisect_bracket(fits, 0.0, 1.0 - 1e-12)[0]
 
 
 def infer_p_from_g2(

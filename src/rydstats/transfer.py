@@ -52,8 +52,7 @@ class TransferMatrix:
                 f"column sums must be 1 within {COLUMN_SUM_TOLERANCE:.0e}; "
                 f"worst offender sums to {worst!r}"
             )
-        m = m.copy()
-        m.flags.writeable = False
+        m.flags.writeable = False  # m is clip's new array, not the caller's
         object.__setattr__(self, "matrix", m)
 
     @property

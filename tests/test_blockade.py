@@ -15,8 +15,6 @@ from rydstats import (
     exact_pair_survival,
     medium_matrix,
     perfect_filter_matrix,
-    simulate_fock,
-    slow_light_matrix,
 )
 from rydstats import blockade
 from rydstats.blockade import (
@@ -27,6 +25,8 @@ from rydstats.blockade import (
     _quadrature_nodes,
     _simulate_chunk,
     _survivors,
+    simulate_fock,
+    slow_light_matrix,
 )
 
 

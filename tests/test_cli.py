@@ -28,10 +28,10 @@ from rydstats import (
     exact_pair_survival,
     fock_state,
     medium_matrix,
-    slow_light_matrix,
     synthesize,
 )
 from rydstats import cli
+from rydstats.blockade import _stretched
 from rydstats._table import read_table
 from rydstats.cli import _blockade_config, _pipeline_config, _rate_model, main
 from rydstats.config import _KEYS, RunConfig, _float_list, parse_config_file
@@ -205,7 +205,7 @@ _FIELD_OWNERS = {
     # with_storage puts it into p_nr
     "stored_p_nr": lambda v: RateModelParams(p=0.0, p_nr=v),
     # the 15 um cloud stretched by every value below stays finite
-    "medium_scale": lambda v: slow_light_matrix(BlockadeConfig(trials_per_fock=1, n_max=1), v),
+    "medium_scale": lambda v: _stretched(BlockadeConfig(), v),
 }
 #: The float keys that set no library field.
 _UNOWNED = {"zeta_min", "zeta_max", "pw_min", "pw_max"}

@@ -16,9 +16,9 @@ from rydstats import (
     coherent,
     count_trials,
     fock_state,
-    simulate_fock,
     synthesize,
 )
+from rydstats.blockade import simulate_fock
 
 
 def _imported_names():
