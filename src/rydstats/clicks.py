@@ -151,7 +151,9 @@ class TrialData:
     on role 1 and on role 2 (0 or 1), then the noise clicks on role 1 and
     on role 2.  ``weights[j]`` is the number of trials that show it.  The
     pattern fully describes a trial, so this table is all that the point
-    estimate (``counts()``) and the bootstrap need.
+    estimate (``counts()``) and the bootstrap need.  Construction checks
+    both: whole entries >= 0, signal entries 0 or 1, one weight per
+    pattern, and weights that sum to ``n_trials``.
     """
 
     n_trials: int
@@ -159,9 +161,35 @@ class TrialData:
     weights: np.ndarray
     windows: WindowSpec
 
+    def __post_init__(self):
+        _check_count("n_trials", self.n_trials, 1)
+        patterns = np.asarray(self.patterns)
+        weights = np.asarray(self.weights)
+        if patterns.ndim != 2 or patterns.shape[0] != 4:
+            raise ValidationError(f"patterns must have shape (4, k), got {patterns.shape}")
+        _check_whole("patterns", patterns)
+        if np.any(patterns[:2] > 1):
+            raise ValidationError("patterns: the signal rows (the first two) must hold only 0 or 1")
+        if weights.shape != patterns.shape[1:]:
+            raise ValidationError(
+                f"weights must have shape {patterns.shape[1:]}, one per pattern, got {weights.shape}")
+        _check_whole("weights", weights)
+        if weights.sum() != self.n_trials:
+            raise ValidationError(f"weights sum to {weights.sum()}, not n_trials={self.n_trials}")
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "weights", weights)
+
     def counts(self) -> TrialCounts:
         n1, n2, n12, nn1, nn2 = _sums(self, self.weights)
         return TrialCounts(self.n_trials, float(n1), float(n2), int(n12), float(nn1), float(nn2))
+
+
+def _check_whole(name: str, values: np.ndarray) -> None:
+    # Written so that NaN and inf fail the check.
+    whole = values.dtype.kind in "biu" or (
+        values.dtype.kind == "f" and np.all(np.isfinite(values) & (values == np.floor(values))))
+    if not whole or np.any(values < 0):
+        raise ValidationError(f"{name} must hold whole numbers >= 0")
 
 
 def _sums(data: TrialData, w):

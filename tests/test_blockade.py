@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestConfig:
         # bare TypeError or ValueError
         with pytest.raises(ValidationError, match=field):
             BlockadeConfig(**{field: value})
+
+    def test_largest_indexable_n_max(self):
+        # (n_max + 1)^2 doubles must fit np.intp's bytes; the config only
+        # records the truncation, so taking the largest allocates nothing
+        tracemalloc.start()
+        try:
+            assert BlockadeConfig(n_max=1_073_741_822).n_max == 1_073_741_822
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(ValidationError,
+                           match="^n_max must be at most 1073741822, got 1073741823$"):
+            BlockadeConfig(n_max=1_073_741_823)
 
     @pytest.mark.parametrize("threads", [0, -3, 1.5])
     def test_rejects_bad_thread_count(self, threads):

@@ -97,6 +97,18 @@ class TestConfigFile:
         with pytest.raises(ValidationError, match="out of range for threads"):
             RunConfig().set("threads", 0)
 
+    def test_n_max_takes_the_largest_indexable_truncation(self):
+        cfg = RunConfig()
+        cfg.set("n_max", 1_073_741_822)
+        assert cfg.n_max == 1_073_741_822
+        with pytest.raises(ValidationError, match="^value out of range for n_max: 1073741823$"):
+            cfg.set("n_max", 1_073_741_823)
+
+    @pytest.mark.parametrize("name", ["_x", "no_such_key"])
+    def test_attribute_outside_the_key_table(self, name):
+        with pytest.raises(AttributeError, match=f"^{name}$"):
+            getattr(RunConfig(), name)
+
     def test_non_utf8_file_is_validation_error(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"seed = 1\n# caf\xe9\n")

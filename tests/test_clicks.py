@@ -314,6 +314,16 @@ class TestReadCsv:
         assert_same_stream(ClickStream.read_csv(path),
                            ClickStream.read_csv(write_stream(tmp_path, HEAD + body)))
 
+    def test_fourth_detector_in_a_plain_body_reports_line(self, tmp_path):
+        # D4 is one code past D3: the bulk parse must refuse it as the
+        # per-line grammar does, at its line, not leave it to ClickStream
+        path = write_stream(tmp_path, "# trials=5\ntrial_id,detector,time_ns\n"
+                                      "0,D2,5\n1,D4,7\n2,D3,9\n")
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}:4: malformed record \\('D4'\\)$"):
+            ClickStream.read_csv(path)
+        assert_reads_as_per_line(path)
+
     def test_line_longer_than_a_block(self, tmp_path):
         # no line end in the body's first block: the per-line grammar reads it
         path = write_stream(tmp_path, HEAD + "# " + "x" * 300_000 + "\n0,D2,5\n")
@@ -763,6 +773,12 @@ class TestBootstrap:
         with pytest.raises(NumericalError, match="bootstrap degenerate"):
             bootstrap_error(silent)
 
+    def test_list_weights_act_as_an_array(self):
+        silent = TrialData(10, np.zeros((4, 1)), [10], WindowSpec())
+        assert isinstance(silent.weights, np.ndarray)
+        with pytest.raises(NumericalError, match="bootstrap degenerate"):
+            bootstrap_error(silent)
+
     @staticmethod
     def trial_columns(stream, windows):
         """The (sig1, sig2, noise1, noise2) rows, one entry per trial, read
@@ -821,6 +837,35 @@ class TestBootstrap:
         data = self.make_data(1000)
         with pytest.raises(ValidationError):
             bootstrap_error(data, resamples=50, seed=8)
+
+
+class TestTrialData:
+    @pytest.mark.parametrize("n_trials, patterns, weights, message", [
+        (10, np.zeros((3, 1)), [10], r"patterns must have shape \(4, k\), got \(3, 1\)"),
+        (10, np.zeros(4), [10], r"patterns must have shape \(4, k\), got \(4,\)"),
+        (10, np.full((4, 1), -1), [10], "patterns must hold whole numbers >= 0"),
+        (10, np.full((4, 1), 0.5), [10], "patterns must hold whole numbers >= 0"),
+        (10, np.full((4, 1), np.nan), [10], "patterns must hold whole numbers >= 0"),
+        (10, np.full((4, 1), np.inf), [10], "patterns must hold whole numbers >= 0"),
+        (10, [[2], [0], [0], [0]], [10],
+         r"patterns: the signal rows \(the first two\) must hold only 0 or 1"),
+        (10, [[0], [1], [0], [0]], [[10]],
+         r"weights must have shape \(1,\), one per pattern, got \(1, 1\)"),
+        (10, np.zeros((4, 2)), [10], r"weights must have shape \(2,\), one per pattern, got \(1,\)"),
+        (10, np.zeros((4, 1)), [-10], "weights must hold whole numbers >= 0"),
+        (10, np.zeros((4, 1)), [10.5], "weights must hold whole numbers >= 0"),
+        (10, [[0, 1], [0, 1], [0, 3], [0, 0]], [3, 4], "weights sum to 7, not n_trials=10"),
+        (0, np.zeros((4, 0)), [], "n_trials must be an integer >= 1, got 0"),
+    ], ids=["three-rows", "1-d", "negative", "fraction", "nan", "inf", "signal-2",
+            "weights-2-d", "weights-short", "negative-weight", "fractional-weight",
+            "weights-sum", "no-trials"])
+    def test_rejects_a_malformed_table(self, n_trials, patterns, weights, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            TrialData(n_trials, patterns, weights, WINDOWS)
+
+    def test_noise_rows_take_any_count(self):
+        data = TrialData(10, [[0, 1], [0, 1], [0, 3], [0, 2]], [6, 4], WINDOWS)
+        assert data.counts() == TrialCounts(10, 0.4, 0.4, 4, 0.6, 0.4)
 
 
 class TestReport:

@@ -61,6 +61,19 @@ class TestConstruction:
         d = FockDistribution(np.array([1.0, -1e-12]))
         assert d.probs[1] == 0.0
 
+    @pytest.mark.parametrize("probs, message", [
+        (np.full((2, 2), 0.25), "probability vector must be 1-D and non-empty"),
+        (np.zeros(0), "probability vector must be 1-D and non-empty"),
+        (np.array([0.5, np.nan]), "probability vector contains non-finite entries"),
+    ], ids=["2-d", "empty", "nan"])
+    def test_rejects_malformed_vector(self, probs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FockDistribution(probs)
+
+    def test_number_state_beyond_truncation(self):
+        with pytest.raises(ValidationError, match=r"^photon number 5 outside 0\.\.3$"):
+            fock_state(5, 3)
+
     def test_rejects_zero_sum(self):
         with pytest.raises(ValidationError):
             FockDistribution(np.zeros(3))

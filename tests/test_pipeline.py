@@ -17,6 +17,7 @@ from rydstats import (
     coherent,
     efficiency,
     exact_pair_survival,
+    fock_state,
     g2_after_storage,
     loss_matrix,
     medium_matrix,
@@ -153,6 +154,11 @@ class TestG2AfterStorage:
 
 
 class TestEfficiency:
+    def test_vacuum_input_is_rejected(self):
+        cfg = make_cfg(kind="wcs")
+        with pytest.raises(ValidationError, match="^efficiency undefined for a vacuum input$"):
+            efficiency(cfg, fock_state(0, 24), medium_matrix(cfg))
+
     def test_low_zeta_limit_is_constant_product(self):
         for kind in ("dlcz", "wcs"):
             cfg = make_cfg(kind=kind)
@@ -284,6 +290,15 @@ class TestZetaInversion:
         copy = pickle.loads(pickle.dumps(cfg))
         assert copy == cfg
         assert zeta_to_param(copy, 0.1) == mu
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_pickle_keeps_the_cached_curve(self, kind, monkeypatch):
+        cfg = make_cfg(kind=kind, n_max=40, trials=1_000)
+        param = zeta_to_param(cfg, 0.1)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert "_zeta_inverse" in vars(copy)
+        monkeypatch.setattr(pipeline, "_zeta_curve", None)  # a rebuild would fail
+        assert zeta_to_param(copy, 0.1) == param
 
     def test_non_monotone_curve_rejected(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_zeta_curve", lambda cfg: (lambda x: np.sin(10 * x), 1.0))

@@ -62,6 +62,11 @@ class TestPredictProbabilities:
             assert out.p_r_given_w == pytest.approx(0.32 * 0.09, rel=1e-12)
             assert out.p_wr == pytest.approx(out.p_w * 0.32 * 0.09, rel=1e-12)
 
+    def test_zero_write_probability(self):
+        with pytest.raises(ValidationError,
+                           match="^write probability is zero; conditional read undefined$"):
+            predict_probabilities(RateModelParams(p=0.0, p_nw=0.0))
+
     def test_outputs_are_probabilities(self):
         out = predict_probabilities(RateModelParams(p=0.5, **PAPER))
         for value in (out.p_w, out.p_r, out.p_wr, out.p_r_given_w):
@@ -122,6 +127,19 @@ class TestEfficiencyTable:
     def test_rejects_unsorted(self):
         with pytest.raises(ValidationError):
             EfficiencyTable(np.array([0.03, 0.01]), np.array([0.1, 0.3]))
+
+    def test_rejects_repeated_p_w(self):
+        with pytest.raises(ValidationError, match="p_w values must be strictly increasing$"):
+            EfficiencyTable([0.1, 0.1], [0.2, 0.3])
+
+    def test_rejects_unequal_columns(self):
+        with pytest.raises(ValidationError,
+                           match="^efficiency table columns must be equal-length 1-D$"):
+            EfficiencyTable([0.1, 0.2, 0.3], [0.2, 0.3])
+
+    def test_rejects_efficiency_above_one(self):
+        with pytest.raises(ValidationError, match=r"^efficiency values must lie in \[0, 1\]$"):
+            EfficiencyTable([0.1, 0.2], [0.2, 1.5])
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -234,6 +252,10 @@ class TestFitPeg:
         data[3] = np.nan
         with pytest.raises(ValidationError, match="finite"):
             fit_p_eg(p_w, data, base)
+
+    def test_unequal_columns_are_rejected(self):
+        with pytest.raises(ValidationError, match="^fit data columns must be equal-length 1-D$"):
+            fit_p_eg([0.1, 0.2, 0.3], [0.1, 0.2], RateModelParams(p=0.0))
 
     def test_insufficient_data(self):
         base = RateModelParams(p=0.0, **PAPER)

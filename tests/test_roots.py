@@ -34,6 +34,16 @@ def test_read_state_bound_is_the_plain_halving_result(t_w, n_max):
     assert read_state_p_upper_bound(t_w, n_max) == halving(fits, 0.0, 1.0 - 1e-12)[0]
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 10, 1000, 10**6])
+def test_no_truncation_fits_the_bracket_edge(n_max):
+    # why both bounds bisect without testing hi first: the heralded state
+    # keeps almost no mass at p = 1 - 1e-12, down to a subnormal t_w, and
+    # Poisson(n_max) keeps over a quarter of its mass beyond n_max
+    for t_w in (5e-324, 1e-310, 1e-100, 1e-13, 1e-12, 1e-6, 0.21, 1.0):
+        assert _read_state_terms(1.0 - 1e-12, t_w, n_max).sum() < 1e-4
+    assert _poisson_terms(float(n_max), n_max)[1] > 0.26
+
+
 def test_bracket_keeps_below_on_the_left():
     a, b = bisect_bracket(lambda x: x * x < 2.0, 0.0, 2.0)
     assert a * a < 2.0 <= b * b
@@ -90,6 +100,11 @@ def test_monotone_solves_and_checks():
     # no x has f(x) within F_TOL of 0.5, so the residual check must fail.
     with pytest.raises(NumericalError):
         bisect_monotone(lambda x: float(x >= 0.3), 0.0, 1.0, 0.5)
+
+
+def test_monotone_returns_an_edge_that_hits_the_target():
+    assert bisect_monotone(lambda x: x, 0.0, 1.0, 0.0) == 0.0
+    assert bisect_monotone(lambda x: x, 0.0, 1.0, 1.0) == 1.0
 
 
 @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])

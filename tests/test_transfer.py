@@ -22,6 +22,21 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             TransferMatrix(m)
 
+    @pytest.mark.parametrize("m, message", [
+        (np.full((2, 3), 0.5), "transfer matrix must be square and non-empty"),
+        (np.full((2, 2), np.nan), "transfer matrix contains non-finite entries"),
+    ], ids=["2x3", "nan"])
+    def test_rejects_malformed_matrix(self, m, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            TransferMatrix(m)
+
+    def test_keeps_its_own_read_only_matrix(self):
+        m = np.eye(3)
+        tm = TransferMatrix(m)
+        m[:] = 0.0
+        np.testing.assert_array_equal(tm.matrix, np.eye(3))
+        assert not tm.matrix.flags.writeable
+
     def test_rejects_bad_column_sum(self):
         m = np.eye(3) * 0.99
         with pytest.raises(ValidationError):
