@@ -23,7 +23,7 @@ import numpy as np
 from ._roots import BracketError, bisect_monotone
 from ._table import write_table
 from .blockade import BlockadeConfig, _exact_covers, blockade_matrix, exact_matrix
-from .errors import NumericalError, ValidationError, _check_count
+from .errors import ValidationError, _check_count
 from .fock import FockDistribution, coherent, coherent_mu_upper_bound
 from .source import (
     _P_FLOOR,
@@ -77,27 +77,8 @@ class PipelineConfig:
 
     @cached_property
     def _zeta_inverse(self):
-        # Built on the first inversion and kept, as the config is frozen;
-        # bisection assumes a finite, monotone curve, so it is scanned first.
-        f, hi = _zeta_curve(self)
-        with np.errstate(all="ignore"):
-            values = [f(x) for x in np.linspace(_P_FLOOR, hi, 50)]
-        if not np.all(np.isfinite(values)):
-            # At a t_w or t_losses near the smallest double the herald
-            # weights or the survival chances are subnormal, the curve's
-            # terms underflow, and it is 0/0.  Only those two feed the curve.
-            fed_by = (f" at t_w={self.t_w}, t_losses={self.t_losses}"
-                      if self.input_kind == "dlcz" else "")
-            raise NumericalError(
-                f"multiphoton strength curve of the {self.input_kind} source is not "
-                f"finite{fed_by}; its terms underflow"
-            )
-        if np.any(np.diff(values) < -1e-12):
-            raise ValidationError(
-                "multiphoton strength is not monotone in the source parameter; "
-                "cannot invert it by bisection"
-            )
-        return f, hi
+        # Built on the first inversion and kept, as the config is frozen.
+        return _zeta_curve(self)
 
 
 def medium_matrix(cfg: PipelineConfig, threads: int = 1) -> TransferMatrix:
@@ -215,7 +196,8 @@ def _zeta_curve(cfg: PipelineConfig):
     """
     n_max = cfg.blockade.n_max
     if cfg.input_kind == "dlcz":
-        # c[n] = p^(n-1) (1 - (1-t_w)^n); the second factor joins W_j.
+        # c[n] = p^(n-1) (1 - (1-t_w)^n); the second factor, with its
+        # power-of-two scale, which cancels, joins W_j.
         loss = loss_matrix(cfg.t_losses, n_max).matrix
         herald = _herald_weights(cfg.t_w, n_max)
         u1 = loss[1:, 1:].sum(axis=0) * herald
@@ -255,8 +237,7 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
         If ``zeta`` is not attainable at this truncation (larger n_max
         extends the reachable range).
     NumericalError
-        If the zeta curve is not finite (a write or loss transmission so
-        small that the curve's terms underflow).
+        If the bisection's residual check fails.
     """
     f, hi = cfg._zeta_inverse
     try:

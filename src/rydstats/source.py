@@ -10,6 +10,7 @@ that state, which is loss-independent and monotone in p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,21 +53,27 @@ class SourceModel:
 
 
 def _herald_weights(t_w: float, n_max: int) -> np.ndarray:
-    """1 - (1-t_w)^n for n = 1..n_max: the chance that the write detector
-    clicks on n write photons, the factor the heralding puts on p^(n-1).
+    """2^k (1 - (1-t_w)^n) for n = 1..n_max, with 1 <= 2^k t_w < 2: the
+    chance that the write detector clicks on n write photons, the factor
+    the heralding puts on p^(n-1), scaled by an exact power of two so that
+    it stays normal, and 1/(2^k t_w) finite, for every t_w in (0, 1].
 
     Written as -expm1(n log1p(-t_w)), which stays exact to rounding where
-    1 - t_w would round to 1."""
+    1 - t_w would round to 1.  The array is scaled, as 2^k alone overflows
+    at t_w = 5e-324."""
     with np.errstate(divide="ignore"):  # t_w = 1: log(0) = -inf, weight 1
         log_miss = np.log1p(-t_w)
-    return -np.expm1(np.arange(1, n_max + 1) * log_miss)
+    weights = -np.expm1(np.arange(1, n_max + 1) * log_miss)
+    return np.ldexp(weights, 1 - math.frexp(t_w)[1])
 
 
 def _read_state_terms(p: float, t_w: float, n_max: int) -> np.ndarray:
     """Unnormalized heralded read-state vector including its exact
-    normalization prefactor; sums to 1 - (discarded tail)."""
+    normalization prefactor; sums to 1 - (discarded tail).  Dividing by
+    2^k t_w undoes the herald weights' scale, so a normal entry has the
+    bits that dividing the unscaled weights by t_w gives."""
     n = np.arange(1, n_max + 1, dtype=float)
-    prefactor = (1.0 - p) * (1.0 - p * (1.0 - t_w)) / t_w
+    prefactor = (1.0 - p) * (1.0 - p * (1.0 - t_w)) / (2.0 * math.frexp(t_w)[0])
     terms = np.zeros(n_max + 1)
     terms[1:] = prefactor * p ** (n - 1.0) * _herald_weights(t_w, n_max)
     return terms

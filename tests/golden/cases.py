@@ -49,7 +49,7 @@ CASES = {
            "--noise-window", "500,1100", "--resamples", "100"],
     "usage-error": ["reproduce", "fig3", "--zeta", "0.1"],
     "data-error": ["reproduce", "fig3", "--n-max", "2"],
-    "numerical-error": ["--config", "underflow.cfg", "reproduce", "figS5"],
+    "numerical-error": ["--config", "g2_underflow.cfg", "reproduce", "fig3", *_GRID],
     "config-range-error": ["--config", "range.cfg", "reproduce", "figS3"],
     "flag-range-error": ["g2", "clicks.csv", "--resamples", "99"],
     "fig3-default": ["--seed", "606", "reproduce", "fig3"],
@@ -58,6 +58,7 @@ CASES = {
     "fig3-31-points": ["--seed", "606", "reproduce", "fig3", "--trials", "20000",
                        "--zeta-range", "0.004,0.4,31"],
     "figS5-tiny-t_w": ["--config", "tiny_tw.cfg", "reproduce", "figS5"],
+    "figS5-smallest-t_w": ["--config", "underflow.cfg", "reproduce", "figS5"],
     "blockade-rb0": ["blockade", "--rb", "0", "--trials", "1000", "--n-max", "6"],
     "blockade-1t": ["--seed", "7", "--threads", "1", "blockade", "--trials", "25000",
                     "--n-max", "12"],

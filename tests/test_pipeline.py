@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import warnings
 from dataclasses import replace
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from rydstats import (
     BlockadeConfig,
     FockDistribution,
-    NumericalError,
     PipelineConfig,
     ValidationError,
     cloud_input_distribution,
@@ -36,6 +36,14 @@ from rydstats.pipeline import (
 )
 from rydstats.source import _P_FLOOR, _read_state_terms
 from rydstats.transfer import TransferMatrix
+
+
+#: Write transmissions below where 1 - t_w rounds to 1: one normal, then
+#: subnormal ones down to the smallest double.
+TINY_T_W = [1e-300, 1e-310, 2e-320, 1.5e-323, 5e-324]
+#: Transmissions from the smallest double to 1, across the subnormal band.
+TRANSMISSIONS = [5e-324, 1.5e-323, 2e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-12,
+                 0.21, 1.0]
 
 
 def make_cfg(kind="dlcz", n_max=24, trials=20_000, **kwargs):
@@ -296,33 +304,39 @@ class TestZetaInversion:
                 patch.setattr(pipeline, "_zeta_curve", None)
                 assert zeta_to_param(copy, 0.1) == param
 
-    def test_non_monotone_curve_rejected(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "_zeta_curve", lambda cfg: (lambda x: np.sin(10 * x), 1.0))
-        with pytest.raises(ValidationError, match="not monotone"):
-            zeta_to_param(make_cfg(), 0.1)
-
-    def test_tiny_write_transmission_is_numerical_error(self):
-        # at the smallest double the herald weights are subnormal, the
-        # curve's terms underflow, and it is 0/0 everywhere
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="t_w=5e-324") as info:
-                zeta_to_param(PipelineConfig(t_w=5e-324), 0.01)
-        assert "nan" not in str(info.value)
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    @pytest.mark.parametrize("n_max", [1, 2, 40, 130, 300])
+    def test_curve_is_finite_and_non_decreasing(self, kind, n_max):
+        # bisection needs no scan: the herald weights' power-of-two scale
+        # keeps the curve's denominator at least t_losses, and W2[n]/W1[n]
+        # rises with n, so the curve rises with the source parameter
+        for t_w, t_losses in itertools.product(TRANSMISSIONS, repeat=2):
+            cfg = make_cfg(kind=kind, n_max=n_max, t_w=t_w, t_losses=t_losses)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                f, hi = _zeta_curve(cfg)
+                values = np.array([f(x) for x in np.linspace(_P_FLOOR, hi, 200)])
+            assert np.all(np.isfinite(values)), (t_w, t_losses)
+            assert np.diff(values).min() >= -1e-12, (t_w, t_losses)
 
     def test_tiny_loss_transmission_names_it(self):
-        # the message names both transmissions that feed the curve, not the
-        # default t_w alone
-        with pytest.raises(NumericalError, match="at t_w=0.21, t_losses=5e-324; its terms"):
-            zeta_to_param(PipelineConfig(t_losses=5e-324), 0.01)
+        # at the smallest double the curve stays below ~1e-100: the message
+        # names the zeta that no source parameter reaches, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="strength 0.01 not attainable for dlcz"):
+                zeta_to_param(PipelineConfig(t_losses=5e-324), 0.01)
 
     def test_tiny_write_transmission_is_its_small_t_w_limit(self):
         # the heralded state tends to n (1 - p)^2 p^(n - 1) as t_w -> 0, so
-        # t_w = 1e-300 (where 1 - t_w rounds to 1) inverts like t_w = 1e-12
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tiny = zeta_to_param(PipelineConfig(t_w=1e-300), 0.01)
-        assert tiny == pytest.approx(zeta_to_param(PipelineConfig(t_w=1e-12), 0.01), rel=1e-9)
+        # a t_w where 1 - t_w rounds to 1, down to the subnormal ones, inverts
+        # like t_w = 1e-12
+        limit = zeta_to_param(PipelineConfig(t_w=1e-12), 0.01)
+        for t_w in TINY_T_W:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tiny = zeta_to_param(PipelineConfig(t_w=t_w), 0.01)
+            assert tiny == pytest.approx(limit, rel=1e-9), t_w
 
     def test_wcs_zeta_matches_closed_form(self):
         # independent oracle: zeta(mu) = 1 - mu e^-mu / (1 - e^-mu)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,10 @@ from rydstats import (
     infer_p_from_g2,
     loss_matrix,
 )
-from rydstats.source import read_state_p_upper_bound
+from rydstats.source import _read_state_terms, read_state_p_upper_bound
+
+#: Normal write transmissions, from the smallest normal double to 1.
+NORMAL_T_W = [sys.float_info.min, 1e-300, 1e-12, 0.21, 1 - 2**-53, 1.0]
 
 
 def brute_force_read_state(p, t_w, n_max):
@@ -55,6 +60,24 @@ class TestConditionalReadState:
         np.testing.assert_allclose(
             d.probs, brute_force_read_state(p, t_w, 40), atol=1e-12
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(t_w=st.one_of(st.sampled_from(NORMAL_T_W), st.floats(sys.float_info.min, 1.0)),
+           p=st.one_of(st.sampled_from([0.0, 1e-12, 0.05, 0.5, 0.99]),
+                       st.floats(0.0, 1.0, exclude_max=True)),
+           n_max=st.sampled_from([1, 2, 40, 300]))
+    def test_terms_are_the_unscaled_formula_to_the_bit(self, t_w, p, n_max):
+        # scaling the herald weights by 2^k and dividing the prefactor by it
+        # is exact while the partial product prefactor p^(n-1) stays normal.
+        # The scaled weight is below 2n, so that holds for every entry of at
+        # least 2n times the smallest normal double; below, the partial
+        # product can be subnormal in one formula and normal in the other.
+        n = np.arange(1, n_max + 1, dtype=float)
+        with np.errstate(divide="ignore"):
+            weights = -np.expm1(n * np.log1p(-t_w))
+        unscaled = (1.0 - p) * (1.0 - p * (1.0 - t_w)) / t_w * p ** (n - 1.0) * weights
+        kept = unscaled >= 2 * n * sys.float_info.min
+        assert np.array_equal(_read_state_terms(p, t_w, n_max)[1:][kept], unscaled[kept])
 
     def test_component_ratio(self):
         # p_{n+1}/p_n = p [1-(1-t_w)^{n+1}] / [1-(1-t_w)^n]; 0.179 at
