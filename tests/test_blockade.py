@@ -466,7 +466,8 @@ class TestExactMatrix:
         assert np.abs(z).max() < 4.5
 
     def test_longer_clouds_are_rejected(self):
-        with pytest.raises(ValidationError, match="blockade radii"):
+        with pytest.raises(ValidationError,
+                           match=r"covers clouds up to 4 blockade radii, got 4\.04$"):
             exact_matrix(10.5 * EXACT_MAX_RADII * 1.01, 10.5, 10)
 
     @pytest.mark.parametrize("r_b, cloud_length", [(float("nan"), 15.0), (1.0, float("inf")),

@@ -17,7 +17,7 @@ from rydstats import (
     perfect_filter_matrix,
 )
 from rydstats._roots import bisect_bracket
-from rydstats.fock import TAIL_TOLERANCE, _poisson_terms, coherent_mu_upper_bound
+from rydstats.fock import NEGATIVE_TOLERANCE, TAIL_TOLERANCE, _poisson_terms, coherent_mu_upper_bound
 
 # scipy is the independent oracle; entries below this are underflow dust
 _SIGNIFICANT = 1e-290
@@ -60,6 +60,9 @@ class TestConstruction:
     def test_clips_negative_dust(self):
         d = FockDistribution(np.array([1.0, -1e-12]))
         assert d.probs[1] == 0.0
+        # the tolerance itself is still dust
+        d = FockDistribution(np.array([1.0, -NEGATIVE_TOLERANCE]))
+        assert d.probs.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("probs, message", [
         (np.full((2, 2), 0.25), "probability vector must be 1-D and non-empty"),

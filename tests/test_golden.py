@@ -42,6 +42,11 @@ def test_every_case_has_a_record(console_records):
     assert sorted(console_records) == sorted(STORED)
 
 
+def test_stored_cases_cover_every_exit_code(console_records):
+    # 0 ok, 1 usage, 2 data, 3 numerical: each has a case whose message is kept
+    assert {record["exit"] for record in console_records.values()} == {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("case", STORED)
 def test_matches_golden(case, tmp_path, console_records):
     out = tmp_path / "out"

@@ -102,6 +102,18 @@ def test_monotone_solves_and_checks():
         bisect_monotone(lambda x: float(x >= 0.3), 0.0, 1.0, 0.5)
 
 
+def test_monotone_stops_at_its_bracket_width():
+    # two end values, 44 halvings to a width below X_TOL, one residual
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x
+
+    assert bisect_monotone(f, 0.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-13)
+    assert len(calls) == 47
+
+
 def test_monotone_returns_the_upper_edge_that_hits_the_target():
     assert bisect_monotone(lambda x: x, 0.0, 1.0, 1.0) == 1.0
 
