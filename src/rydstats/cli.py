@@ -30,7 +30,7 @@ from .blockade import (
     blockade_matrix,
     exact_pair_survival,
 )
-from .clicks import ClickStream, WindowSpec, analysis_report, count_trials
+from .clicks import WindowSpec, _read_trials, analysis_report
 from .config import _KEYS, RunConfig, _float_list, describe_keys, parse_config_file
 from .errors import NumericalError, ValidationError
 from .fock import DEFAULT_N_MAX
@@ -291,10 +291,9 @@ def cmd_g2(args, cfg: RunConfig, out: Path) -> None:
         signal_2=args.window_2,
         noise=(cfg.noise_start_ns, cfg.noise_end_ns),
     )
-    stream = ClickStream.read_csv(args.clicks)  # its errors name the file
+    # its errors name the file
+    data = _read_trials(args.clicks, windows, cfg.detectors_1, cfg.detectors_2)
     try:
-        data = count_trials(stream, windows, cfg.detectors_1, cfg.detectors_2)
-        del stream  # the stream's arrays are freed before the bootstrap
         report = analysis_report(data, resamples=cfg.resamples, seed=cfg.seed)
     except (ValidationError, NumericalError) as exc:
         raise type(exc)(f"{args.clicks}: {exc}") from None

@@ -23,12 +23,14 @@ background applies), then rescaled to the signal-window duration.
 
 from __future__ import annotations
 
+import io
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._table import check_line, open_text
+from ._table import check_line
 from .errors import NumericalError, ValidationError, _check_count
 from .fock import FockDistribution
 
@@ -43,11 +45,12 @@ MIN_RESAMPLES = 100
 _TRIALS_RE = re.compile(r"#\s*trials\s*=\s*(\d+)\s*$")
 _HEADER = "trial_id,detector,time_ns"
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# The byte-level body parser: blocks of at most _BLOCK bytes, each cut at
-# a line end and copied into a buffer behind _PAD spare bytes and ahead of
-# 8 more, so that every 8-byte window that ends in a field or starts at a
-# separator lies inside the buffer.  Fields longer than _MAX_DIGITS, which
-# may pass the int64 bound, go through the per-line grammar and its check.
+# The body is read in blocks of _BLOCK bytes, each cut after a line end.
+# The byte-level parser copies a block into a buffer behind _PAD spare
+# bytes and ahead of 8 more, so that every 8-byte window that ends in a
+# field or starts at a separator lies inside the buffer.  Fields longer
+# than _MAX_DIGITS, which may pass the int64 bound, go through the
+# per-line grammar and its check.
 _BLOCK = 1 << 18
 _PAD = 8
 _MAX_DIGITS = 18
@@ -60,7 +63,8 @@ _KEEP_BYTES = np.array([int.from_bytes(bytes(8 - w) + bytes([1]) * w, "little")
 #: Low nibbles of the last min(w, 8) bytes of a little-endian 8-byte word.
 _DIGIT_MASKS = _KEEP_BYTES[np.minimum(np.arange(_MAX_DIGITS + 1), 8)] * np.uint64(0x0F)
 # The writer formats blocks of _WRITE_ROWS records in numpy, each value as
-# 8-digit words of ASCII, and keeps the bytes from its first digit on.
+# 8-digit words of ASCII, and keeps the bytes from its first digit on;
+# count_trials reduces a stream in blocks of as many records.
 _WRITE_ROWS = 1 << 16
 #: 10**1 .. 10**18: a value's digit count is 1 + the number of these it reaches.
 _POW10 = np.array([10**k for k in range(1, 19)], dtype=np.uint64)
@@ -149,11 +153,14 @@ class TrialData:
 
     Column j of ``patterns`` (shape 4 x k) is one pattern: the signal click
     on role 1 and on role 2 (0 or 1), then the noise clicks on role 1 and
-    on role 2.  ``weights[j]`` is the number of trials that show it.  The
-    pattern fully describes a trial, so this table is all that the point
-    estimate (``counts()``) and the bootstrap need.  Construction checks
-    both: whole entries >= 0, signal entries 0 or 1, one weight per
-    pattern, and weights that sum to ``n_trials``.
+    on role 2.  ``weights[j]`` is the number of trials that show it.
+    ``count_trials`` puts the columns in ``np.unique(axis=1)`` order, so
+    the zero pattern, of the trials without a click in any window, comes
+    first when there are such trials.  The pattern fully describes a
+    trial, so this table is all that the point estimate (``counts()``)
+    and the bootstrap need.  Construction checks both: whole entries
+    >= 0, signal entries 0 or 1, one weight per pattern, and weights that
+    sum to ``n_trials``.
     """
 
     n_trials: int
@@ -273,37 +280,12 @@ class ClickStream:
 
     @staticmethod
     def read_csv(path) -> "ClickStream":
-        """Read a click CSV (format in the module docstring).
-
-        The preamble up to the column header goes through the per-line
-        grammar.  A body of plain records, ``digits,D[123],digits`` with at
-        most 18 digits per number and LF or CRLF line ends (with or without
-        a final one, after a byte-order mark or none), is parsed from its
-        bytes in numpy.  Every other body (comments, blank lines, spaces,
-        ``+5`` or ``1_0``, a lone CR, wider numbers, non-ASCII bytes, bad
-        records) is read line by line from its start, which gives the same
-        arrays, or the same error at the same line.
-        """
+        """Read a click CSV (format in the module docstring): the blocks of
+        ``_blocks``, concatenated."""
         lines = _ClickLines(path)
-        with open_text(path) as fh:
-            for raw in iter(fh.readline, ""):
-                lines.feed(raw)
-                if lines.header_seen:
-                    break
-            body_start = fh.tell()
-            columns = None
-            if lines.header_seen:
-                fh.seek(body_start)  # empties the text buffer
-                # A position that is not the byte offset carries decoder
-                # state (a pending lone \r): that body goes line by line.
-                if fh.buffer.tell() == body_start:
-                    columns = _plain_body(fh.buffer.read())
-            if columns is None:
-                fh.seek(body_start)
-                for raw in fh:
-                    lines.feed(raw)
-                columns = lines.columns()
-        return lines.stream(*columns)
+        with open(path, "rb") as fh:
+            blocks = list(_blocks(lines, fh))
+        return ClickStream(lines.n_trials, *(np.concatenate(column) for column in zip(*blocks)))
 
 
 @dataclass(eq=False)
@@ -362,65 +344,88 @@ class _ClickLines:
         self.codes.append(code)
         self.times.append(t)
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.asarray(self.ids, dtype=np.int64),
-            np.asarray(self.codes, dtype=np.int8),
-            np.asarray(self.times, dtype=np.int64),
-        )
+    def feed_bytes(self, data: bytes) -> None:
+        """Feed the lines of ``data``, bytes of the file that end at a line
+        end or at the end of the file, decoded as ``_table.open_text``
+        decodes: UTF-8 with each bad byte escaped for ``check_line``, and
+        universal newlines, so that a lone CR ends a line too."""
+        for raw in io.StringIO(data.decode("utf-8", "surrogateescape"), newline=None):
+            self.feed(raw)
 
-    def stream(self, trial_ids, detector_codes, times_ns) -> ClickStream:
-        """Apply the whole-file checks and build the stream."""
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The records fed since the last call, as arrays."""
+        columns = (np.asarray(self.ids, dtype=np.int64), np.asarray(self.codes, dtype=np.int8),
+                   np.asarray(self.times, dtype=np.int64))
+        self.ids, self.codes, self.times = [], [], []
+        return columns
+
+    def check(self, top_id: int) -> None:
+        """Apply the whole-file checks, ``top_id`` being the largest trial
+        id read (-1 for none)."""
         if not self.any_line:
             raise ValidationError(f"{self.path}: empty click file")
         if self.n_trials is None:
             raise ValidationError(f"{self.path}: missing mandatory '# trials=N' comment")
         if not self.header_seen:
             raise ValidationError(f"{self.path}: missing column header '{_HEADER}'")
-        try:
-            return ClickStream(self.n_trials, trial_ids, detector_codes, times_ns)
-        except ValidationError as exc:
-            raise ValidationError(f"{self.path}: {exc}") from None
+        if top_id >= self.n_trials:
+            raise ValidationError(f"{self.path}: trial id {top_id} outside 0..{self.n_trials - 1}")
 
 
-def _plain_body(data: bytes):
-    """Parse a click-file body of plain records, ``digits,D[123],digits``
-    per line with LF or CRLF line ends, in numpy, one block at a time.
+def _blocks(lines: _ClickLines, fh):
+    """Feed the preamble of the click file ``fh`` (binary, at its start)
+    to ``lines``, yield the body's records as (trial ids, detector codes,
+    times) blocks in file order, then apply the whole-file checks.
 
-    Returns the (trial ids, detector codes, times) arrays, or None when any
-    byte of the body is not of that form or a field has more than 18
-    digits; the caller then reads the body through ``_ClickLines``.
+    A block is the next ``_BLOCK`` bytes up to their last line end (a
+    longer line extends it).  A block of plain records,
+    ``digits,D[123],digits`` with at most 18 digits per number and LF or
+    CRLF line ends, is parsed from its bytes in numpy.  Any other block
+    (comments, blank lines, spaces, ``+5`` or ``1_0``, a lone CR, wider
+    numbers, non-ASCII bytes, bad records) goes through ``lines`` from its
+    own first line: the same records, or the same error at the same line.
     """
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")  # a lone \r is below '0': None
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    body = np.frombuffer(data, np.uint8)
-    # counted a block at a time, with no body-sized temporary
-    n = sum(np.count_nonzero(body[i:i + _BLOCK] == _NEWLINE) for i in range(0, body.size, _BLOCK))
-    columns = (np.empty(n, np.int64), np.empty(n, np.int8), np.empty(n, np.int64))
-    buf = np.zeros(_PAD + _BLOCK + 8, np.uint8)
+    if fh.read(3) != b"\xef\xbb\xbf":  # a byte-order mark is skipped, as by utf-8-sig
+        fh.seek(0)
+    while not lines.header_seen and (raw := fh.readline()):
+        lines.feed_bytes(raw)
+    buf = np.zeros(_PAD + _BLOCK + 16, np.uint8)
+    # the first block: the records after a header line that ends in a lone CR
+    records, data, more, top = lines.columns(), bytearray(), True, -1
+    while True:
+        if records[0].size:
+            top = max(top, int(records[0].max()))
+        yield records
+        if not more:
+            break
+        # data is part of one line: a long one reads on half a block at a time
+        more = fh.read(max(_BLOCK - len(data), _BLOCK // 2))
+        data += more
+        end = data.rfind(b"\n") + 1 if more else len(data)
+        block = data[:end]
+        del data[:end]
+        records = _plain_block(block, buf)
+        if records is None:
+            lines.feed_bytes(block)
+            records = lines.columns()
+        else:
+            lines.lineno += records[0].size
+    lines.check(top)  # the trial count may come last
+
+
+def _plain_block(block: bytearray, buf):
+    """Parse ``block``, whole lines of the body, in ``buf``: the three
+    columns, or None unless every line is a plain record."""
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")  # a lone \r is below '0': None
+    if not block.endswith(b"\n"):
+        block = block + b"\n"  # a new object: the caller's block stays as read
+    if _PAD + len(block) + 8 > buf.size:  # no plain record is that long
+        return None
+    data, block = block, buf[_PAD:_PAD + len(block)]
+    block[:] = np.frombuffer(data, np.uint8)
     # words[i] is the little-endian 8-byte window that starts at buf[i]
     words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
-    start = row = 0
-    while start < body.size:
-        end = data.rfind(b"\n", start, start + _BLOCK) + 1
-        if end <= start:  # no line end in a whole block: no plain record
-            return None
-        buf[_PAD:_PAD + end - start] = body[start:end]
-        parsed = _plain_block(buf[_PAD:_PAD + end - start], words)
-        if parsed is None:
-            return None
-        k = parsed[0].size
-        for column, values in zip(columns, parsed):
-            column[row:row + k] = values
-        start, row = end, row + k
-    return columns
-
-
-def _plain_block(block, words):
-    """Parse ``block``, whole lines at ``_PAD`` in the buffer that ``words``
-    views: the three columns, or None unless every line is a plain record."""
     sep = np.flatnonzero(block < _ZERO)
     k = sep.size // 3
     if sep.size != 3 * k or np.count_nonzero(block > _NINE) != k:
@@ -529,38 +534,130 @@ def count_trials(
 
     ``detectors_1``/``detectors_2`` map physical detectors onto the two
     analysis roles (e.g. the two arms of a beam-splitter measurement, or
-    the write and read detectors for a cross-correlation).  The stream
-    checked itself when it was built.
+    the write and read detectors for a cross-correlation).  The records go
+    through ``_patterns`` ``_WRITE_ROWS`` at a time, so only the trials with
+    a record in a role's signal or noise window are counted one by one: the
+    rest are the zero pattern.  The stream checked itself when it was built.
     """
+    in_role = _roles(detectors_1, detectors_2)
+    columns = (stream.trial_ids, stream.detector_codes, stream.times_ns)
+    for final in (True, False):
+        blocks = ([c[i:i + _WRITE_ROWS] for c in columns]
+                  for i in range(0, stream.n_records, _WRITE_ROWS))
+        counted = _patterns(blocks, windows, in_role, final)
+        if counted is not None:
+            return _trial_data(stream.n_trials, *counted, windows)
+
+
+def _read_trials(path, windows: WindowSpec, detectors_1: tuple[str, ...] = ROLE_DETECTORS[0],
+                 detectors_2: tuple[str, ...] = ROLE_DETECTORS[1]) -> TrialData:
+    """``count_trials(ClickStream.read_csv(path), ...)``, the same table
+    or the same error, with each block of the file reduced as it is read.
+
+    In a file sorted by trial id, the memory does not grow with the file.
+    At the first id that decreases, the body is parsed a second time from
+    its start, and the memory is that of one row per trial with a click.
+    """
+    in_role = _roles(detectors_1, detectors_2)
+    for final in (True, False):
+        lines = _ClickLines(path)
+        with open(path, "rb") as fh:
+            counted = _patterns(_blocks(lines, fh), windows, in_role, final)
+        if counted is not None:
+            return _trial_data(lines.n_trials, *counted, windows)
+
+
+def _patterns(blocks, windows: WindowSpec, in_role, final: bool):
+    """Reduce ``blocks`` of records, (trial ids, detector codes, times)
+    each, to a ``Counter`` of trial patterns and the number of trials it
+    counts, those with a record in a role's signal or noise window.
+
+    Each block becomes one row per trial: its id and its pattern.  With
+    ``final``, every row below the last id read is final: it goes into the
+    table and is dropped.  That holds only while the ids never decrease;
+    at the first that does, this returns None.  Without ``final`` the rows
+    stay open to the end.
+    """
+    table, clicked = Counter(), 0
+    # the open rows, then the blocks not yet merged into them
+    parts, waiting = [(np.empty(0, np.int64), np.empty((4, 0), np.int64))], 0
+    for block in blocks:
+        ids, flags = _counted(*block, windows, in_role)
+        if final and np.any(np.diff(np.concatenate((parts[0][0], ids))) < 0):
+            return None
+        parts.append((ids, flags))
+        waiting += ids.size
+        if final or waiting > parts[0][0].size:  # open rows merge as they double
+            ids, rows = _by_trial(*map(np.hstack, zip(*parts)))
+            done = max(ids.size - 1, 0) if final else 0
+            _tally(table, rows[:, :done])
+            clicked += done
+            parts, waiting = [(ids[done:], rows[:, done:])], 0
+    ids, rows = _by_trial(*map(np.hstack, zip(*parts)))
+    _tally(table, rows)
+    return table, clicked + ids.size
+
+
+def _roles(detectors_1, detectors_2) -> np.ndarray:
+    """The (2, 3) mask of the detector codes of roles 1 and 2."""
     _check_detectors((*detectors_1, *detectors_2))
-    n = stream.n_trials
-    det = stream.detector_codes
-    t = stream.times_ns
-    ids = stream.trial_ids
+    in_role = np.zeros((2, len(DETECTORS)), dtype=bool)
+    for mask, names in zip(in_role, (detectors_1, detectors_2)):
+        mask[[_DETECTOR_CODE[x] for x in names]] = True
+    return in_role
 
-    sig = []
-    noise = []
-    for names, window in ((detectors_1, windows.signal_1), (detectors_2, windows.signal_2)):
-        in_role = np.zeros(len(DETECTORS), dtype=bool)
-        in_role[[_DETECTOR_CODE[x] for x in names]] = True
-        role = in_role[det]
-        in_sig = role & (t >= window[0]) & (t < window[1])
-        in_noise = role & (t >= windows.noise[0]) & (t < windows.noise[1])
-        try:
-            flags = np.zeros(n, dtype=bool)
-            noise.append(np.bincount(ids[in_noise], minlength=n))
-        except (MemoryError, OverflowError, ValueError) as exc:
-            raise ValidationError(f"cannot hold per-trial arrays for {n} trials ({exc})") from None
-        flags[ids[in_sig]] = True
-        sig.append(flags)
 
-    # One mixed-radix key per trial sorts like its (sig1, sig2, noise1,
-    # noise2) column, so the patterns come out in np.unique(axis=1) order.
-    dims = (2, 2, int(noise[0].max()) + 1, int(noise[1].max()) + 1)
-    keys = np.ravel_multi_index((sig[0], sig[1], noise[0], noise[1]), dims)
-    del sig, noise, flags  # free the per-trial columns before the sort
-    keys, weights = np.unique(keys, return_counts=True)
-    return TrialData(n, np.array(np.unravel_index(keys, dims)), weights, windows)
+def _counted(ids, codes, times, windows: WindowSpec, in_role):
+    """The records inside a role's signal or noise window: their trial ids,
+    and their (4, n) flags, in the signal window of role 1, of role 2,
+    then in the noise window of role 1, of role 2."""
+    in_noise = (times >= windows.noise[0]) & (times < windows.noise[1])
+    signal, noise = [], []
+    for mask, window in zip(in_role, (windows.signal_1, windows.signal_2)):
+        role = mask.take(codes)
+        signal.append(role & (times >= window[0]) & (times < window[1]))
+        noise.append(role & in_noise)
+    keep = np.flatnonzero(signal[0] | signal[1] | noise[0] | noise[1])
+    return ids[keep], np.array([flags[keep] for flags in signal + noise])
+
+
+def _by_trial(ids, counts):
+    """Merge the columns of ``counts`` (4, n) by trial id: the distinct
+    ids, ascending, and their (4, m) rows, the two signal rows or-ed and
+    the two noise rows summed."""
+    if np.any(ids[1:] < ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        ids, counts = ids[order], counts[:, order]
+    first = np.empty(ids.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    run = np.cumsum(first) - 1
+    m = int(run[-1]) + 1 if ids.size else 0
+    rows = np.array([np.bincount(run, row, m) for row in counts], dtype=np.int64)
+    np.minimum(rows[:2], 1, out=rows[:2])
+    return ids[first], rows
+
+
+def _tally(table: Counter, rows) -> None:
+    """Add the patterns of ``rows`` (4, m) to ``table``."""
+    if rows.shape[1]:
+        # one mixed-radix key per row, for np.unique to count
+        dims = (2, 2, int(rows[2].max()) + 1, int(rows[3].max()) + 1)
+        keys, counts = np.unique(np.ravel_multi_index(rows, dims), return_counts=True)
+        patterns = np.transpose(np.unravel_index(keys, dims)).tolist()
+        table.update(dict(zip(map(tuple, patterns), counts.tolist())))
+
+
+def _trial_data(n_trials: int, table: Counter, clicked: int, windows: WindowSpec) -> TrialData:
+    """The ``TrialData`` of ``table``, which counts the patterns of
+    ``clicked`` trials, and of the zero pattern (0, 0, 0, 0) of the other
+    trials when there are any.  Sorted, the patterns come in
+    ``np.unique(axis=1)`` order: the zero pattern first."""
+    if n_trials > clicked:
+        table[(0, 0, 0, 0)] = n_trials - clicked
+    patterns = sorted(table)
+    return TrialData(n_trials, np.array(patterns, dtype=np.int64).T.copy(),
+                     np.array([table[p] for p in patterns], dtype=np.int64), windows)
 
 
 def g2_raw(c: TrialCounts) -> float:

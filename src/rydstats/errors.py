@@ -5,12 +5,15 @@ invalid inputs or data, and numerical breakdowns that no input validation
 can rule out ahead of time.
 """
 
+import math
 import numbers
 
 import numpy as np
 
 #: Most doubles that one numpy array can hold: its byte count must fit np.intp.
 _MAX_DOUBLES = np.iinfo(np.intp).max // 8
+#: Largest truncation whose (n_max + 1)^2 matrix of doubles numpy can index.
+_N_MAX_LIMIT = math.isqrt(_MAX_DOUBLES) - 1
 
 
 class RydstatsError(Exception):
@@ -31,3 +34,12 @@ def _check_count(name: str, value, minimum: int) -> None:
     # a seed and fail there with a TypeError or a bare ValueError.
     if not isinstance(value, numbers.Integral) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_n_max(n_max, minimum: int = 1) -> None:
+    """``n_max`` must be an integer from ``minimum`` up to the largest
+    whose (n_max + 1)^2 matrix numpy can index, or numpy fails with its own
+    ``MemoryError`` or ``ValueError``."""
+    _check_count("n_max", n_max, minimum)
+    if n_max > _N_MAX_LIMIT:
+        raise ValidationError(f"n_max must be at most {_N_MAX_LIMIT}, got {n_max}")

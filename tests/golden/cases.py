@@ -16,6 +16,10 @@ in, since ``synthesize`` draws from numpy's ``Generator``:
 
     synthesize(conditional_read_state(SourceModel(0.05, 0.21), 15), 2000,
                WindowSpec(), (1e4, 1e4), seed=1)
+
+``inputs/clicks_unsorted.csv`` holds the same records in reverse order,
+with a ``# note`` line halfway, so ``g2-unsorted`` reads its body twice
+and line by line, and must report what ``g2`` reports.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ CASES = {
     "fit-peg": ["fit-peg", "fit_peg.csv"],
     "g2": ["--seed", "3", "g2", "clicks.csv", "--window", "0,300",
            "--noise-window", "500,1100", "--resamples", "100"],
+    "g2-unsorted": ["--seed", "3", "g2", "clicks_unsorted.csv", "--window", "0,300",
+                    "--noise-window", "500,1100", "--resamples", "100"],
     "usage-error": ["reproduce", "fig3", "--zeta", "0.1"],
     "data-error": ["reproduce", "fig3", "--n-max", "2"],
     "numerical-error": ["--config", "g2_underflow.cfg", "reproduce", "fig3", *_GRID],

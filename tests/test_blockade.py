@@ -14,6 +14,7 @@ from rydstats import (
     blockade_matrix,
     exact_matrix,
     exact_pair_survival,
+    loss_matrix,
     medium_matrix,
     perfect_filter_matrix,
 )
@@ -75,6 +76,26 @@ class TestConfig:
         with pytest.raises(ValidationError,
                            match="^n_max must be at most 1073741822, got 1073741823$"):
             BlockadeConfig(n_max=1_073_741_823)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: BlockadeConfig(n_max=n),
+        lambda n: exact_matrix(15.0, 10.5, n),
+        lambda n: exact_matrix(15.0, 0.0, n),
+        lambda n: loss_matrix(0.5, n),
+        lambda n: perfect_filter_matrix(n),
+    ], ids=["BlockadeConfig", "exact_matrix", "exact_matrix-rb0", "loss_matrix",
+            "perfect_filter_matrix"])
+    def test_huge_n_max_names_the_key(self, build):
+        # each builds an (n_max + 1)^2 array: numpy would fail with its own
+        # MemoryError or "array is too big" ValueError
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError,
+                               match="^n_max must be at most 1073741822, got 1099511627776$"):
+                build(2**40)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("threads", [0, -3, 1.5])
     def test_rejects_bad_thread_count(self, threads):

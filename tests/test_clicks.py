@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -28,7 +29,8 @@ from rydstats import (
 )
 from rydstats import clicks
 from rydstats._table import open_text
-from rydstats.clicks import _BLOCK, _INT64_MAX, _WRITE_ROWS, DETECTORS, _ClickLines
+from rydstats.clicks import (_BLOCK, _INT64_MAX, _WRITE_ROWS, DETECTORS, ROLE_DETECTORS,
+                             _ClickLines, _read_trials)
 from rydstats.source import SourceModel
 
 WINDOWS = WindowSpec(signal_1=(0, 300), noise=(500, 1100))
@@ -151,12 +153,13 @@ class TestIngest:
         with pytest.raises(ValidationError, match="click stream reports zero trials"):
             ClickStream(0, np.zeros(0, np.int64), np.zeros(0, np.int8), np.zeros(0, np.int64))
 
-    def test_unallocatable_trial_count_is_validation_error(self):
-        # 2**62 bools cannot be allocated; numpy refuses before touching memory
+    def test_huge_trial_count_is_one_zero_pattern(self):
+        # no array has a length of n_trials: the clickless trials are one pattern
         stream = ClickStream(2**62, np.zeros(0, np.int64), np.zeros(0, np.int8),
                              np.zeros(0, np.int64))
-        with pytest.raises(ValidationError, match="per-trial arrays for 4611686018427387904"):
-            count_trials(stream, WINDOWS)
+        data = count_trials(stream, WINDOWS)
+        np.testing.assert_array_equal(data.patterns, np.zeros((4, 1), np.int64))
+        assert data.weights.tolist() == [2**62]
 
     @pytest.mark.parametrize("trial_id, time_ns", [
         (5, 100),   # signal window: an index past the per-trial flags
@@ -176,7 +179,10 @@ class TestIngest:
         stream = ClickStream(50, rng.integers(50, size=size),
                              rng.integers(3, size=size).astype(np.int8),
                              rng.integers(1100, size=size))
+        with mock.patch.object(clicks, "_WRITE_ROWS", 7):  # unsorted across chunks
+            chunked = count_trials(stream, WINDOWS, *roles)
         data = count_trials(stream, WINDOWS, *roles)
+        assert_same_table(chunked, data)
         columns = []
         for trial in range(stream.n_trials):
             mine = stream.trial_ids == trial
@@ -233,19 +239,34 @@ def read_per_line(path):
     with open_text(path) as fh:
         for raw in fh:
             lines.feed(raw)
-    return lines.stream(*lines.columns())
+    ids, codes, times = lines.columns()
+    lines.check(int(ids.max()) if ids.size else -1)
+    return ClickStream(lines.n_trials, ids, codes, times)
 
 
-def assert_reads_as_per_line(path):
-    """``read_csv`` gives the reference reader's stream, or its error."""
+def assert_reads_as_per_line(path, roles=ROLE_DETECTORS):
+    """``read_csv`` gives the reference reader's stream, or its error, and
+    the streamed count gives ``count_trials`` of that stream, or the same
+    error."""
     try:
         expected = read_per_line(path)
     except ValidationError as exc:
-        with pytest.raises(ValidationError) as info:
-            ClickStream.read_csv(path)
-        assert str(info.value) == str(exc), path.read_bytes()
+        for read in (ClickStream.read_csv, lambda path: _read_trials(path, WINDOWS, *roles)):
+            with pytest.raises(ValidationError) as info:
+                read(path)
+            assert str(info.value) == str(exc), path.read_bytes()
     else:
         assert_same_stream(ClickStream.read_csv(path), expected)
+        assert_same_table(_read_trials(path, WINDOWS, *roles),
+                          count_trials(ClickStream.read_csv(path), WINDOWS, *roles))
+
+
+def assert_same_table(a, b):
+    assert a.n_trials == b.n_trials and a.windows == b.windows
+    for name in ("patterns", "weights"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.int64
+        np.testing.assert_array_equal(x, y)
 
 
 def assert_same_stream(a, b):
@@ -257,6 +278,7 @@ def assert_same_stream(a, b):
 
 
 HEAD = "# trials=20\ntrial_id,detector,time_ns\n"
+ROLES = [ROLE_DETECTORS, (("D1", "D3"), ("D2",)), (("D1", "D2", "D3"), ("D2",))]
 
 
 class TestReadCsv:
@@ -374,7 +396,7 @@ class TestReadCsv:
             assert len(fed) == 2, name  # the preamble only
 
     def test_random_odd_files_match_per_line(self, tmp_path):
-        rng = random.Random(5)
+        rng, role_rng = random.Random(5), random.Random(6)
         # 8, 9, 16, 17, 18 and 19 digits: one, two and three 8-digit
         # windows, then the per-line grammar and its int64 check
         wide = ["12345678", "123456789", "9876543210123456", "12345678901234567",
@@ -405,7 +427,10 @@ class TestReadCsv:
                 data = data[:at] + b"\xff" + data[at:]
             path = tmp_path / "odd.csv"
             path.write_bytes(data)
-            assert_reads_as_per_line(path)
+            roles = role_rng.choice(ROLES)
+            assert_reads_as_per_line(path, roles)
+            with mock.patch.object(clicks, "_BLOCK", 24):  # most lines a block of their own
+                assert_reads_as_per_line(path, roles)
         # one bad record late in the last block of a body of two blocks
         plain = self.plain_body(40_000).splitlines()
         for record in ("5,D9,7", "5,D2,7,", "5,D2", "5,D2,-7", "5,D2,7 7", "5,D\udcff,7"):
@@ -417,6 +442,124 @@ class TestReadCsv:
             message = f"{path}:{at + 3}: " + ("not UTF-8 text (byte 0xff)" if "\udcff" in record else "")
             with pytest.raises(ValidationError, match=re.escape(message)):
                 ClickStream.read_csv(path)
+
+
+class TestStreamedCount:
+    """``g2`` reduces each block of the file as it reads it: its table must
+    be ``count_trials`` of ``read_csv``, or its error, however the blocks
+    fall."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(clicks, "_BLOCK", 300)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The number of times the file is read."""
+        calls = []
+        original = clicks._blocks
+        monkeypatch.setattr(clicks, "_blocks",
+                            lambda lines, fh: calls.append(fh) or original(lines, fh))
+        return calls
+
+    @staticmethod
+    def written(tmp_path, n_trials=400, seed=4):
+        """The lines of a sorted click file with background, 7-12 bytes
+        per record, so a 300-byte block holds about 30."""
+        stream = synthesize(coherent(0.8, 15), n_trials, WINDOWS, (2e5, 2e5), seed=seed)
+        stream.write_csv(tmp_path / "written.csv")
+        return (tmp_path / "written.csv").read_text().splitlines(keepends=True)
+
+    def check(self, path, passes, reads):
+        assert_reads_as_per_line(path)
+        passes.clear()
+        data = _read_trials(path, WINDOWS)
+        assert len(passes) == reads
+        return data
+
+    def test_trial_across_block_edges(self, tmp_path, passes):
+        lines = self.written(tmp_path)
+        # trial 7's 60 records, 600 bytes, span two block edges or more
+        at = next(i for i, line in enumerate(lines) if line.startswith("8,"))
+        lines[at:at] = [f"7,D{2 + k % 2},{(k * 97) % 1100}\n" for k in range(60)]
+        path = write_stream(tmp_path, "".join(lines))
+        data = self.check(path, passes, reads=1)
+        assert data.patterns[2:].max() >= 15  # trial 7's noise clicks, counted once each
+
+    def test_unsorted_file_is_read_twice(self, tmp_path, passes):
+        lines = self.written(tmp_path)
+        path = write_stream(tmp_path, "".join(lines[:2] + lines[:1:-1]))
+        self.check(path, passes, reads=2)
+        # a decrease inside the last block, after many final rows
+        lines[-1], lines[-3] = lines[-3], lines[-1]
+        self.check(write_stream(tmp_path, "".join(lines)), passes, reads=2)
+
+    def test_comment_block_goes_line_by_line_alone(self, tmp_path, passes, monkeypatch):
+        lines = self.written(tmp_path)
+        middle = len(lines) // 2
+        lines[middle:middle] = ["# note\n", "\n", "# trials check\n"]
+        path = write_stream(tmp_path, "".join(lines))
+        fed = []
+        original = _ClickLines.feed
+        monkeypatch.setattr(_ClickLines, "feed",
+                            lambda self, raw: fed.append(raw) or original(self, raw))
+        _read_trials(path, WINDOWS)
+        # the preamble, then the lines of the one or two blocks that hold
+        # the comments, of at most 300 bytes each
+        assert fed[:2] == lines[:2]
+        fed_body = "".join(fed[2:])
+        assert "# note\n\n# trials check\n" in fed_body and fed_body in "".join(lines)
+        assert len(fed_body) <= 2 * 300
+        self.check(path, passes, reads=1)
+        # a bad record far past the comments is reported at its own line
+        lines[-5] = "3,D2,x\n"
+        path = write_stream(tmp_path, "".join(lines))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:{len(lines) - 4}: "
+                                                  "malformed record"):
+            _read_trials(path, WINDOWS)
+        assert_reads_as_per_line(path)
+
+    def test_crlf_without_final_newline(self, tmp_path, passes):
+        text = "".join(self.written(tmp_path))
+        path = write_stream(tmp_path, "")
+        path.write_bytes(text.replace("\n", "\r\n")[:-2].encode())
+        self.check(path, passes, reads=1)
+        path.write_bytes(text.replace("\n", "\r").encode())  # a lone CR ends a line too
+        self.check(path, passes, reads=1)
+
+    def test_every_trial_clicks_gives_no_zero_pattern(self, tmp_path, passes):
+        body = "".join(f"{i},D{2 + i % 2},{i % 300}\n{i},D2,{600 + i}\n" for i in range(300))
+        path = write_stream(tmp_path, "# trials=300\ntrial_id,detector,time_ns\n" + body)
+        data = self.check(path, passes, reads=1)
+        assert np.all(data.patterns.any(axis=0))
+        assert data.weights.sum() == 300
+
+    def test_malformed_line_wins_over_an_earlier_trial_id(self, tmp_path):
+        body = "".join(f"{i},D2,5\n" for i in range(400))
+        path = write_stream(tmp_path, "# trials=5\ntrial_id,detector,time_ns\n" + body + "1,D9,5\n")
+        message = f"{path}:403: malformed record ('D9')"
+        for read in (ClickStream.read_csv, lambda path: _read_trials(path, WINDOWS)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                read(path)
+        path.write_text("# trials=5\ntrial_id,detector,time_ns\n" + body)
+        message = f"{path}: trial id 399 outside 0..4"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            _read_trials(path, WINDOWS)
+
+    def test_memory_does_not_grow_with_a_sorted_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(clicks, "_BLOCK", 4096)
+        peaks = []
+        for n_trials in (20_000, 80_000):
+            path = tmp_path / f"{n_trials}.csv"
+            synthesize(coherent(0.8, 15), n_trials, WINDOWS, (1e5, 1e5), seed=2).write_csv(path)
+            tracemalloc.start()
+            try:
+                _read_trials(path, WINDOWS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 80k trials' rows alone would take 4 x 80k x 8 bytes
+        assert peaks[1] < peaks[0] + (64 << 10), peaks
 
 
 def write_per_record(stream, path):

@@ -61,3 +61,18 @@ def test_matches_golden(case, tmp_path, console_records):
     assert sorted(files) == names
     for name in names:
         assert_same(files[name], (saved / name).read_text(), f"{case}/{name}")
+
+
+def test_unsorted_clicks_report_what_sorted_ones_do(tmp_path):
+    # the same records reversed, with a comment: g2 reads the body twice and
+    # line by line, and every number, the bootstrap error too, stays the same
+    stored, ran = [], []
+    for case in ("g2", "g2-unsorted"):
+        assert run_case(CASES[case], tmp_path / case)["exit"] == 0
+        for reports, text in ((stored, (GOLDEN / case / "g2_report.json").read_text()),
+                              (ran, (tmp_path / case / "g2_report.json").read_text())):
+            report = json.loads(text)
+            assert report.pop("source_file") == CASES[case][3]
+            reports.append(report)
+    assert stored[0] == stored[1]
+    assert ran[0] == ran[1]
