@@ -29,7 +29,6 @@ arrivals follow.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -343,6 +342,10 @@ def _histograms(cfg: BlockadeConfig, threads: int) -> np.ndarray:
     ]
     total = np.zeros((cfg.n_max + 1, cfg.n_max + 1), dtype=np.int64)
     if min(threads, len(tasks)) > 1:
+        # imported here, where it runs: with the logging that it loads it
+        # would add milliseconds to the start-up of every command
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for hist in pool.map(lambda t: _simulate_chunk(*t), tasks):
                 total += hist

@@ -385,9 +385,11 @@ def _blocks(lines: _ClickLines, fh):
     numbers, non-ASCII bytes, bad records) goes through ``lines`` from its
     own first line: the same records, or the same error at the same line.
     """
-    if fh.read(3) != b"\xef\xbb\xbf":  # a byte-order mark is skipped, as by utf-8-sig
-        fh.seek(0)
-    while not lines.header_seen and (raw := fh.readline()):
+    head = fh.read(3)  # read, not peeked: a pipe cannot seek back
+    if head == b"\xef\xbb\xbf":  # a byte-order mark is skipped, as by utf-8-sig
+        head = b""
+    while not lines.header_seen and (raw := head + fh.readline()):
+        head = b""
         lines.feed_bytes(raw)
     buf = np.zeros(_PAD + _BLOCK + 16, np.uint8)
     # the first block: the records after a header line that ends in a lone CR
@@ -557,14 +559,16 @@ def _read_trials(path, windows: WindowSpec, detectors_1: tuple[str, ...] = ROLE_
     In a file sorted by trial id, the memory does not grow with the file.
     At the first id that decreases, the body is parsed a second time from
     its start, and the memory is that of one row per trial with a click.
+    A file that cannot seek (a pipe) is read once, with that memory.
     """
     in_role = _roles(detectors_1, detectors_2)
-    for final in (True, False):
-        lines = _ClickLines(path)
-        with open(path, "rb") as fh:
+    with open(path, "rb") as fh:
+        for final in (True, False) if fh.seekable() else (False,):
+            lines = _ClickLines(path)
             counted = _patterns(_blocks(lines, fh), windows, in_role, final)
-        if counted is not None:
-            return _trial_data(lines.n_trials, *counted, windows)
+            if counted is not None:
+                return _trial_data(lines.n_trials, *counted, windows)
+            fh.seek(0)
 
 
 def _patterns(blocks, windows: WindowSpec, in_role, final: bool):

@@ -45,18 +45,7 @@ class FockDistribution:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("probability vector must be 1-D and non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("probability vector contains non-finite entries")
-        if arr.min() < -NEGATIVE_TOLERANCE:
-            raise ValidationError(
-                f"negative probability {arr.min():.3e} exceeds tolerance "
-                f"{NEGATIVE_TOLERANCE:.0e}"
-            )
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        if total <= 0.0:
-            raise ValidationError("probability vector sums to zero")
-        arr = arr / total
+        arr = _normalized(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -66,8 +55,7 @@ class FockDistribution:
 
     def mean_photons(self) -> float:
         """Mean photon number, sum(k * p_k)."""
-        k = np.arange(self.probs.size)
-        return float(np.dot(k, self.probs))
+        return float(_dot_rows(self.probs, np.arange(self.probs.size, dtype=float)))
 
     def g2(self) -> float:
         """Zero-delay autocorrelation, sum(k(k-1) p_k) / [sum(k p_k)]^2.
@@ -75,17 +63,7 @@ class FockDistribution:
         Equals 1 for Poissonian light, 0 for a single photon, and is
         invariant under linear loss.  Undefined on vacuum.
         """
-        k = np.arange(self.probs.size)
-        mean = float(np.dot(k, self.probs))
-        if mean <= 0.0:
-            raise ValidationError("g2 is undefined for a zero-mean (vacuum) state")
-        fac2 = float(np.dot(k * (k - 1), self.probs))
-        square = mean**2
-        if square == 0.0:
-            raise NumericalError(
-                f"g2 is undefined at mean photon number {mean:.3g}: its square underflows"
-            )
-        return fac2 / square
+        return float(_mean_and_g2(self.probs)[1])
 
     def zeta(self) -> float:
         """Multiphoton strength: P(k >= 2) / P(k >= 1), in [0, 1]."""
@@ -93,6 +71,54 @@ class FockDistribution:
         if p_ge1 <= 0.0:
             raise ValidationError("zeta is undefined for a vacuum-only state")
         return float(self.probs[2:].sum()) / p_ge1
+
+
+# The rules of FockDistribution, along the last axis of an array, so that a
+# stack of distributions gives, row by row, the bits that one gives alone.
+
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` checked and normalized as
+    :class:`FockDistribution` checks and normalizes its vector."""
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("probability vector contains non-finite entries")
+    low = rows.min(initial=0.0)
+    if low < -NEGATIVE_TOLERANCE:
+        raise ValidationError(
+            f"negative probability {low:.3e} exceeds tolerance {NEGATIVE_TOLERANCE:.0e}"
+        )
+    rows = np.clip(rows, 0.0, None)
+    total = rows.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
+        raise ValidationError("probability vector sums to zero")
+    return rows / total
+
+
+def _dot_rows(rows: np.ndarray, v: np.ndarray):
+    """The dot product of ``v`` with one row or with each row of a stack.
+    A stacked (1, n) by (n, 1) matmul takes, per row, the dot product that
+    ``np.dot`` takes for one; ``rows @ v``, a matrix-vector product, sums
+    in another order."""
+    if rows.ndim == 1:
+        return np.dot(v, rows)
+    return np.matmul(rows[:, None, :], v[:, None])[:, 0, 0]
+
+
+def _mean_and_g2(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean photon number and g2 (see :meth:`FockDistribution.g2`) of each
+    normalized row of ``rows``."""
+    k = np.arange(rows.shape[-1], dtype=float)
+    mean = _dot_rows(rows, k)
+    if np.any(mean <= 0.0):
+        raise ValidationError("g2 is undefined for a zero-mean (vacuum) state")
+    fac2 = _dot_rows(rows, k * (k - 1))
+    # Python's power of a float, which can differ from mean * mean in the last bit
+    square = np.reshape([m**2 for m in np.ravel(mean).tolist()], mean.shape)
+    if np.any(square == 0.0):
+        raise NumericalError(
+            f"g2 is undefined at mean photon number {np.extract(square == 0.0, mean)[0]:.3g}: "
+            "its square underflows"
+        )
+    return mean, fac2 / square
 
 
 def fock_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockDistribution:

@@ -23,14 +23,22 @@ import numpy as np
 from ._roots import BracketError, bisect_monotone
 from ._table import write_table
 from .blockade import BlockadeConfig, _exact_covers, blockade_matrix, exact_matrix
-from .errors import ValidationError, _check_count
-from .fock import FockDistribution, coherent, coherent_mu_upper_bound
+from .errors import NumericalError, ValidationError, _check_count
+from .fock import (
+    FockDistribution,
+    _dot_rows,
+    _mean_and_g2,
+    _normalized,
+    coherent,
+    coherent_mu_upper_bound,
+)
 from .source import (
     _P_FLOOR,
     DEFAULT_T_W,
     SourceModel,
     _check_t_w,
     _herald_weights,
+    _read_state_rows,
     conditional_read_state,
     read_state_p_upper_bound,
 )
@@ -130,13 +138,19 @@ def _check_n_max(cfg: PipelineConfig, **parts) -> None:
             raise ValidationError(f"{name} n_max={part.n_max} does not match config n_max={cfg.blockade.n_max}")
 
 
-def _propagate(
-    medium: TransferMatrix, thinning: TransferMatrix, probs: np.ndarray
-) -> FockDistribution:
-    # Two matrix-vector products.  The matrix-matrix product medium @
-    # thinning does n_max + 1 times the arithmetic, and at n_max = 100
-    # OpenBLAS hands it to its worker threads, which costs milliseconds.
-    return FockDistribution(medium.matrix @ (thinning.matrix @ probs))
+def _propagate(medium: TransferMatrix, thinning: TransferMatrix, probs: np.ndarray) -> np.ndarray:
+    """``probs`` (a distribution, or one per row) through ``thinning``,
+    then ``medium``, unnormalized.
+
+    Two matrix-vector products per row.  The matrix-matrix product medium
+    @ thinning does n_max + 1 times the arithmetic, and at n_max = 100
+    OpenBLAS hands it to its worker threads, which costs milliseconds.
+    A stacked matmul of the matrix by each (n, 1) row is one matrix-vector
+    product per row, the one ``M @ p`` takes; ``probs @ M.T`` sums in
+    another order."""
+    for m in (thinning.matrix, medium.matrix):
+        probs = np.matmul(m, probs[..., None])[..., 0]
+    return probs
 
 
 def post_blockade_distribution(
@@ -147,7 +161,9 @@ def post_blockade_distribution(
     ``cfg.eta_compression``.  Build the medium once with
     :func:`medium_matrix` and pass it to every call."""
     _check_n_max(cfg, input=input_dist, medium=medium)
-    return _propagate(medium, _pre_blockade_matrix(cfg, cfg.eta_compression), input_dist.probs)
+    return FockDistribution(
+        _propagate(medium, _pre_blockade_matrix(cfg, cfg.eta_compression), input_dist.probs)
+    )
 
 
 def g2_after_storage(
@@ -170,16 +186,16 @@ def efficiency(
     transmission to the cloud.
     """
     out = post_blockade_distribution(cfg, input_dist, medium)
-    return _efficiency(cfg, input_dist, out)
+    return _efficiency(cfg, input_dist.mean_photons(), out.mean_photons())
 
 
-def _efficiency(cfg: PipelineConfig, input_dist: FockDistribution, out: FockDistribution) -> float:
-    """Efficiency from the input state and its post-blockade state."""
-    mean_in = input_dist.mean_photons()
-    if mean_in <= 0.0:
+def _efficiency(cfg: PipelineConfig, mean_in, mean_out):
+    """Efficiency from the mean photon numbers of the input state and of
+    its post-blockade state (floats, or arrays of one per point)."""
+    if np.any(mean_in <= 0.0):
         raise ValidationError("efficiency undefined for a vacuum input")
     t = _cloud_transmission(cfg)
-    return cfg.eta_r * math.sqrt(cfg.eta_eit) * out.mean_photons() / (t * mean_in)
+    return cfg.eta_r * math.sqrt(cfg.eta_eit) * mean_out / (t * mean_in)
 
 
 def _zeta_curve(cfg: PipelineConfig):
@@ -193,6 +209,8 @@ def _zeta_curve(cfg: PipelineConfig):
     least j of n photons reach the cloud.  The tables are built here,
     once; one evaluation is a length-n_max power (dlcz) or exp (wcs) and
     two dot products against them, with no matrix product and no pmf.
+    Either curve maps a float to a float and an array of parameters to the
+    array of their values, each with the bits that it has alone.
     """
     n_max = cfg.blockade.n_max
     if cfg.input_kind == "dlcz":
@@ -215,15 +233,21 @@ def _zeta_curve(cfg: PipelineConfig):
 # The two curves are module-level functions, bound to their tables with
 # partial, so that a config that caches one still pickles.
 def _dlcz_zeta(u1, u2, exponents, p):
-    powers = p ** exponents
-    return float(np.dot(u2, powers) / np.dot(u1, powers))
+    batch = isinstance(p, np.ndarray)
+    powers = (p[:, None] if batch else p) ** exponents
+    zeta = _dot_rows(powers, u2) / _dot_rows(powers, u1)
+    return zeta if batch else float(zeta)
 
 
 def _wcs_zeta(k, log_factorial, mu):
-    log_terms = k * math.log(mu) - log_factorial
-    terms = np.exp(log_terms - log_terms.max())
-    ge2 = terms[1:].sum()
-    return float(ge2 / (terms[0] + ge2))
+    batch = isinstance(mu, np.ndarray)
+    # math.log, as np.log can differ from it in the last bit
+    log_mu = np.array([math.log(x) for x in mu.tolist()])[:, None] if batch else math.log(mu)
+    log_terms = k * log_mu - log_factorial
+    terms = np.exp(log_terms - np.maximum.reduce(log_terms, axis=-1, keepdims=True))
+    ge2 = np.add.reduce(terms[..., 1:], axis=-1)
+    zeta = ge2 / (terms[..., 0] + ge2)
+    return zeta if batch else float(zeta)
 
 
 def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
@@ -239,12 +263,18 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
     NumericalError
         If the bisection's residual check fails.
     """
+    return _zeta_to_params(cfg, zeta)
+
+
+def _zeta_to_params(cfg: PipelineConfig, zeta):
+    """:func:`zeta_to_param` of a float, or of each element of an array in
+    one batched bisection."""
     f, hi = cfg._zeta_inverse
     try:
         return bisect_monotone(f, _P_FLOOR, hi, zeta)
     except BracketError as exc:
         raise ValidationError(
-            f"multiphoton strength {zeta} not attainable for {cfg.input_kind} "
+            f"multiphoton strength {exc.target} not attainable for {cfg.input_kind} "
             f"at n_max={cfg.blockade.n_max} ({exc})"
         ) from exc
 
@@ -272,23 +302,46 @@ def sweep(cfg: PipelineConfig, zeta_grid, medium: TransferMatrix) -> SweepResult
     grid, with an uncertainty band from the compression-efficiency range.
 
     Built once per sweep: the pre-blockade thinning for eta_compression
-    and for each band edge (the zeta curve is built once per config).  A
-    grid point costs one inversion (about 50 curve evaluations, each two
-    length-n_max dot products against the curve's tables) and, per
-    thinning, two matrix-vector products (thinning, then medium); no
-    matrix is ever multiplied by another.
+    and for each band edge (the zeta curve is built once per config).
+    The grid is evaluated as arrays, each point with the bits that the
+    per-point functions give it: one bisection over every point (about
+    50 curve evaluations, each a power or exp over points x n_max and two
+    dot products per point), the source states, and per thinning two
+    matrix-vector products per point (thinning, then medium); no matrix
+    is ever multiplied by another.
+
+    A point that fails raises the error that it raises alone: that of the
+    first such point, at the first of its checks that fails.
     """
     _check_n_max(cfg, medium=medium)
     thinnings = [
         _pre_blockade_matrix(cfg, ec) for ec in (cfg.eta_compression, *cfg.compression_band)
     ]
-    points = []
-    for zeta in zeta_grid:
-        param = zeta_to_param(cfg, float(zeta))
-        src = source_distribution(cfg, param)
-        out, *edges = (_propagate(medium, thin, src.probs) for thin in thinnings)
-        band = sorted(edge.g2() for edge in edges)
-        points.append(SweepPoint(
-            float(zeta), param, src.g2(), out.g2(), _efficiency(cfg, src, out), *band
-        ))
-    return SweepResult(points)
+    zetas = [float(zeta) for zeta in zeta_grid]
+    try:
+        columns = _sweep_columns(cfg, np.array(zetas), medium, thinnings)
+    except (ValidationError, NumericalError):
+        # Alone, a point runs its checks in the order of the columns, so
+        # the first point that fails raises the error it raises alone.
+        for zeta in zetas:
+            _sweep_columns(cfg, np.array([zeta]), medium, thinnings)
+        raise
+    return SweepResult([SweepPoint(*row) for row in zip(zetas, *(c.tolist() for c in columns))])
+
+
+def _sweep_columns(cfg: PipelineConfig, zetas: np.ndarray, medium: TransferMatrix,
+                   thinnings: list[TransferMatrix]) -> tuple[np.ndarray, ...]:
+    """The columns of :class:`SweepPoint` after zeta, for the points of
+    ``zetas``, the stages run in the order of the per-point checks."""
+    params = _zeta_to_params(cfg, zetas)
+    n_max = cfg.blockade.n_max
+    if cfg.input_kind == "dlcz":
+        src = _normalized(_read_state_rows(params, cfg.t_w, n_max))
+    else:  # the Poisson recurrence runs from each mean's own mode
+        src = np.reshape([coherent(mu, n_max).probs for mu in params.tolist()], (-1, n_max + 1))
+    out, *edges = (_normalized(_propagate(medium, thin, src)) for thin in thinnings)
+    band = [_mean_and_g2(edge)[1] for edge in edges]
+    mean_in, g2_in = _mean_and_g2(src)
+    mean_out, g2_out = _mean_and_g2(out)
+    eta = _efficiency(cfg, mean_in, mean_out)
+    return params, g2_in, g2_out, eta, np.minimum(*band), np.maximum(*band)

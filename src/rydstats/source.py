@@ -67,15 +67,33 @@ def _herald_weights(t_w: float, n_max: int) -> np.ndarray:
     return np.ldexp(weights, 1 - math.frexp(t_w)[1])
 
 
-def _read_state_terms(p: float, t_w: float, n_max: int) -> np.ndarray:
+def _read_state_terms(p, t_w: float, n_max: int) -> np.ndarray:
     """Unnormalized heralded read-state vector including its exact
     normalization prefactor; sums to 1 - (discarded tail).  Dividing by
     2^k t_w undoes the herald weights' scale, so a normal entry has the
-    bits that dividing the unscaled weights by t_w gives."""
+    bits that dividing the unscaled weights by t_w gives.  A 1-D array
+    ``p`` gives one vector per element, as rows."""
+    rows = isinstance(p, np.ndarray)
+    terms = np.zeros((p.size, n_max + 1) if rows else n_max + 1)
+    if rows:
+        p = p[:, None]
     n = np.arange(1, n_max + 1, dtype=float)
     prefactor = (1.0 - p) * (1.0 - p * (1.0 - t_w)) / (2.0 * math.frexp(t_w)[0])
-    terms = np.zeros(n_max + 1)
-    terms[1:] = prefactor * p ** (n - 1.0) * _herald_weights(t_w, n_max)
+    terms[..., 1:] = prefactor * p ** (n - 1.0) * _herald_weights(t_w, n_max)
+    return terms
+
+
+def _read_state_rows(p, t_w: float, n_max: int) -> np.ndarray:
+    """:func:`_read_state_terms`, after the check of
+    :func:`conditional_read_state` on the tail that they discard."""
+    terms = _read_state_terms(p, t_w, n_max)
+    tail = 1.0 - terms.sum(axis=-1)
+    bad = tail >= TAIL_TOLERANCE
+    if np.any(bad):
+        raise NumericalError(
+            f"read-state tail beyond n_max={n_max} is {np.extract(bad, tail)[0]:.2e} for "
+            f"p={np.extract(bad, p)[0]}; increase n_max"
+        )
     return terms
 
 
@@ -93,14 +111,7 @@ def conditional_read_state(model: SourceModel, n_max: int = DEFAULT_N_MAX) -> Fo
         (the analytic trace of the full state is exactly 1).
     """
     _check_count("n_max", n_max, 1)  # the heralded state has no vacuum term
-    terms = _read_state_terms(model.p, model.t_w, n_max)
-    tail = 1.0 - terms.sum()
-    if tail >= TAIL_TOLERANCE:
-        raise NumericalError(
-            f"read-state tail beyond n_max={n_max} is {tail:.2e} for "
-            f"p={model.p}; increase n_max"
-        )
-    return FockDistribution(terms)
+    return FockDistribution(_read_state_rows(model.p, model.t_w, n_max))
 
 
 def read_state_p_upper_bound(t_w: float, n_max: int) -> float:

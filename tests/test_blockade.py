@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 from dataclasses import replace
@@ -18,7 +19,6 @@ from rydstats import (
     medium_matrix,
     perfect_filter_matrix,
 )
-from rydstats import blockade
 from rydstats.blockade import (
     CHUNK_TRIALS,
     EXACT_MAX_RADII,
@@ -376,7 +376,7 @@ class TestBlockadeMatrix:
 
         cfg = small_cfg(trials_per_fock=CHUNK_TRIALS, n_max=6)
         expected = blockade_matrix(cfg, threads=1)
-        monkeypatch.setattr(blockade, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
         np.testing.assert_array_equal(blockade_matrix(cfg, threads=2).matrix, expected.matrix)
 
 

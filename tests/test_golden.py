@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
+import threading
 
 import pytest
 
-from golden.cases import CASES, GOLDEN, STORED, run_case, stored_files
+from golden.cases import CASES, GOLDEN, INPUTS, STORED, run_case, stored_files
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -76,3 +78,39 @@ def test_unsorted_clicks_report_what_sorted_ones_do(tmp_path):
             reports.append(report)
     assert stored[0] == stored[1]
     assert ran[0] == ran[1]
+
+
+def _feed(fifo, data: bytes) -> None:
+    try:
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+    except BrokenPipeError:  # the reader stopped early; its test fails on that
+        pass
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+@pytest.mark.parametrize("case", ["g2", "g2-unsorted"])
+def test_click_file_read_from_a_pipe(case, tmp_path):
+    # as with `g2 <(cat clicks.csv)`: a pipe cannot seek, so g2 reads the
+    # byte-order mark's place instead of peeking at it, and reads the body
+    # once with every row open, the unsorted one too
+    argv = list(CASES[case])
+    name = argv[3]
+    fifo = tmp_path / name
+    os.mkfifo(fifo)
+    argv[3] = str(fifo)
+    writer = threading.Thread(target=_feed, args=(fifo, (INPUTS / name).read_bytes()))
+    writer.start()
+    try:
+        console = run_case(argv, tmp_path / "out")
+    finally:
+        # a reader that opens and closes the pipe frees a writer still
+        # waiting for one, had the run failed before it opened the pipe
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join()
+    assert console == {"exit": 0, "stdout": "wrote <OUT>/g2_report.json\n", "stderr": ""}
+    report = json.loads(stored_files(tmp_path / "out")["g2_report.json"])
+    assert report.pop("source_file") == str(fifo)
+    stored = json.loads((GOLDEN / case / "g2_report.json").read_text())
+    assert stored.pop("source_file") == name
+    assert_same(json.dumps(report, sort_keys=True), json.dumps(stored, sort_keys=True), case)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import warnings
 from dataclasses import replace
@@ -27,6 +28,8 @@ from rydstats import (
     zeta_to_param,
 )
 from rydstats import pipeline
+from rydstats._roots import X_TOL, BracketError, bisect_bracket, bisect_monotone
+from rydstats.errors import NumericalError
 from rydstats.fock import _poisson_terms
 from rydstats.pipeline import (
     INPUT_KINDS,
@@ -379,25 +382,82 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
     def test_columns_equal_per_point_public_path(self, kind):
-        # the stage matrices and the shared zeta curve built once per sweep
-        # give, bit for bit, what the public functions give point by point
-        cfg = make_cfg(kind=kind, n_max=40, trials=2_000)
-        lo, hi = cfg.compression_band
-        assert lo != hi
+        # the grid, evaluated as arrays, gives bit for bit what the public
+        # functions give point by point, the curve's end values (which
+        # the bisection returns without a step) included
+        for n_max in (12, 40, 100):
+            cfg = make_cfg(kind=kind, n_max=n_max, trials=2_000)
+            lo, hi = cfg.compression_band
+            assert lo != hi
+            medium = medium_matrix(cfg)
+            f, p_hi = _zeta_curve(cfg)
+            grid = [f(_P_FLOOR), *np.geomspace(1e-3, 0.9 * f(p_hi), 6).tolist(), f(p_hi)]
+            result = sweep(cfg, grid, medium)
+            assert [pt.param for pt in result.points[::len(grid) - 1]] == [_P_FLOOR, p_hi]
+            for pt, zeta in zip(result.points, grid, strict=True):
+                param = zeta_to_param(cfg, zeta)
+                src = source_distribution(cfg, param)
+                band = sorted(post_blockade_distribution(replace(cfg, eta_compression=ec), src,
+                                                         medium).g2() for ec in (lo, hi))
+                expected = SweepPoint(
+                    zeta, param, src.g2(), post_blockade_distribution(cfg, src, medium).g2(),
+                    efficiency(cfg, src, medium), *band,
+                )
+                assert pt == expected, n_max
+                assert pt.g2_out_lo < pt.g2_out_hi
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    @pytest.mark.parametrize("n_max", [12, 40, 100])
+    def test_curve_of_an_array_is_the_curve_of_each_element(self, kind, n_max):
+        f, hi = _zeta_curve(make_cfg(kind=kind, n_max=n_max))
+        dense = np.geomspace(_P_FLOOR, hi, 200_000)
+        # with the parameters whose np.log differs from math.log, if any here
+        odd = dense[np.log(dense) != [math.log(v) for v in dense.tolist()]]
+        x = np.concatenate([dense[::100], odd])
+        assert f(x).tolist() == [f(v) for v in x.tolist()]
+
+    def test_empty_grid(self):
+        cfg = make_cfg(kind="wcs", n_max=12, trials=1_000)
+        assert sweep(cfg, [], medium_matrix(cfg)).points == []
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5], ids=["nan", "unattainable"])
+    def test_failing_point_raises_its_per_point_error(self, kind, bad):
+        cfg = make_cfg(kind=kind, n_max=40, trials=1_000)
+        with pytest.raises(ValidationError) as alone:
+            zeta_to_param(cfg, bad)
+        with pytest.raises(ValidationError) as swept:
+            sweep(cfg, [0.01, 0.05, bad, 0.1], medium_matrix(cfg))
+        assert str(swept.value) == str(alone.value)
+        assert "not attainable" in str(alone.value)
+
+    def test_first_failing_point_decides_the_error(self):
+        # g2 underflows at every point, a later stage than the inversion,
+        # so the point before the NaN raises first, as when alone
+        cfg = make_cfg(kind="wcs", n_max=40, trials=1_000, eta_eit=5e-324)
         medium = medium_matrix(cfg)
-        grid = [0.01, 0.05, 0.2]
-        result = sweep(cfg, grid, medium)
-        for pt, zeta in zip(result.points, grid):
-            param = zeta_to_param(cfg, zeta)
-            src = source_distribution(cfg, param)
-            band = sorted(g2_after_storage(replace(cfg, eta_compression=ec), src, medium)
-                          for ec in (lo, hi))
-            expected = SweepPoint(
-                zeta, param, src.g2(), g2_after_storage(cfg, src, medium),
-                efficiency(cfg, src, medium), *band,
-            )
-            assert pt == expected
-            assert pt.g2_out_lo < pt.g2_out_hi
+        with pytest.raises(NumericalError, match="square underflows"):
+            sweep(cfg, [0.01, float("nan")], medium)
+        with pytest.raises(ValidationError, match="strength nan not attainable"):
+            sweep(cfg, [float("nan"), 0.01], medium)
+
+    @pytest.mark.parametrize("x_tol", [0.0, X_TOL, 1e-3])
+    def test_batched_bisection_steps_each_element_as_alone(self, x_tol):
+        # elements stop at different steps: at the width, at the fixed
+        # point or at MAX_ITER; each takes the midpoints it takes alone
+        below = [lambda x, c=c: x < c for c in (0.3, 1e-300, 0.75, 0.0, 1.0, 0.5 + 1e-16)]
+        lo, hi = np.zeros(len(below)), np.ones(len(below))
+        a, b = bisect_bracket(lambda x: np.array([f(v) for f, v in zip(below, x)]), lo, hi,
+                              x_tol=x_tol)
+        alone = [bisect_bracket(f, 0.0, 1.0, x_tol=x_tol) for f in below]
+        assert list(zip(a.tolist(), b.tolist())) == alone
+
+    def test_batched_inversion_equals_each_target_alone(self):
+        targets = [0.0, 0.3, 8.0, 1e-20, 2.0 ** (1 / 3), 5.0]
+        roots = bisect_monotone(lambda x: x**3, 0.0, 2.0, np.array(targets))
+        assert roots.tolist() == [bisect_monotone(lambda x: x**3, 0.0, 2.0, t) for t in targets]
+        with pytest.raises(BracketError, match=r"target 9\.0 outside"):
+            bisect_monotone(lambda x: x**3, 0.0, 2.0, np.array([0.3, 9.0, -1.0]))
 
     @pytest.mark.parametrize("kind", ["dlcz", "wcs"])
     def test_no_matrix_products(self, kind, monkeypatch):
@@ -415,3 +475,42 @@ class TestSweep:
         post_blockade_distribution(cfg, src, medium)
         g2_after_storage(replace(cfg, eta_compression=0.45), src, medium)
         efficiency(cfg, src, medium)
+
+
+class TestEventOracle:
+    """A virtual experiment for the wcs sweep: Poisson photon counts placed
+    one by one in the cloud, written apart from the blockade module."""
+
+    @staticmethod
+    def survivors(mean, length, radius, trials, rng):
+        """Survivor counts of ``trials`` pulses of Poisson(``mean``) photons,
+        each placed uniformly on [0, ``length``] in arrival order and kept
+        when it lies more than ``radius`` from every earlier survivor."""
+        n = rng.poisson(mean, trials)
+        placed = np.full((trials, max(int(n.max()), 1)), np.nan)  # NaN: no survivor
+        kept = np.zeros(trials, dtype=np.int64)
+        for j in range(int(n.max())):
+            x = rng.uniform(0.0, length, trials)
+            blocked = (np.abs(placed - x[:, None]) <= radius).any(axis=1)
+            keep = (n > j) & ~blocked
+            placed[keep, kept[keep]] = x[keep]
+            kept += keep
+        return kept
+
+    def test_wcs_g2_out_at_high_zeta(self):
+        cfg = PipelineConfig(input_kind="wcs")
+        pt = sweep(cfg, [0.4], medium_matrix(cfg)).points[0]
+        # the photons that reach the cloud: compression and half the EIT loss
+        mean = pt.param * np.sqrt(cfg.eta_eit) * cfg.eta_compression
+        b = cfg.blockade
+        k = self.survivors(mean, b.cloud_length, b.blockade_radius, 600_000,
+                           np.random.default_rng(2024)).astype(float)
+        pairs = k * (k - 1)
+        g2 = pairs.mean() / k.mean() ** 2
+        # delta method on (mean of k(k-1), mean of k)
+        grad = np.array([1.0 / k.mean() ** 2, -2.0 * pairs.mean() / k.mean() ** 3])
+        se = np.sqrt(grad @ np.cov(np.stack([pairs, k])) @ grad / k.size)
+        assert abs(g2 - pt.g2_out) < 4 * se
+        # 4 se is well below the rise of g2_out from its low-zeta plateau
+        # (0.092 at zeta = 0.05, 11 se below this estimate)
+        assert se < 0.02 * pt.g2_out
