@@ -37,10 +37,11 @@ from .fock import DEFAULT_N_MAX
 from .pipeline import (
     INPUT_KINDS,
     PipelineConfig,
+    _in_one_batch,
+    _zeta_to_params,
     cloud_input_distribution,
     medium_matrix,
     sweep,
-    zeta_to_param,
 )
 from .ratemodel import (
     EfficiencyTable,
@@ -371,12 +372,20 @@ def _figs3(args, cfg: RunConfig, out: Path) -> None:
 
 
 def _figs5(args, cfg: RunConfig, out: Path) -> None:
+    named = {}
+    for zeta in cfg.zeta_values:
+        name = f"zeta_{zeta:g}"
+        if name in named:
+            raise ValidationError(f"zeta values {named[name]} and {zeta} would share the columns "
+                                  + " and ".join(f"{kind}_{name}" for kind in INPUT_KINDS))
+        named[name] = zeta
     columns = {}
     for kind in INPUT_KINDS:
         pcfg = _pipeline_config(cfg, kind, N_MAX_DEFAULTS["figS5"], slow_light=False)
-        for zeta in cfg.zeta_values:
-            dist = cloud_input_distribution(pcfg, zeta_to_param(pcfg, zeta))
-            columns[f"{kind}_zeta_{zeta:g}"] = dist.probs
+        dists = _in_one_batch(lambda z: [cloud_input_distribution(pcfg, param).probs
+                                         for param in _zeta_to_params(pcfg, z).tolist()],
+                              list(named.values()))
+        columns.update((f"{kind}_{name}", probs) for name, probs in zip(named, dists))
     path = out / "figS5_distributions.csv"
     rows = enumerate(zip(*columns.values()))
     write_table(path, ["k", *columns], ((k, *row) for k, row in rows))

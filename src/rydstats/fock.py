@@ -55,7 +55,7 @@ class FockDistribution:
 
     def mean_photons(self) -> float:
         """Mean photon number, sum(k * p_k)."""
-        return float(_dot_rows(self.probs, np.arange(self.probs.size, dtype=float)))
+        return _dot_rows(self.probs[None], np.arange(self.probs.size, dtype=float)).item()
 
     def g2(self) -> float:
         """Zero-delay autocorrelation, sum(k(k-1) p_k) / [sum(k p_k)]^2.
@@ -63,7 +63,7 @@ class FockDistribution:
         Equals 1 for Poissonian light, 0 for a single photon, and is
         invariant under linear loss.  Undefined on vacuum.
         """
-        return float(_mean_and_g2(self.probs)[1])
+        return _mean_and_g2(self.probs[None])[1].item()
 
     def zeta(self) -> float:
         """Multiphoton strength: P(k >= 2) / P(k >= 1), in [0, 1]."""
@@ -93,29 +93,27 @@ def _normalized(rows: np.ndarray) -> np.ndarray:
     return rows / total
 
 
-def _dot_rows(rows: np.ndarray, v: np.ndarray):
-    """The dot product of ``v`` with one row or with each row of a stack.
-    A stacked (1, n) by (n, 1) matmul takes, per row, the dot product that
+def _dot_rows(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dot product of ``v`` with each row of a stack.  A stacked
+    (1, n) by (n, 1) matmul takes, per row, the dot product that
     ``np.dot`` takes for one; ``rows @ v``, a matrix-vector product, sums
     in another order."""
-    if rows.ndim == 1:
-        return np.dot(v, rows)
     return np.matmul(rows[:, None, :], v[:, None])[:, 0, 0]
 
 
 def _mean_and_g2(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean photon number and g2 (see :meth:`FockDistribution.g2`) of each
-    normalized row of ``rows``."""
+    normalized row of the stack ``rows``."""
     k = np.arange(rows.shape[-1], dtype=float)
     mean = _dot_rows(rows, k)
     if np.any(mean <= 0.0):
         raise ValidationError("g2 is undefined for a zero-mean (vacuum) state")
     fac2 = _dot_rows(rows, k * (k - 1))
     # Python's power of a float, which can differ from mean * mean in the last bit
-    square = np.reshape([m**2 for m in np.ravel(mean).tolist()], mean.shape)
+    square = np.array([m**2 for m in mean.tolist()])
     if np.any(square == 0.0):
         raise NumericalError(
-            f"g2 is undefined at mean photon number {np.extract(square == 0.0, mean)[0]:.3g}: "
+            f"g2 is undefined at mean photon number {mean[square == 0.0][0]:.3g}: "
             "its square underflows"
         )
     return mean, fac2 / square
@@ -191,8 +189,8 @@ def coherent_mu_upper_bound(n_max: int) -> float:
     tail tolerance (used to bracket root searches)."""
 
     def fits(mu):
-        return _poisson_terms(mu, n_max)[1] < TAIL_TOLERANCE
+        return np.array([_poisson_terms(m, n_max)[1] < TAIL_TOLERANCE for m in mu.tolist()])
 
     # Poisson(n_max) keeps more than a quarter of its mass beyond n_max,
     # so mu = n_max never fits.
-    return bisect_bracket(fits, 0.0, float(n_max))[0]
+    return bisect_bracket(fits, np.zeros(1), np.array([float(n_max)]))[0].item()

@@ -209,8 +209,8 @@ def _zeta_curve(cfg: PipelineConfig):
     least j of n photons reach the cloud.  The tables are built here,
     once; one evaluation is a length-n_max power (dlcz) or exp (wcs) and
     two dot products against them, with no matrix product and no pmf.
-    Either curve maps a float to a float and an array of parameters to the
-    array of their values, each with the bits that it has alone.
+    Either curve maps a 1-D array of parameters to the array of their
+    values, each with the bits that it has in a batch of one.
     """
     n_max = cfg.blockade.n_max
     if cfg.input_kind == "dlcz":
@@ -233,21 +233,17 @@ def _zeta_curve(cfg: PipelineConfig):
 # The two curves are module-level functions, bound to their tables with
 # partial, so that a config that caches one still pickles.
 def _dlcz_zeta(u1, u2, exponents, p):
-    batch = isinstance(p, np.ndarray)
-    powers = (p[:, None] if batch else p) ** exponents
-    zeta = _dot_rows(powers, u2) / _dot_rows(powers, u1)
-    return zeta if batch else float(zeta)
+    powers = p[:, None] ** exponents
+    return _dot_rows(powers, u2) / _dot_rows(powers, u1)
 
 
 def _wcs_zeta(k, log_factorial, mu):
-    batch = isinstance(mu, np.ndarray)
     # math.log, as np.log can differ from it in the last bit
-    log_mu = np.array([math.log(x) for x in mu.tolist()])[:, None] if batch else math.log(mu)
+    log_mu = np.array([math.log(x) for x in mu.tolist()])[:, None]
     log_terms = k * log_mu - log_factorial
-    terms = np.exp(log_terms - np.maximum.reduce(log_terms, axis=-1, keepdims=True))
-    ge2 = np.add.reduce(terms[..., 1:], axis=-1)
-    zeta = ge2 / (terms[..., 0] + ge2)
-    return zeta if batch else float(zeta)
+    terms = np.exp(log_terms - np.maximum.reduce(log_terms, axis=1, keepdims=True))
+    ge2 = np.add.reduce(terms[:, 1:], axis=1)
+    return ge2 / (terms[:, 0] + ge2)
 
 
 def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
@@ -263,15 +259,14 @@ def zeta_to_param(cfg: PipelineConfig, zeta: float) -> float:
     NumericalError
         If the bisection's residual check fails.
     """
-    return _zeta_to_params(cfg, zeta)
+    return _zeta_to_params(cfg, np.array([zeta])).item()
 
 
-def _zeta_to_params(cfg: PipelineConfig, zeta):
-    """:func:`zeta_to_param` of a float, or of each element of an array in
-    one batched bisection."""
+def _zeta_to_params(cfg: PipelineConfig, zetas: np.ndarray) -> np.ndarray:
+    """:func:`zeta_to_param` of each element of the 1-D array ``zetas``."""
     f, hi = cfg._zeta_inverse
     try:
-        return bisect_monotone(f, _P_FLOOR, hi, zeta)
+        return bisect_monotone(f, _P_FLOOR, hi, zetas)
     except BracketError as exc:
         raise ValidationError(
             f"multiphoton strength {exc.target} not attainable for {cfg.input_kind} "
@@ -318,15 +313,21 @@ def sweep(cfg: PipelineConfig, zeta_grid, medium: TransferMatrix) -> SweepResult
         _pre_blockade_matrix(cfg, ec) for ec in (cfg.eta_compression, *cfg.compression_band)
     ]
     zetas = [float(zeta) for zeta in zeta_grid]
-    try:
-        columns = _sweep_columns(cfg, np.array(zetas), medium, thinnings)
-    except (ValidationError, NumericalError):
-        # Alone, a point runs its checks in the order of the columns, so
-        # the first point that fails raises the error it raises alone.
-        for zeta in zetas:
-            _sweep_columns(cfg, np.array([zeta]), medium, thinnings)
-        raise
+    columns = _in_one_batch(lambda z: _sweep_columns(cfg, z, medium, thinnings), zetas)
     return SweepResult([SweepPoint(*row) for row in zip(zetas, *(c.tolist() for c in columns))])
+
+
+def _in_one_batch(run, values: list[float]):
+    """``run`` on the array of ``values``.  If that fails, ``run`` on each
+    value alone, in order, so that the error raised is the one that the
+    first value to fail raises alone, at the first of its checks that
+    fails; the batch's own error only if no value fails alone."""
+    try:
+        return run(np.array(values))
+    except (ValidationError, NumericalError):
+        for value in values:
+            run(np.array([value]))
+        raise
 
 
 def _sweep_columns(cfg: PipelineConfig, zetas: np.ndarray, medium: TransferMatrix,

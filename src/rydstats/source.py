@@ -17,7 +17,7 @@ import numpy as np
 
 from ._roots import BracketError, bisect_bracket, bisect_monotone
 from .errors import NumericalError, ValidationError, _check_count
-from .fock import DEFAULT_N_MAX, TAIL_TOLERANCE, FockDistribution
+from .fock import DEFAULT_N_MAX, TAIL_TOLERANCE, FockDistribution, _mean_and_g2, _normalized
 
 #: Write-path transmission (including detection) used when none is given.
 DEFAULT_T_W = 0.21
@@ -67,32 +67,31 @@ def _herald_weights(t_w: float, n_max: int) -> np.ndarray:
     return np.ldexp(weights, 1 - math.frexp(t_w)[1])
 
 
-def _read_state_terms(p, t_w: float, n_max: int) -> np.ndarray:
-    """Unnormalized heralded read-state vector including its exact
-    normalization prefactor; sums to 1 - (discarded tail).  Dividing by
-    2^k t_w undoes the herald weights' scale, so a normal entry has the
-    bits that dividing the unscaled weights by t_w gives.  A 1-D array
-    ``p`` gives one vector per element, as rows."""
-    rows = isinstance(p, np.ndarray)
-    terms = np.zeros((p.size, n_max + 1) if rows else n_max + 1)
-    if rows:
-        p = p[:, None]
-    n = np.arange(1, n_max + 1, dtype=float)
+def _read_state_terms(p: np.ndarray, t_w: float, weights: np.ndarray) -> np.ndarray:
+    """Unnormalized heralded read-state vectors including their exact
+    normalization prefactor, one row per element of the 1-D array ``p``,
+    from the ``weights`` of :func:`_herald_weights`; each sums to
+    1 - (discarded tail).  Dividing by 2^k t_w undoes the weights' scale,
+    so a normal entry has the bits that dividing the unscaled weights by
+    t_w gives."""
+    terms = np.zeros((p.size, weights.size + 1))
+    p = p[:, None]
     prefactor = (1.0 - p) * (1.0 - p * (1.0 - t_w)) / (2.0 * math.frexp(t_w)[0])
-    terms[..., 1:] = prefactor * p ** (n - 1.0) * _herald_weights(t_w, n_max)
+    # the powers n - 1 for n = 1..n_max
+    terms[:, 1:] = prefactor * p ** np.arange(weights.size, dtype=float) * weights
     return terms
 
 
-def _read_state_rows(p, t_w: float, n_max: int) -> np.ndarray:
+def _read_state_rows(p: np.ndarray, t_w: float, n_max: int) -> np.ndarray:
     """:func:`_read_state_terms`, after the check of
     :func:`conditional_read_state` on the tail that they discard."""
-    terms = _read_state_terms(p, t_w, n_max)
+    terms = _read_state_terms(p, t_w, _herald_weights(t_w, n_max))
     tail = 1.0 - terms.sum(axis=-1)
     bad = tail >= TAIL_TOLERANCE
     if np.any(bad):
         raise NumericalError(
-            f"read-state tail beyond n_max={n_max} is {np.extract(bad, tail)[0]:.2e} for "
-            f"p={np.extract(bad, p)[0]}; increase n_max"
+            f"read-state tail beyond n_max={n_max} is {tail[bad][0]:.2e} for "
+            f"p={p[bad][0]}; increase n_max"
         )
     return terms
 
@@ -111,7 +110,7 @@ def conditional_read_state(model: SourceModel, n_max: int = DEFAULT_N_MAX) -> Fo
         (the analytic trace of the full state is exactly 1).
     """
     _check_count("n_max", n_max, 1)  # the heralded state has no vacuum term
-    return FockDistribution(_read_state_rows(model.p, model.t_w, n_max))
+    return FockDistribution(_read_state_rows(np.array([model.p]), model.t_w, n_max)[0])
 
 
 def read_state_p_upper_bound(t_w: float, n_max: int) -> float:
@@ -119,13 +118,14 @@ def read_state_p_upper_bound(t_w: float, n_max: int) -> float:
     truncation at ``n_max`` (tail just below tolerance).  Used to bracket
     root searches over p."""
     target = 0.999 * TAIL_TOLERANCE
+    weights = _herald_weights(t_w, n_max)
 
     def fits(p):
-        return 1.0 - _read_state_terms(p, t_w, n_max).sum() < target
+        return 1.0 - _read_state_terms(p, t_w, weights).sum(axis=1) < target
 
     # p = 1 - 1e-12 never fits: each term is at most 2e-12 (n 2e-24 for
     # t_w < 1e-12), so the largest n_max keeps under 0.3% of the mass.
-    return bisect_bracket(fits, 0.0, 1.0 - 1e-12)[0]
+    return bisect_bracket(fits, np.zeros(1), np.array([1.0 - 1e-12]))[0].item()
 
 
 def infer_p_from_g2(
@@ -148,11 +148,12 @@ def infer_p_from_g2(
     _check_t_w(t_w)
     _check_count("n_max", n_max, 1)
     p_hi = read_state_p_upper_bound(t_w, n_max)
+    weights = _herald_weights(t_w, n_max)
     try:
         return bisect_monotone(
-            lambda p: FockDistribution(_read_state_terms(p, t_w, n_max)).g2(),
-            _P_FLOOR, p_hi, g2_target,
-        )
+            lambda p: _mean_and_g2(_normalized(_read_state_terms(p, t_w, weights)))[1],
+            _P_FLOOR, p_hi, np.array([g2_target]),
+        ).item()
     except BracketError as exc:
         raise ValidationError(
             f"g2 target {g2_target} outside the attainable range at "

@@ -31,12 +31,13 @@ from rydstats import (
     medium_matrix,
     synthesize,
 )
-from rydstats import cli
+from rydstats import cli, pipeline, source
 from rydstats.blockade import _stretched
 from rydstats._table import read_table
 from rydstats.cli import _blockade_config, _pipeline_config, _rate_model, main
 from rydstats.config import _KEYS, RunConfig, _float_list, parse_config_file
 from rydstats.errors import NumericalError, ValidationError
+from rydstats.pipeline import _zeta_to_params
 
 from golden.cases import CASES, INPUTS, run_case
 
@@ -524,6 +525,31 @@ class TestReproduceCommands:
         assert "out of range for zeta_values" in capsys.readouterr().err
         assert not (tmp_path / "figS5_distributions.csv").exists()
 
+    @pytest.mark.parametrize("values, first, second", [
+        ("0.01,0.0100000001,0.05", "0.01", "0.0100000001"),
+        ("0.05,0.05", "0.05", "0.05"),
+    ], ids=["print-alike", "repeated"])
+    @pytest.mark.parametrize("given_by", ["flag", "file"])
+    def test_figS5_refuses_values_that_share_a_column(self, tmp_path, capsys, monkeypatch,
+                                                      given_by, values, first, second):
+        # each value names its columns with %g; two that print alike would
+        # write one column each, and the first value's would hold the second's
+        # distribution.  The list is refused before any inversion.
+        def refuse(*args):
+            raise AssertionError("zeta inverted")
+
+        monkeypatch.setattr(cli, "_zeta_to_params", refuse)
+        if given_by == "flag":
+            argv = ["reproduce", "figS5", "--zeta", values]
+        else:
+            (tmp_path / "run.cfg").write_text(f"zeta_values = {values}\n")
+            argv = ["--config", tmp_path / "run.cfg", "reproduce", "figS5"]
+        assert run(["--out", tmp_path / "out", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: zeta values {first} and {second} would share the columns "
+            f"dlcz_zeta_{first} and wcs_zeta_{first}\n")
+        assert not (tmp_path / "out" / "figS5_distributions.csv").exists()
+
     def test_figS3_nan_efficiency_row_writes_nothing(self, tmp_path, capsys):
         table = tmp_path / "eff.csv"
         table.write_text("p_w,eta\n0.001,0.3\n0.01,nan\n0.05,0.1\n")
@@ -602,6 +628,47 @@ class TestReproduceCommands:
 
     def test_unknown_figure_is_usage_error(self, tmp_path):
         assert run(["--out", tmp_path, "reproduce", "fig9"]) == 1
+
+
+@pytest.mark.parametrize("figure", ["fig3", "figS5"])
+class TestBatchRerun:
+    """fig3's sweep and figS5 take each input kind's zeta values in one
+    batch and, if it fails, each value alone."""
+
+    def run(self, figure, tmp_path, zetas):
+        flag = ["--zeta-range", f"{zetas},2"] if figure == "fig3" else ["--zeta", zetas]
+        return run(["--out", tmp_path, "reproduce", figure, "--n-max", 40, *flag])
+
+    def test_batch_error_when_no_value_fails_alone(self, figure, tmp_path, capsys,
+                                                   monkeypatch):
+        sizes = []
+
+        def batch_fails(cfg, zetas):
+            sizes.append(zetas.size)
+            if zetas.size > 1:
+                raise NumericalError(f"batch of {zetas.size}")
+            return _zeta_to_params(cfg, zetas)
+
+        for module in (pipeline, cli):
+            monkeypatch.setattr(module, "_zeta_to_params", batch_fails)
+        assert self.run(figure, tmp_path, "0.01,0.05") == 3
+        assert capsys.readouterr().err == "numerical failure: batch of 2\n"
+        assert sizes == [2, 1, 1]
+
+    def test_first_value_to_fail_decides(self, figure, tmp_path, capsys, monkeypatch):
+        # 0.05 fails in its source state, after its inversion; 1.5 fails at
+        # its inversion.  The batch meets 1.5's error first, but alone 0.05
+        # fails first, so its error wins, as when figS5 took one value at a time.
+        def fails(p, t_w, n_max):
+            raise NumericalError(f"read state at p={p[0]:.3g}")
+
+        for module in (pipeline, source):
+            monkeypatch.setattr(module, "_read_state_rows", fails)
+        assert self.run(figure, tmp_path, "0.05,1.5") == 3
+        assert capsys.readouterr().err.startswith("numerical failure: read state at p=")
+        monkeypatch.undo()
+        assert self.run(figure, tmp_path, "0.05,1.5") == 2
+        assert "strength 1.5 not attainable for dlcz" in capsys.readouterr().err
 
 
 class TestFitPegCommand:

@@ -976,6 +976,41 @@ class TestBootstrap:
         assert bootstrap_error(data, resamples=300, seed=42) == self.reference_error(
             classes, class_counts, WINDOWS, 300, 42)
 
+    @staticmethod
+    def delta_method_error(data):
+        """First-order standard error of the noise-corrected g2 from the
+        pattern table alone.  With m the per-trial means of (sig1, sig2,
+        sig1 sig2, noise1, noise2) and c_i a signal window over the noise
+        window, the corrected g2 is 1 - (m1 m2 - m12) / (d1 d2), with
+        d_i = m_i - c_i mn_i; its variance is grad' C grad / N, C the
+        per-trial covariance of the empirical distribution."""
+        sig1, sig2, noise1, noise2 = data.patterns.astype(float)
+        x = np.stack([sig1, sig2, sig1 * sig2, noise1, noise2])
+        p = data.weights / data.n_trials
+        m = x @ p
+        cov = (x - m[:, None]) * p @ (x - m[:, None]).T
+        c1, c2 = (length / data.windows.noise_length for length in data.windows.signal_lengths)
+        m1, m2, m12, mn1, mn2 = m
+        d1, d2 = m1 - c1 * mn1, m2 - c2 * mn2
+        num, den = m1 * m2 - m12, d1 * d2
+        grad = -np.array([m2 * den - num * d2, m1 * den - num * d1, -den,
+                          num * c1 * d2, num * c2 * d1]) / den**2
+        return float(np.sqrt(grad @ cov @ grad / data.n_trials))
+
+    def test_agrees_with_the_delta_method(self):
+        # the corrected g2 is a smooth function of five multinomial sums,
+        # so at 1e5 trials the bootstrap error is the delta method's within
+        # the bootstrap's own scatter, about SE / sqrt(2 (R - 1)); without
+        # the noise correction the delta method's SE here is 26% lower
+        stream = synthesize(conditional_read_state(SourceModel(0.3, 0.21), 30), 100_000,
+                            WINDOWS, noise_rates_hz=(2e5, 3e5), seed=7)
+        data = count_trials(stream, WINDOWS)
+        assert data.patterns[2:].max() >= 2
+        resamples = 1000
+        expected = self.delta_method_error(data)
+        err = bootstrap_error(data, resamples=resamples, seed=7)
+        assert abs(err - expected) <= 3 * expected / np.sqrt(2 * (resamples - 1))
+
     def test_too_few_resamples(self):
         data = self.make_data(1000)
         with pytest.raises(ValidationError):

@@ -149,7 +149,7 @@ class TestPoissonAgainstScipy:
     @pytest.mark.parametrize("n_max", [1, 3, 20, 100, 150])
     def test_mu_upper_bound(self, n_max):
         expected = bisect_bracket(lambda mu: poisson.sf(n_max, mu) < TAIL_TOLERANCE,
-                                  0.0, float(n_max))[0]
+                                  np.zeros(1), np.array([float(n_max)]))[0].item()
         assert coherent_mu_upper_bound(n_max) == pytest.approx(expected, rel=1e-12)
 
 

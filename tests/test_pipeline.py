@@ -37,7 +37,7 @@ from rydstats.pipeline import (
     _pre_blockade_matrix,
     _zeta_curve,
 )
-from rydstats.source import _P_FLOOR, _read_state_terms
+from rydstats.source import _P_FLOOR, _herald_weights, _read_state_terms
 from rydstats.transfer import TransferMatrix
 
 
@@ -47,6 +47,11 @@ TINY_T_W = [1e-300, 1e-310, 2e-320, 1.5e-323, 5e-324]
 #: Transmissions from the smallest double to 1, across the subnormal band.
 TRANSMISSIONS = [5e-324, 1.5e-323, 2e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-12,
                  0.21, 1.0]
+
+
+def at(f, x):
+    # a zeta curve at one parameter, as a batch of one
+    return f(np.array([x])).item()
 
 
 def make_cfg(kind="dlcz", n_max=24, trials=20_000, **kwargs):
@@ -255,17 +260,19 @@ class TestZetaInversion:
         f, hi = _zeta_curve(cfg)
         x = hi if frac == 1.0 else _P_FLOOR + frac * (hi - _P_FLOOR)
         if kind == "dlcz":
-            terms = loss_matrix(cfg.t_losses, n_max).matrix @ _read_state_terms(x, cfg.t_w, n_max)
+            weights = _herald_weights(cfg.t_w, n_max)
+            src = _read_state_terms(np.array([x]), cfg.t_w, weights)[0]
+            terms = loss_matrix(cfg.t_losses, n_max).matrix @ src
         else:
             terms = _poisson_terms(x, n_max)[0]
-        assert f(x) == pytest.approx(FockDistribution(terms).zeta(), rel=1e-14, abs=0.0)
+        assert at(f, x) == pytest.approx(FockDistribution(terms).zeta(), rel=1e-14, abs=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(INPUT_KINDS), frac=st.floats(0.0, 1.0))
     def test_zeta_param_zeta_round_trip(self, kind, frac):
         cfg = make_cfg(kind=kind, n_max=64)
         f, hi = _zeta_curve(cfg)
-        zeta = f(_P_FLOOR) + frac * (f(hi) - f(_P_FLOOR))
+        zeta = at(f, _P_FLOOR) + frac * (at(f, hi) - at(f, _P_FLOOR))
         param = zeta_to_param(cfg, zeta)
         assert abs(cloud_input_distribution(cfg, param).zeta() - zeta) < 1e-9
 
@@ -318,7 +325,7 @@ class TestZetaInversion:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 f, hi = _zeta_curve(cfg)
-                values = np.array([f(x) for x in np.linspace(_P_FLOOR, hi, 200)])
+                values = np.array([at(f, x) for x in np.linspace(_P_FLOOR, hi, 200)])
             assert np.all(np.isfinite(values)), (t_w, t_losses)
             assert np.diff(values).min() >= -1e-12, (t_w, t_losses)
 
@@ -391,7 +398,8 @@ class TestSweep:
             assert lo != hi
             medium = medium_matrix(cfg)
             f, p_hi = _zeta_curve(cfg)
-            grid = [f(_P_FLOOR), *np.geomspace(1e-3, 0.9 * f(p_hi), 6).tolist(), f(p_hi)]
+            grid = [at(f, _P_FLOOR), *np.geomspace(1e-3, 0.9 * at(f, p_hi), 6).tolist(),
+                    at(f, p_hi)]
             result = sweep(cfg, grid, medium)
             assert [pt.param for pt in result.points[::len(grid) - 1]] == [_P_FLOOR, p_hi]
             for pt, zeta in zip(result.points, grid, strict=True):
@@ -414,7 +422,7 @@ class TestSweep:
         # with the parameters whose np.log differs from math.log, if any here
         odd = dense[np.log(dense) != [math.log(v) for v in dense.tolist()]]
         x = np.concatenate([dense[::100], odd])
-        assert f(x).tolist() == [f(v) for v in x.tolist()]
+        assert f(x).tolist() == [at(f, v) for v in x.tolist()]
 
     def test_empty_grid(self):
         cfg = make_cfg(kind="wcs", n_max=12, trials=1_000)
@@ -449,13 +457,15 @@ class TestSweep:
         lo, hi = np.zeros(len(below)), np.ones(len(below))
         a, b = bisect_bracket(lambda x: np.array([f(v) for f, v in zip(below, x)]), lo, hi,
                               x_tol=x_tol)
-        alone = [bisect_bracket(f, 0.0, 1.0, x_tol=x_tol) for f in below]
+        ends = [bisect_bracket(f, np.zeros(1), np.ones(1), x_tol=x_tol) for f in below]
+        alone = [(a1.item(), b1.item()) for a1, b1 in ends]
         assert list(zip(a.tolist(), b.tolist())) == alone
 
     def test_batched_inversion_equals_each_target_alone(self):
         targets = [0.0, 0.3, 8.0, 1e-20, 2.0 ** (1 / 3), 5.0]
         roots = bisect_monotone(lambda x: x**3, 0.0, 2.0, np.array(targets))
-        assert roots.tolist() == [bisect_monotone(lambda x: x**3, 0.0, 2.0, t) for t in targets]
+        assert roots.tolist() == [bisect_monotone(lambda x: x**3, 0.0, 2.0, np.array([t])).item()
+                                  for t in targets]
         with pytest.raises(BracketError, match=r"target 9\.0 outside"):
             bisect_monotone(lambda x: x**3, 0.0, 2.0, np.array([0.3, 9.0, -1.0]))
 

@@ -13,7 +13,7 @@ from rydstats import (
     infer_p_from_g2,
     loss_matrix,
 )
-from rydstats.source import _read_state_terms, read_state_p_upper_bound
+from rydstats.source import _herald_weights, _read_state_terms, read_state_p_upper_bound
 
 #: Normal write transmissions, from the smallest normal double to 1.
 NORMAL_T_W = [sys.float_info.min, 1e-300, 1e-12, 0.21, 1 - 2**-53, 1.0]
@@ -77,7 +77,8 @@ class TestConditionalReadState:
             weights = -np.expm1(n * np.log1p(-t_w))
         unscaled = (1.0 - p) * (1.0 - p * (1.0 - t_w)) / t_w * p ** (n - 1.0) * weights
         kept = unscaled >= 2 * n * sys.float_info.min
-        assert np.array_equal(_read_state_terms(p, t_w, n_max)[1:][kept], unscaled[kept])
+        terms = _read_state_terms(np.array([p]), t_w, _herald_weights(t_w, n_max))[0]
+        assert np.array_equal(terms[1:][kept], unscaled[kept])
 
     def test_component_ratio(self):
         # p_{n+1}/p_n = p [1-(1-t_w)^{n+1}] / [1-(1-t_w)^n]; 0.179 at
