@@ -94,6 +94,10 @@ def exact_pair_survival(r_b: float, cloud_length: float) -> float:
 #: levels deep.
 EXACT_MAX_RADII = 4.0
 
+#: Longest segment, in blockade radii, whose series the recursion takes
+#: from the closed form of :func:`_leaf_probs` (the tests lower it).
+_LEAF_RADII = 2.0
+
 #: Values per batch of quadrature nodes (series length times nodes); bounds
 #: the recursion's memory at any truncation.
 _BATCH_VALUES = 1 << 16
@@ -163,27 +167,26 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, length, axis=1) @ y[:, ::-1]
 
 
-def _series(g: np.ndarray, n: int, s: float, nodes: int, leaf_max: float) -> np.ndarray:
-    """Series of every segment in ``g``: up to ``leaf_max`` radii the
-    closed form of :func:`_leaf_probs` times (s g)^m / m!, the recursion
-    beyond."""
-    leaf = g <= leaf_max
+def _series(g: np.ndarray, n: int, s: float) -> np.ndarray:
+    """Series of every segment in ``g``: up to ``_LEAF_RADII`` the closed
+    form of :func:`_leaf_probs` times (s g)^m / m!, the recursion beyond."""
+    leaf = g <= _LEAF_RADII
     shallow = _leaf_probs(g[leaf], n) * _exp_series(s * g[leaf], n)[:, :, None]
     if leaf.all():
         return shallow
-    deep = _recurse(g[~leaf], n, s, nodes, leaf_max)
+    deep = _recurse(g[~leaf], n, s)
     out = np.zeros((g.size, n + 1, deep.shape[2]))
     out[~leaf] = deep
     out[leaf, :, : shallow.shape[2]] = shallow
     return out
 
 
-def _recurse(gaps: np.ndarray, n: int, s: float, nodes: int, leaf_max: float) -> np.ndarray:
-    """Series of segments longer than ``leaf_max`` radii, integrated over
-    the first survivor's position with ``nodes`` nodes per piece."""
+def _recurse(gaps: np.ndarray, n: int, s: float) -> np.ndarray:
+    """Series of segments longer than ``_LEAF_RADII``, integrated over the
+    first survivor's position with :func:`_quadrature_nodes` per piece."""
     from numpy.polynomial.legendre import leggauss  # only the recursion needs it
 
-    t, w = leggauss(nodes)
+    t, w = leggauss(_quadrature_nodes(n))
     t = (t + 1.0) / 2.0
     x, weight, owner = [], [], []
     for i, length in enumerate(gaps):
@@ -205,7 +208,7 @@ def _recurse(gaps: np.ndarray, n: int, s: float, nodes: int, leaf_max: float) ->
         a = np.maximum(0.0, x[part] - 1.0)
         b = np.maximum(0.0, g - x[part] - 1.0)
         # x <= g / 2 gives a <= b, so left is never wider than right
-        left, right = (_series(gap, n, s, nodes, leaf_max) for gap in (a, b))
+        left, right = (_series(gap, n, s) for gap in (a, b))
         ka, kb = left.shape[2], right.shape[2]
         # survivors of both gaps together: none, either gap's alone, or both
         both = np.zeros((a.size, n + 1, ka + kb + 1))
@@ -235,22 +238,18 @@ def _quadrature_nodes(n_max: int) -> int:
     return min(math.ceil(n_max / 2), math.ceil(2.0 * math.sqrt(n_max)) + 4)
 
 
-def _survivors(radii: float, n_max: int, nodes: int | None = None,
-               leaf_max: float = 2.0) -> np.ndarray:
+def _survivors(radii: float, n_max: int) -> np.ndarray:
     """The transfer matrix P(k | n) of a cloud of ``radii`` blockade radii,
-    k, n = 0..n_max.  ``nodes`` (per piece) and ``leaf_max`` (the longest
-    segment taken from a closed form) exist for the tests."""
-    if radii <= leaf_max:
+    k, n = 0..n_max."""
+    if radii <= _LEAF_RADII:
         table = _leaf_probs(np.array([radii]), n_max)[0]
     else:
-        if nodes is None:
-            nodes = _quadrature_nodes(n_max)
         # The scale keeps (s g)^m / m! within double range up to n_max ~
         # 1300.  A power of two scales every length exactly, so the lengths
         # of the three parts still add up to the whole: an error d in that
         # sum would grow to m d in column m.
         s = 2.0 ** round(math.log2(n_max / (math.e * radii)))
-        series = _recurse(np.array([radii]), n_max, s, nodes, leaf_max)[0]
+        series = _recurse(np.array([radii]), n_max, s)[0]
         n = np.arange(n_max + 1)
         unscale = np.cumprod(np.concatenate([[1.0], n[1:] / (s * radii)]))  # m! / (s L)^m
         table = series * unscale[:, None]

@@ -88,6 +88,11 @@ class PipelineConfig:
         # Built on the first inversion and kept, as the config is frozen.
         return _zeta_curve(self)
 
+    @cached_property
+    def _setup_loss(self) -> TransferMatrix:
+        # Losses between the setups: the dlcz zeta curve and cloud states share it.
+        return loss_matrix(self.t_losses, self.blockade.n_max)
+
 
 def medium_matrix(cfg: PipelineConfig, threads: int = 1) -> TransferMatrix:
     """The blockade matrix of ``cfg.blockade``: :func:`exact_matrix` for a
@@ -115,7 +120,7 @@ def cloud_input_distribution(cfg: PipelineConfig, param: float) -> FockDistribut
     quoted for this state."""
     src = source_distribution(cfg, param)
     if cfg.input_kind == "dlcz":
-        return loss_matrix(cfg.t_losses, cfg.blockade.n_max).apply(src)
+        return cfg._setup_loss.apply(src)
     return src
 
 
@@ -132,7 +137,7 @@ def _pre_blockade_matrix(cfg: PipelineConfig, eta_compression: float) -> Transfe
     return loss_matrix(t, cfg.blockade.n_max)
 
 
-def _check_n_max(cfg: PipelineConfig, **parts) -> None:
+def _check_same_n_max(cfg: PipelineConfig, **parts) -> None:
     for name, part in parts.items():
         if part.n_max != cfg.blockade.n_max:
             raise ValidationError(f"{name} n_max={part.n_max} does not match config n_max={cfg.blockade.n_max}")
@@ -160,7 +165,7 @@ def post_blockade_distribution(
     second half of the propagation losses), with the pulse compression
     ``cfg.eta_compression``.  Build the medium once with
     :func:`medium_matrix` and pass it to every call."""
-    _check_n_max(cfg, input=input_dist, medium=medium)
+    _check_same_n_max(cfg, input=input_dist, medium=medium)
     return FockDistribution(
         _propagate(medium, _pre_blockade_matrix(cfg, cfg.eta_compression), input_dist.probs)
     )
@@ -216,7 +221,7 @@ def _zeta_curve(cfg: PipelineConfig):
     if cfg.input_kind == "dlcz":
         # c[n] = p^(n-1) (1 - (1-t_w)^n); the second factor, with its
         # power-of-two scale, which cancels, joins W_j.
-        loss = loss_matrix(cfg.t_losses, n_max).matrix
+        loss = cfg._setup_loss.matrix
         herald = _herald_weights(cfg.t_w, n_max)
         u1 = loss[1:, 1:].sum(axis=0) * herald
         u2 = loss[2:, 1:].sum(axis=0) * herald
@@ -308,7 +313,7 @@ def sweep(cfg: PipelineConfig, zeta_grid, medium: TransferMatrix) -> SweepResult
     A point that fails raises the error that it raises alone: that of the
     first such point, at the first of its checks that fails.
     """
-    _check_n_max(cfg, medium=medium)
+    _check_same_n_max(cfg, medium=medium)
     thinnings = [
         _pre_blockade_matrix(cfg, ec) for ec in (cfg.eta_compression, *cfg.compression_band)
     ]

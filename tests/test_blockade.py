@@ -447,31 +447,33 @@ class TestExactMatrix:
 
     @pytest.mark.parametrize("radii", [1.2, 15.0 / 10.5, 1.9, 2.0])
     @pytest.mark.parametrize("n_max", [12, 100, 130])
-    def test_recursion_gives_closed_form(self, radii, n_max):
+    def test_recursion_gives_closed_form(self, radii, n_max, monkeypatch):
         # forced one level down: the cloud itself goes through the
         # quadrature, with segments of up to one radius as the leaves
         closed = _survivors(radii, n_max)
-        recursed = _survivors(radii, n_max, leaf_max=1.0)
+        monkeypatch.setattr("rydstats.blockade._LEAF_RADII", 1.0)
+        recursed = _survivors(radii, n_max)
         np.testing.assert_allclose(recursed, closed, rtol=0, atol=1e-14)
         assert not recursed[3:].any()
 
     @pytest.mark.parametrize("n_max", [100, 130])
-    def test_nodes_are_converged(self, n_max):
+    def test_nodes_are_converged(self, n_max, monkeypatch):
         radii = 37.5 / 10.5
         nodes = _quadrature_nodes(n_max)
-        np.testing.assert_allclose(_survivors(radii, n_max),
-                                   _survivors(radii, n_max, nodes=2 * nodes),
-                                   rtol=0, atol=1e-13)
+        default = _survivors(radii, n_max)
+        monkeypatch.setattr("rydstats.blockade._quadrature_nodes", lambda n: 2 * nodes)
+        np.testing.assert_allclose(default, _survivors(radii, n_max), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n_max", [4, 7, 12])
-    def test_small_truncations_are_exact(self, n_max):
+    def test_small_truncations_are_exact(self, n_max, monkeypatch):
         # the integrand is a polynomial of degree < n_max on each piece,
         # so ceil(n_max / 2) nodes and any more give the same numbers
         assert _quadrature_nodes(n_max) == math.ceil(n_max / 2)
-        for radii in (37.5 / 10.5, EXACT_MAX_RADII):
-            np.testing.assert_allclose(_survivors(radii, n_max),
-                                       _survivors(radii, n_max, nodes=n_max + 5),
-                                       rtol=0, atol=1e-15)
+        radii = (37.5 / 10.5, EXACT_MAX_RADII)
+        default = [_survivors(r, n_max) for r in radii]
+        monkeypatch.setattr("rydstats.blockade._quadrature_nodes", lambda n: n + 5)
+        for r, table in zip(radii, default):
+            np.testing.assert_allclose(table, _survivors(r, n_max), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("cloud_length", [15.0, 37.5])
     def test_every_cell_against_the_monte_carlo(self, cloud_length):

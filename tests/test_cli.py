@@ -28,6 +28,7 @@ from rydstats import (
     count_trials,
     exact_pair_survival,
     fock_state,
+    loss_matrix,
     medium_matrix,
     synthesize,
 )
@@ -484,6 +485,18 @@ class TestReproduceCommands:
         dlcz_tail = body[k >= 3, 1].sum()
         wcs_tail = body[k >= 3, 3].sum()
         assert dlcz_tail > wcs_tail
+
+    def test_figS5_builds_one_setup_loss_matrix(self, tmp_path, monkeypatch):
+        # the dlcz zeta curve and every dlcz column share one matrix
+        built = []
+
+        def counted(t, n_max):
+            built.append((t, n_max))
+            return loss_matrix(t, n_max)
+
+        monkeypatch.setattr(pipeline, "loss_matrix", counted)
+        assert run(["--out", tmp_path, "reproduce", "figS5"]) == 0
+        assert built == [(0.15, 130)]
 
     def test_fig3_shape(self, tmp_path):
         assert run(["--out", tmp_path, "--seed", 11, "reproduce", "fig3",

@@ -13,9 +13,11 @@ from rydstats import (
     BlockadeConfig,
     FockDistribution,
     PipelineConfig,
+    SourceModel,
     ValidationError,
     cloud_input_distribution,
     coherent,
+    conditional_read_state,
     efficiency,
     exact_pair_survival,
     fock_state,
@@ -29,6 +31,7 @@ from rydstats import (
 )
 from rydstats import pipeline
 from rydstats._roots import X_TOL, BracketError, bisect_bracket, bisect_monotone
+from rydstats.blockade import _stretched
 from rydstats.errors import NumericalError
 from rydstats.fock import _poisson_terms
 from rydstats.pipeline import (
@@ -302,6 +305,13 @@ class TestZetaInversion:
         zeta_to_param(replace(cfg, t_losses=0.5), 0.1)
         assert len(built) == 2
 
+    def test_cloud_state_reuses_the_setup_losses(self, monkeypatch):
+        # the dlcz curve built the setup-loss matrix; the state reads it
+        cfg = make_cfg(n_max=40, trials=1_000)
+        param = zeta_to_param(cfg, 0.1)
+        monkeypatch.setattr(pipeline, "loss_matrix", None)
+        assert cloud_input_distribution(cfg, param).zeta() == pytest.approx(0.1, abs=1e-9)
+
     def test_config_pickles_after_inversion(self, monkeypatch):
         # the cached curve pickles with the config; the copy does not rebuild it
         for kind in INPUT_KINDS:
@@ -488,15 +498,16 @@ class TestSweep:
 
 
 class TestEventOracle:
-    """A virtual experiment for the wcs sweep: Poisson photon counts placed
-    one by one in the cloud, written apart from the blockade module."""
+    """A virtual experiment for the sweep: photon counts drawn from the
+    input state, thinned on the way to the cloud and placed one by one in
+    it, written apart from the blockade module."""
 
     @staticmethod
-    def survivors(mean, length, radius, trials, rng):
-        """Survivor counts of ``trials`` pulses of Poisson(``mean``) photons,
-        each placed uniformly on [0, ``length``] in arrival order and kept
-        when it lies more than ``radius`` from every earlier survivor."""
-        n = rng.poisson(mean, trials)
+    def survivors(n, length, radius, rng):
+        """Survivor counts of pulses of ``n`` photons, each photon placed
+        uniformly on [0, ``length``] in arrival order and kept when it lies
+        more than ``radius`` from every earlier survivor."""
+        trials = n.size
         placed = np.full((trials, max(int(n.max()), 1)), np.nan)  # NaN: no survivor
         kept = np.zeros(trials, dtype=np.int64)
         for j in range(int(n.max())):
@@ -507,20 +518,44 @@ class TestEventOracle:
             kept += keep
         return kept
 
-    def test_wcs_g2_out_at_high_zeta(self):
-        cfg = PipelineConfig(input_kind="wcs")
-        pt = sweep(cfg, [0.4], medium_matrix(cfg)).points[0]
-        # the photons that reach the cloud: compression and half the EIT loss
-        mean = pt.param * np.sqrt(cfg.eta_eit) * cfg.eta_compression
+    def assert_g2_out(self, cfg, pt, n, rng):
+        """The g2 of the survivors of ``n`` photons at the cloud lies within
+        4 standard errors of ``pt.g2_out``, and that error below 2% of it."""
         b = cfg.blockade
-        k = self.survivors(mean, b.cloud_length, b.blockade_radius, 600_000,
-                           np.random.default_rng(2024)).astype(float)
+        k = self.survivors(n, b.cloud_length, b.blockade_radius, rng).astype(float)
         pairs = k * (k - 1)
         g2 = pairs.mean() / k.mean() ** 2
         # delta method on (mean of k(k-1), mean of k)
         grad = np.array([1.0 / k.mean() ** 2, -2.0 * pairs.mean() / k.mean() ** 3])
         se = np.sqrt(grad @ np.cov(np.stack([pairs, k])) @ grad / k.size)
         assert abs(g2 - pt.g2_out) < 4 * se
+        assert se < 0.02 * pt.g2_out
+
+    def test_wcs_g2_out_at_high_zeta(self):
+        cfg = PipelineConfig(input_kind="wcs")
+        pt = sweep(cfg, [0.4], medium_matrix(cfg)).points[0]
+        # the photons that reach the cloud: compression and half the EIT loss
+        mean = pt.param * np.sqrt(cfg.eta_eit) * cfg.eta_compression
+        rng = np.random.default_rng(2024)
         # 4 se is well below the rise of g2_out from its low-zeta plateau
         # (0.092 at zeta = 0.05, 11 se below this estimate)
-        assert se < 0.02 * pt.g2_out
+        self.assert_g2_out(cfg, pt, rng.poisson(mean, 600_000), rng)
+
+    def test_dlcz_g2_out(self):
+        cfg = PipelineConfig(blockade=BlockadeConfig(n_max=100))
+        pt = sweep(cfg, [0.3], medium_matrix(cfg)).points[0]
+        probs = conditional_read_state(SourceModel(pt.param, cfg.t_w), 100).probs
+        rng = np.random.default_rng(2025)
+        # each heralded photon survives the setup losses, compression and
+        # half the EIT loss
+        t = cfg.t_losses * cfg.eta_compression * np.sqrt(cfg.eta_eit)
+        n = rng.binomial(rng.choice(probs.size, 1_000_000, p=probs), t)
+        self.assert_g2_out(cfg, pt, n, rng)
+
+    def test_wcs_g2_out_in_the_slow_light_cloud(self):
+        # 3.6 blockade radii: the medium is the exact recursion
+        cfg = PipelineConfig(input_kind="wcs", blockade=_stretched(BlockadeConfig(), 2.5))
+        pt = sweep(cfg, [0.4], medium_matrix(cfg)).points[0]
+        mean = pt.param * np.sqrt(cfg.eta_eit) * cfg.eta_compression
+        rng = np.random.default_rng(2026)
+        self.assert_g2_out(cfg, pt, rng.poisson(mean, 300_000), rng)
