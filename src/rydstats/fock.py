@@ -131,7 +131,14 @@ def fock_state(n: int, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
 
 
 def _poisson_terms(mu: float, n_max: int) -> tuple[np.ndarray, float]:
-    """Poisson pmf over 0..n_max and the probability mass beyond n_max.
+    """:func:`_poisson_rows` of the batch of one, as (pmf, float tail)."""
+    pmf, tail = _poisson_rows(np.array([mu]), n_max)
+    return pmf[0], tail.item()
+
+
+def _poisson_rows(mu: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson pmf over 0..n_max and the probability mass beyond n_max of
+    each element of the 1-D array ``mu``, one row each.
 
     The terms follow p_k = p_{k-1} mu / k both ways from k = a, the mode
     capped at n_max, with p_a taken from its logarithm, so a large mean
@@ -140,26 +147,59 @@ def _poisson_terms(mu: float, n_max: int) -> tuple[np.ndarray, float]:
     as 1 - cdf, so that a tail far below ``TAIL_TOLERANCE`` keeps its
     relative precision.
     """
-    # Written so that NaN fails the check.
-    if not 0.0 <= mu < math.inf:
-        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu}")
-    a = min(math.floor(mu), n_max)
-    log_p = -mu if a == 0 else a * math.log(mu) - mu - math.lgamma(a + 1)
-    # ratios[k] = p_k / p_{k+1} below the mode and p_k / p_{k-1} above it
-    ratios = np.empty(n_max + 1)
-    ratios[a] = 1.0
-    np.divide(np.arange(1, a + 1), mu, out=ratios[:a])
-    np.divide(mu, np.arange(a + 1, n_max + 1), out=ratios[a + 1:])
-    pmf = np.empty(n_max + 1)
-    pmf[a::-1] = math.exp(log_p) * np.cumprod(ratios[a::-1])
-    pmf[a:] = pmf[a] * np.cumprod(ratios[a:])
-    if math.floor(mu) > n_max:
-        # The mode lies beyond n_max: most of the mass is in the tail.
-        return pmf, max(0.0, 1.0 - float(pmf.sum()))
-    # Past the mode each ratio mu / k is below (n_max + 1) / k, so after
-    # n_max + 100 more terms the rest is below e^-49 of the tail.
-    beyond = pmf[-1] * np.cumprod(mu / np.arange(n_max + 1, 2 * n_max + 102))
-    return pmf, float(beyond[::-1].sum())
+    # np.multiply.accumulate is np.cumprod without the cost of its wrapper
+    a, p_a, up = _poisson_mode(mu, n_max)
+    k = np.arange(n_max + 1)
+    # p_k / p_{k+1} = (k + 1) / mu below the mode, multiplied from it down
+    down = np.divide(k + 1, mu[:, None], out=np.ones_like(up), where=k < a)
+    down = np.multiply.accumulate(down[:, ::-1], axis=1)[:, ::-1]
+    pmf = p_a[:, None] * np.where(k < a, down, np.multiply.accumulate(up, axis=1))
+    # A mode beyond n_max leaves most of the mass in the tail.
+    tail = np.maximum(0.0, 1.0 - pmf.sum(axis=1))
+    within = np.floor(mu) <= n_max
+    tail[within] = _poisson_tail(mu[within], n_max, pmf[within, -1])
+    return pmf, tail
+
+
+def _poisson_mode(mu: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per element of ``mu``, checked in order: a = min(floor(mu), n_max)
+    (a column), p_a by ``math.exp`` (``np.exp`` can differ in the last bit),
+    and a row of p_k / p_{k-1} = mu / k above a, 1 (exact) elsewhere."""
+    values = mu.tolist()
+    for m in values:
+        # Written so that NaN fails the check.
+        if not 0.0 <= m < math.inf:
+            raise ValidationError(f"mean photon number must be finite and >= 0, got {m}")
+    modes = [min(math.floor(m), n_max) for m in values]
+    p_a = [math.exp(-m if a == 0 else a * math.log(m) - m - math.lgamma(a + 1))
+           for m, a in zip(values, modes)]
+    a, k = np.array(modes)[:, None], np.arange(n_max + 1)
+    return a, np.array(p_a), np.divide(mu[:, None], k, out=np.ones((a.size, k.size)), where=k > a)
+
+
+def _poisson_tail(mu: np.ndarray, n_max: int, last: np.ndarray | None = None) -> np.ndarray:
+    """The tail of :func:`_poisson_rows` of each mean of ``mu`` whose mode
+    lies within 0..n_max, from its term at n_max (``last``, else built
+    alone).  Past the mode each ratio mu / k is below (n_max + 1) / k, so
+    after n_max + 100 more terms the rest is below e^-49 of the tail."""
+    if last is None:
+        _, p_a, up = _poisson_mode(mu, n_max)
+        last = p_a * np.multiply.accumulate(up, axis=1)[:, -1]
+    ratios = mu[:, None] / np.arange(n_max + 1, 2 * n_max + 102)
+    return (last[:, None] * np.multiply.accumulate(ratios, axis=1))[:, ::-1].sum(axis=1)
+
+
+def _coherent_rows(mu: np.ndarray, n_max: int) -> np.ndarray:
+    """The unnormalized :func:`coherent` vector of each element of the 1-D
+    array ``mu``, one row each, after its checks, in order."""
+    pmf, tail = _poisson_rows(mu, n_max)
+    for m, t in zip(mu.tolist(), tail.tolist()):
+        if t >= TAIL_TOLERANCE:
+            raise NumericalError(
+                f"Poisson tail beyond n_max={n_max} is {t:.2e} >= "
+                f"{TAIL_TOLERANCE:.0e} for mu={m}; increase n_max"
+            )
+    return pmf
 
 
 def coherent(mu: float, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
@@ -175,22 +215,13 @@ def coherent(mu: float, n_max: int = DEFAULT_N_MAX) -> FockDistribution:
         would silently bias g2 upward and an error is raised instead.
     """
     _check_count("n_max", n_max, 0)
-    probs, tail = _poisson_terms(mu, n_max)
-    if tail >= TAIL_TOLERANCE:
-        raise NumericalError(
-            f"Poisson tail beyond n_max={n_max} is {tail:.2e} >= "
-            f"{TAIL_TOLERANCE:.0e} for mu={mu}; increase n_max"
-        )
-    return FockDistribution(probs)
+    return FockDistribution(_coherent_rows(np.array([mu]), n_max)[0])
 
 
 def coherent_mu_upper_bound(n_max: int) -> float:
     """Largest mean photon number representable at ``n_max`` within the
     tail tolerance (used to bracket root searches)."""
-
-    def fits(mu):
-        return np.array([_poisson_terms(m, n_max)[1] < TAIL_TOLERANCE for m in mu.tolist()])
-
-    # Poisson(n_max) keeps more than a quarter of its mass beyond n_max,
-    # so mu = n_max never fits.
-    return bisect_bracket(fits, np.zeros(1), np.array([float(n_max)]))[0].item()
+    # Every midpoint, and so its mode, lies below n_max.  Poisson(n_max)
+    # keeps over a quarter of its mass beyond n_max: mu = n_max never fits.
+    return bisect_bracket(lambda mu: _poisson_tail(mu, n_max) < TAIL_TOLERANCE,
+                          np.zeros(1), np.array([float(n_max)]))[0].item()

@@ -26,6 +26,7 @@ from .blockade import BlockadeConfig, _exact_covers, blockade_matrix, exact_matr
 from .errors import NumericalError, ValidationError, _check_count
 from .fock import (
     FockDistribution,
+    _coherent_rows,
     _dot_rows,
     _mean_and_g2,
     _normalized,
@@ -42,7 +43,7 @@ from .source import (
     conditional_read_state,
     read_state_p_upper_bound,
 )
-from .transfer import TransferMatrix, loss_matrix
+from .transfer import TransferMatrix, _loss_stack, loss_matrix
 
 INPUT_KINDS = ("dlcz", "wcs")
 
@@ -93,6 +94,15 @@ class PipelineConfig:
         # Losses between the setups: the dlcz zeta curve and cloud states share it.
         return loss_matrix(self.t_losses, self.blockade.n_max)
 
+    @cached_property
+    def _thinnings(self) -> tuple[TransferMatrix, ...]:
+        # Source to medium: the transmission losses, the compression
+        # (eta_compression, then each band edge) and half the EIT loss are
+        # binomial thinnings, and loss(a) o loss(b) = loss(ab).
+        ts = [math.sqrt(self.eta_eit) * ec * _cloud_transmission(self)
+              for ec in (self.eta_compression, *self.compression_band)]
+        return tuple(TransferMatrix(m) for m in _loss_stack(ts, self.blockade.n_max))
+
 
 def medium_matrix(cfg: PipelineConfig, threads: int = 1) -> TransferMatrix:
     """The blockade matrix of ``cfg.blockade``: :func:`exact_matrix` for a
@@ -130,13 +140,6 @@ def _cloud_transmission(cfg: PipelineConfig) -> float:
     return cfg.t_losses if cfg.input_kind == "dlcz" else 1.0
 
 
-def _pre_blockade_matrix(cfg: PipelineConfig, eta_compression: float) -> TransferMatrix:
-    # Transmission losses, compression and half the EIT loss are binomial
-    # thinnings, and loss(a) o loss(b) = loss(ab).
-    t = math.sqrt(cfg.eta_eit) * eta_compression * _cloud_transmission(cfg)
-    return loss_matrix(t, cfg.blockade.n_max)
-
-
 def _check_same_n_max(cfg: PipelineConfig, **parts) -> None:
     for name, part in parts.items():
         if part.n_max != cfg.blockade.n_max:
@@ -167,7 +170,7 @@ def post_blockade_distribution(
     :func:`medium_matrix` and pass it to every call."""
     _check_same_n_max(cfg, input=input_dist, medium=medium)
     return FockDistribution(
-        _propagate(medium, _pre_blockade_matrix(cfg, cfg.eta_compression), input_dist.probs)
+        _propagate(medium, cfg._thinnings[0], input_dist.probs)
     )
 
 
@@ -301,24 +304,21 @@ def sweep(cfg: PipelineConfig, zeta_grid, medium: TransferMatrix) -> SweepResult
     """Evaluate g2_in, g2_out and efficiency over a multiphoton-strength
     grid, with an uncertainty band from the compression-efficiency range.
 
-    Built once per sweep: the pre-blockade thinning for eta_compression
-    and for each band edge (the zeta curve is built once per config).
+    The config builds its zeta curve and its pre-blockade thinnings (for
+    eta_compression and each band edge, in one stack) once and keeps them.
     The grid is evaluated as arrays, each point with the bits that the
     per-point functions give it: one bisection over every point (about
     50 curve evaluations, each a power or exp over points x n_max and two
-    dot products per point), the source states, and per thinning two
-    matrix-vector products per point (thinning, then medium); no matrix
-    is ever multiplied by another.
+    dot products per point), the source states (each Poisson row from its
+    own mode), and per thinning two matrix-vector products per point
+    (thinning, then medium); no matrix is ever multiplied by another.
 
     A point that fails raises the error that it raises alone: that of the
     first such point, at the first of its checks that fails.
     """
     _check_same_n_max(cfg, medium=medium)
-    thinnings = [
-        _pre_blockade_matrix(cfg, ec) for ec in (cfg.eta_compression, *cfg.compression_band)
-    ]
     zetas = [float(zeta) for zeta in zeta_grid]
-    columns = _in_one_batch(lambda z: _sweep_columns(cfg, z, medium, thinnings), zetas)
+    columns = _in_one_batch(lambda z: _sweep_columns(cfg, z, medium), zetas)
     return SweepResult([SweepPoint(*row) for row in zip(zetas, *(c.tolist() for c in columns))])
 
 
@@ -335,8 +335,8 @@ def _in_one_batch(run, values: list[float]):
         raise
 
 
-def _sweep_columns(cfg: PipelineConfig, zetas: np.ndarray, medium: TransferMatrix,
-                   thinnings: list[TransferMatrix]) -> tuple[np.ndarray, ...]:
+def _sweep_columns(cfg: PipelineConfig, zetas: np.ndarray,
+                   medium: TransferMatrix) -> tuple[np.ndarray, ...]:
     """The columns of :class:`SweepPoint` after zeta, for the points of
     ``zetas``, the stages run in the order of the per-point checks."""
     params = _zeta_to_params(cfg, zetas)
@@ -344,8 +344,8 @@ def _sweep_columns(cfg: PipelineConfig, zetas: np.ndarray, medium: TransferMatri
     if cfg.input_kind == "dlcz":
         src = _normalized(_read_state_rows(params, cfg.t_w, n_max))
     else:  # the Poisson recurrence runs from each mean's own mode
-        src = np.reshape([coherent(mu, n_max).probs for mu in params.tolist()], (-1, n_max + 1))
-    out, *edges = (_normalized(_propagate(medium, thin, src)) for thin in thinnings)
+        src = _normalized(_coherent_rows(params, n_max))
+    out, *edges = (_normalized(_propagate(medium, thin, src)) for thin in cfg._thinnings)
     band = [_mean_and_g2(edge)[1] for edge in edges]
     mean_in, g2_in = _mean_and_g2(src)
     mean_out, g2_out = _mean_and_g2(out)

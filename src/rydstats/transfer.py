@@ -89,17 +89,26 @@ def loss_matrix(t: float, n_max: int = DEFAULT_N_MAX) -> TransferMatrix:
     Each of l input photons survives independently with probability t, so
     column l is the binomial pmf B(l, t): M_kl = C(l, k) t^k (1-t)^(l-k).
     Columns follow Pascal's rule, the last photon lost or kept, so t = 0
-    and t = 1 come out exact.
+    and t = 1 come out exact.  This is :func:`_loss_stack` of one.
     """
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"transmission must lie in [0, 1], got {t}")
     _check_n_max(n_max, 0)
-    m = np.zeros((n_max + 1, n_max + 1))
-    m[0, 0] = 1.0
+    return TransferMatrix(_loss_stack([t], n_max)[0])
+
+
+def _loss_stack(ts, n_max: int) -> np.ndarray:
+    """The :func:`loss_matrix` of each t in ``ts`` in one C-ordered stack.
+    The Pascal step runs once over it, each entry taking the two operations
+    it takes alone; columns[l, i] is column l of matrix i, a whole row."""
+    t = np.array(ts, dtype=float)[:, None]
+    lost = 1.0 - t
+    columns = np.zeros((n_max + 1, t.shape[0], n_max + 1))
+    columns[0, :, 0] = 1.0
     for l in range(1, n_max + 1):
-        m[:, l] = (1.0 - t) * m[:, l - 1]
-        m[1:, l] += t * m[:-1, l - 1]
-    return TransferMatrix(m)
+        np.multiply(lost, columns[l - 1], out=columns[l])
+        columns[l, :, 1:] += t * columns[l - 1, :, :-1]
+    return np.ascontiguousarray(columns.transpose(1, 2, 0))
 
 
 def perfect_filter_matrix(n_max: int = DEFAULT_N_MAX) -> TransferMatrix:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,16 @@ from rydstats import (
     perfect_filter_matrix,
 )
 from rydstats._roots import bisect_bracket
-from rydstats.fock import NEGATIVE_TOLERANCE, TAIL_TOLERANCE, _poisson_terms, coherent_mu_upper_bound
+from rydstats.fock import (
+    NEGATIVE_TOLERANCE,
+    TAIL_TOLERANCE,
+    _coherent_rows,
+    _normalized,
+    _poisson_rows,
+    _poisson_tail,
+    _poisson_terms,
+    coherent_mu_upper_bound,
+)
 
 # scipy is the independent oracle; entries below this are underflow dust
 _SIGNIFICANT = 1e-290
@@ -151,6 +161,91 @@ class TestPoissonAgainstScipy:
         expected = bisect_bracket(lambda mu: poisson.sf(n_max, mu) < TAIL_TOLERANCE,
                                   np.zeros(1), np.array([float(n_max)]))[0].item()
         assert coherent_mu_upper_bound(n_max) == pytest.approx(expected, rel=1e-12)
+
+
+def one_mean(mu, n_max):
+    # the Poisson pmf and tail of one mean, as a scalar recurrence: the
+    # reference that each batched row must equal bit for bit
+    if not 0.0 <= mu < math.inf:
+        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu}")
+    a = min(math.floor(mu), n_max)
+    log_p = -mu if a == 0 else a * math.log(mu) - mu - math.lgamma(a + 1)
+    ratios = np.empty(n_max + 1)
+    ratios[a] = 1.0
+    np.divide(np.arange(1, a + 1), mu, out=ratios[:a])
+    np.divide(mu, np.arange(a + 1, n_max + 1), out=ratios[a + 1:])
+    pmf = np.empty(n_max + 1)
+    pmf[a::-1] = math.exp(log_p) * np.cumprod(ratios[a::-1])
+    pmf[a:] = pmf[a] * np.cumprod(ratios[a:])
+    if math.floor(mu) > n_max:
+        return pmf, max(0.0, 1.0 - float(pmf.sum()))
+    beyond = pmf[-1] * np.cumprod(mu / np.arange(n_max + 1, 2 * n_max + 102))
+    return pmf, float(beyond[::-1].sum())
+
+
+def edge_means(n_max, rng):
+    """Means at the edges of the recurrence: zero, the smallest double, the
+    integers around n_max and the doubles beside them, a mode beyond exp's
+    range, and random draws below and above n_max."""
+    edges = [0.0, 5e-324, 1.0, 0.5 * n_max]
+    for j in {max(n_max - 1, 0), n_max, n_max + 1}:
+        edges += [math.nextafter(float(j), 0.0), float(j), math.nextafter(float(j), math.inf)]
+    draws = np.concatenate([rng.uniform(0.0, 2.0 * n_max + 2.0, 40),
+                            10.0 ** rng.uniform(-12.0, 3.0, 40)])
+    return np.array(edges + [1e6] + draws.tolist())
+
+
+class TestPoissonRows:
+    @pytest.mark.parametrize("n_max", [0, 1, 12, 100, 130])
+    def test_each_row_is_the_scalar_recurrence(self, n_max):
+        mu = edge_means(n_max, np.random.default_rng(n_max))
+        pmf, tail = _poisson_rows(mu, n_max)
+        for i, m in enumerate(mu.tolist()):
+            expected_pmf, expected_tail = one_mean(m, n_max)
+            assert np.array_equal(pmf[i], expected_pmf), m
+            assert tail[i] == expected_tail, m
+            assert _poisson_terms(m, n_max)[1] == expected_tail
+        fits = tail < TAIL_TOLERANCE
+        rows = _normalized(_coherent_rows(mu[fits], n_max))
+        for row, m in zip(rows, mu[fits].tolist()):
+            assert np.array_equal(row, FockDistribution(one_mean(m, n_max)[0]).probs)
+
+    @pytest.mark.parametrize("n_max", [12, 40, 100, 130])
+    def test_tail_alone_is_the_tail_of_the_pmf(self, n_max):
+        # the bound's predicate builds pmf[n_max] alone; every mean whose
+        # mode lies within 0..n_max
+        mu = np.random.default_rng(n_max).uniform(0.0, n_max + 1.0, 2000)
+        tails = _poisson_tail(mu, n_max)
+        for m, tail in zip(mu.tolist(), tails.tolist()):
+            assert tail == _poisson_terms(m, n_max)[1] == one_mean(m, n_max)[1], m
+
+    def test_zero_mean_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pmf, tail = _poisson_rows(np.array([0.0, 0.5, 0.0]), 12)
+            assert _poisson_tail(np.array([0.0]), 12).tolist() == [0.0]
+            assert coherent(0.0, 12).probs[0] == 1.0
+        assert pmf[0].tolist() == [1.0] + [0.0] * 12 and tail[0] == 0.0
+
+    @pytest.mark.parametrize("n_max, message", [
+        (12, "Poisson tail beyond n_max=12 is 4.24e-01 >= 1e-09 for mu=12.0; increase n_max"),
+        (100, "Poisson tail beyond n_max=100 is 4.73e-01 >= 1e-09 for mu=100.0; increase n_max"),
+    ])
+    def test_failing_row_raises_its_own_error(self, n_max, message):
+        with pytest.raises(NumericalError) as alone:
+            coherent(float(n_max), n_max)
+        with pytest.raises(NumericalError) as batch:
+            _coherent_rows(np.array([0.5, float(n_max), float(2 * n_max)]), n_max)
+        assert str(batch.value) == str(alone.value) == message
+
+    @pytest.mark.parametrize("bad, shown", [(-0.1, "-0.1"), (math.nan, "nan"), (math.inf, "inf")])
+    def test_bad_mean_raises_its_own_error(self, bad, shown):
+        with pytest.raises(ValidationError) as alone:
+            coherent(bad, 12)
+        with pytest.raises(ValidationError) as batch:
+            _coherent_rows(np.array([0.5, bad]), 12)
+        assert str(batch.value) == str(alone.value) == \
+            f"mean photon number must be finite and >= 0, got {shown}"
 
 
 class TestStatistics:

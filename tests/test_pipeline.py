@@ -37,7 +37,6 @@ from rydstats.fock import _poisson_terms
 from rydstats.pipeline import (
     INPUT_KINDS,
     SweepPoint,
-    _pre_blockade_matrix,
     _zeta_curve,
 )
 from rydstats.source import _P_FLOOR, _herald_weights, _read_state_terms
@@ -97,14 +96,14 @@ class TestPostBlockade:
         # losses before the medium keep a Poissonian Poissonian: mean
         # mu * eta_compression * sqrt(eta_eit); no setup losses for wcs
         cfg = make_cfg(kind="wcs")
-        pre = _pre_blockade_matrix(cfg, cfg.eta_compression)
+        pre = cfg._thinnings[0]
         out = pre.apply(coherent(0.3, 24))
         expected = coherent(0.3 * 0.6 * np.sqrt(0.6), 24)
         np.testing.assert_allclose(out.probs, expected.probs, atol=1e-9)
 
     def test_dlcz_prechain_includes_setup_losses(self):
         cfg = make_cfg(kind="dlcz")
-        pre = _pre_blockade_matrix(cfg, cfg.eta_compression)
+        pre = cfg._thinnings[0]
         out = pre.apply(coherent(0.3, 24))
         expected = coherent(0.3 * 0.15 * 0.6 * np.sqrt(0.6), 24)
         np.testing.assert_allclose(out.probs, expected.probs, atol=1e-9)
@@ -118,8 +117,38 @@ class TestPostBlockade:
         chain = stages[0]
         for stage in stages[1:]:
             chain = stage.compose(chain)
-        single = _pre_blockade_matrix(cfg, ec)
+        single = cfg._thinnings[(0.6, 0.45, 0.75).index(ec)]
         np.testing.assert_allclose(single.matrix, chain.matrix, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    @pytest.mark.parametrize("losses", [{}, dict(eta_eit=0.7, t_losses=0.3, eta_compression=0.55,
+                                                 compression_band=(0.35, 0.8))],
+                             ids=["defaults", "order-sensitive"])
+    def test_thinnings_are_loss_matrices_bit_for_bit(self, kind, losses):
+        # one stack for eta_compression and the band edges, each slice the
+        # loss matrix of its product, C-ordered as M @ p needs; at 0.8 the
+        # second values round differently in either other product order
+        cfg = make_cfg(kind=kind, n_max=100, **losses)
+        t_cloud = cfg.t_losses if kind == "dlcz" else 1.0
+        for ec, thinning in zip((cfg.eta_compression, *cfg.compression_band), cfg._thinnings):
+            expected = loss_matrix(math.sqrt(cfg.eta_eit) * ec * t_cloud, 100).matrix
+            assert np.array_equal(thinning.matrix, expected)
+            assert thinning.matrix.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind, built", [("dlcz", [0.15]), ("wcs", [])])
+    def test_sweep_builds_no_loss_matrix_but_the_setup_loss(self, kind, built, monkeypatch):
+        calls = []
+
+        def counted(t, n_max):
+            calls.append(t)
+            return loss_matrix(t, n_max)
+
+        monkeypatch.setattr(pipeline, "loss_matrix", counted)
+        cfg = make_cfg(kind=kind, n_max=40, trials=1_000)
+        medium = medium_matrix(cfg)
+        sweep(cfg, [0.01, 0.1], medium)
+        post_blockade_distribution(cfg, source_distribution(cfg, 0.1), medium)
+        assert calls == built
 
     @pytest.mark.parametrize("input_n_max, medium_n_max, culprit", [
         (24, 10, "input n_max=24"),
@@ -167,8 +196,8 @@ class TestG2AfterStorage:
         p = zeta_to_param(cfg, 0.3)
         d = source_distribution(cfg, p)
         medium = medium_matrix(cfg)
-        correct = medium.compose(_pre_blockade_matrix(cfg, 0.6)).apply(d)
-        swapped = _pre_blockade_matrix(cfg, 0.6).compose(medium).apply(d)
+        correct = medium.compose(cfg._thinnings[0]).apply(d)
+        swapped = cfg._thinnings[0].compose(medium).apply(d)
         assert abs(correct.g2() - swapped.g2()) > 1e-3
 
 
@@ -217,7 +246,7 @@ class TestEfficiency:
             ratios.append(num / den)
         assert ratios[0] == pytest.approx(ratios[1], abs=1e-9)
         # the ratio equals mean(B q)/mean(q) for the pre-medium state q
-        q = _pre_blockade_matrix(cfg_a, 0.6).apply(source_distribution(cfg_a, p))
+        q = cfg_a._thinnings[0].apply(source_distribution(cfg_a, p))
         survival = medium.apply(q).mean_photons() / q.mean_photons()
         assert ratios[0] == pytest.approx(survival, abs=1e-9)
 
@@ -518,18 +547,27 @@ class TestEventOracle:
             kept += keep
         return kept
 
-    def assert_g2_out(self, cfg, pt, n, rng):
+    def assert_g2_out(self, cfg, pt, n, mean_in, rng):
         """The g2 of the survivors of ``n`` photons at the cloud lies within
-        4 standard errors of ``pt.g2_out``, and that error below 2% of it."""
+        4 standard errors of ``pt.g2_out``, and that error below 2% of it.
+        So does their efficiency, eta_r sqrt(eta_EIT) mean(k) over
+        ``mean_in``, the exact mean photon number at the cloud entrance,
+        within 4 standard errors of ``pt.eta``."""
         b = cfg.blockade
         k = self.survivors(n, b.cloud_length, b.blockade_radius, rng).astype(float)
         pairs = k * (k - 1)
         g2 = pairs.mean() / k.mean() ** 2
         # delta method on (mean of k(k-1), mean of k)
+        cov = np.cov(np.stack([pairs, k])) / k.size
         grad = np.array([1.0 / k.mean() ** 2, -2.0 * pairs.mean() / k.mean() ** 3])
-        se = np.sqrt(grad @ np.cov(np.stack([pairs, k])) @ grad / k.size)
+        se = np.sqrt(grad @ cov @ grad)
         assert abs(g2 - pt.g2_out) < 4 * se
         assert se < 0.02 * pt.g2_out
+        # eta is linear in mean(k): its gradient is the one factor
+        factor = cfg.eta_r * np.sqrt(cfg.eta_eit) / mean_in
+        eta, se_eta = factor * k.mean(), factor * np.sqrt(cov[1, 1])
+        assert abs(eta - pt.eta) < 4 * se_eta
+        assert se_eta < 0.02 * pt.eta
 
     def test_wcs_g2_out_at_high_zeta(self):
         cfg = PipelineConfig(input_kind="wcs")
@@ -539,18 +577,19 @@ class TestEventOracle:
         rng = np.random.default_rng(2024)
         # 4 se is well below the rise of g2_out from its low-zeta plateau
         # (0.092 at zeta = 0.05, 11 se below this estimate)
-        self.assert_g2_out(cfg, pt, rng.poisson(mean, 600_000), rng)
+        self.assert_g2_out(cfg, pt, rng.poisson(mean, 600_000), pt.param, rng)
 
     def test_dlcz_g2_out(self):
         cfg = PipelineConfig(blockade=BlockadeConfig(n_max=100))
         pt = sweep(cfg, [0.3], medium_matrix(cfg)).points[0]
-        probs = conditional_read_state(SourceModel(pt.param, cfg.t_w), 100).probs
+        source = conditional_read_state(SourceModel(pt.param, cfg.t_w), 100)
+        probs = source.probs
         rng = np.random.default_rng(2025)
         # each heralded photon survives the setup losses, compression and
         # half the EIT loss
         t = cfg.t_losses * cfg.eta_compression * np.sqrt(cfg.eta_eit)
         n = rng.binomial(rng.choice(probs.size, 1_000_000, p=probs), t)
-        self.assert_g2_out(cfg, pt, n, rng)
+        self.assert_g2_out(cfg, pt, n, cfg.t_losses * source.mean_photons(), rng)
 
     def test_wcs_g2_out_in_the_slow_light_cloud(self):
         # 3.6 blockade radii: the medium is the exact recursion
@@ -558,4 +597,4 @@ class TestEventOracle:
         pt = sweep(cfg, [0.4], medium_matrix(cfg)).points[0]
         mean = pt.param * np.sqrt(cfg.eta_eit) * cfg.eta_compression
         rng = np.random.default_rng(2026)
-        self.assert_g2_out(cfg, pt, rng.poisson(mean, 300_000), rng)
+        self.assert_g2_out(cfg, pt, rng.poisson(mean, 300_000), pt.param, rng)

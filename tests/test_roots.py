@@ -45,6 +45,44 @@ def test_read_state_bound_is_the_plain_halving_result(t_w, n_max):
     assert read_state_p_upper_bound(t_w, n_max) == halving(fits, 0.0, 1.0 - 1e-12)[0]
 
 
+#: float.hex of each truncation bound, as the full-pmf predicate found it.
+#: Each bound is the hi of a zeta bisection, so one ulp moves every midpoint.
+COHERENT_BOUND_BITS = {
+    1: "0x1.7727d1edd141bp-15",
+    3: "0x1.98defacc475eap-7",
+    20: "0x1.ecfe9528d9929p+1",
+    100: "0x1.9ec6dc11f0431p+5",
+    130: "0x1.26306dfe73497p+6",
+}
+READ_STATE_BOUND_BITS = {
+    (1, 5e-324): "0x1.129a620000000p-31",
+    (1, 0.21): "0x1.32d1adabbf309p-31",
+    (1, 1.0): "0x1.129a610000000p-30",
+    (3, 5e-324): "0x1.4a38fe778c5ffp-11",
+    (3, 0.21): "0x1.6f48edffff6c9p-11",
+    (3, 1.0): "0x1.060e7cdd3daffp-10",
+    (20, 5e-324): "0x1.3d846c3bf5bf6p-2",
+    (20, 0.21): "0x1.555294befe88ap-2",
+    (20, 1.0): "0x1.6b4f8c6723a6ap-2",
+    (100, 5e-324): "0x1.9376316002c48p-1",
+    (100, 0.21): "0x1.9de99bd512a0fp-1",
+    (100, 1.0): "0x1.a02a4170c5412p-1",
+    (130, 5e-324): "0x1.aa2db48c98260p-1",
+    (130, 0.21): "0x1.b30cb10fe5593p-1",
+    (130, 1.0): "0x1.b48d472209a12p-1",
+}
+
+
+@pytest.mark.parametrize("n_max", sorted(COHERENT_BOUND_BITS))
+def test_coherent_bound_keeps_its_bits(n_max):
+    assert coherent_mu_upper_bound(n_max).hex() == COHERENT_BOUND_BITS[n_max]
+
+
+@pytest.mark.parametrize("n_max, t_w", sorted(READ_STATE_BOUND_BITS))
+def test_read_state_bound_keeps_its_bits(n_max, t_w):
+    assert read_state_p_upper_bound(t_w, n_max).hex() == READ_STATE_BOUND_BITS[n_max, t_w]
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 10, 1000, 10**6])
 def test_no_truncation_fits_the_bracket_edge(n_max):
     # why both bounds bisect without testing hi first: the heralded state

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,23 @@ from rydstats import (
     loss_matrix,
     perfect_filter_matrix,
 )
-from rydstats.transfer import TransferMatrix
+from rydstats.transfer import TransferMatrix, _loss_stack
+
+
+def column_loop(t, n_max):
+    # loss_matrix as one matrix built column by column, the reference that
+    # the stacked Pascal step must equal bit for bit
+    m = np.zeros((n_max + 1, n_max + 1))
+    m[0, 0] = 1.0
+    for l in range(1, n_max + 1):
+        m[:, l] = (1.0 - t) * m[:, l - 1]
+        m[1:, l] += t * m[:-1, l - 1]
+    return m
+
+
+#: Transmissions from 0 through the smallest double and a band-edge
+#: thinning (sqrt(eta_eit) * eta_compression) to 1.
+STACK_TS = [0.0, 5e-324, 0.15, math.sqrt(0.6) * 0.45, 1.0]
 
 
 class TestConstruction:
@@ -90,6 +108,23 @@ class TestLossMatrix:
         assert np.all(m[~keep] <= 1e-280)
         if t in (0.0, 1.0):
             np.testing.assert_array_equal(m, expected)
+
+
+class TestLossStack:
+    @pytest.mark.parametrize("n_max", [0, 1, 12, 100, 130])
+    def test_each_slice_is_the_column_loop(self, n_max):
+        stack = _loss_stack(STACK_TS, n_max)
+        assert stack.shape == (len(STACK_TS), n_max + 1, n_max + 1)
+        assert stack.flags.c_contiguous
+        for t, m in zip(STACK_TS, stack):
+            expected = column_loop(t, n_max)
+            assert np.array_equal(m, expected)
+            assert np.array_equal(_loss_stack([t], n_max)[0], expected)
+            assert np.array_equal(loss_matrix(t, n_max).matrix, expected)
+
+    def test_loss_matrix_is_c_ordered(self):
+        # a transposed matrix sends M @ p down another matrix-vector kernel
+        assert loss_matrix(0.3, 40).matrix.flags.c_contiguous
 
 
 class TestPerfectFilter:
